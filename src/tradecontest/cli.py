@@ -55,6 +55,10 @@ def run_contest_backtest(config: cfgmod.RunConfig, **contest_overrides):
         eval_start=config.period.test_start, eval_end=config.period.test_end,
     )
     state = new_state(config.initial_cash)
+    # the day before the first evaluation day gives its move-limit reference
+    prev_day = store.calendar[store.day_index(records[0].date) - 1]
+    state.prev_closes = {s: store.close(s, prev_day)
+                         for s in store.symbols if store.has_bar(s, prev_day)}
     rules = cfgmod.backtest_rules(config)
     for record in records:
         bars_t = {

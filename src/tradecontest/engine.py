@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,35 +172,33 @@ def _window_matrix(values: np.ndarray, m: int) -> np.ndarray:
     return np.column_stack([means, stds, lasts, slopes])
 
 
-def _training_pairs(series_map: dict[str, ScoreSeries], extras, m: int, n: int,
-                    cutoff: dt.date, cap: int | None):
-    """Pooled (features, (future mean, future std)) pairs across agents.
+@dataclass
+class _TrainingRows:
+    """One agent's training rows, end to end in flat arrays. The row anchored
+    on score i is final once the n scores after it resolve: features are the
+    m-window statistics ending at i plus score i's extra columns, targets the
+    mean and std of those n scores."""
 
-    ``extras`` maps (agent_id, date) to an optional extra feature tuple.
-    ``cap`` keeps only each agent's most recent anchors, bounding the
-    expanding window.
-    """
-    pairs: list[tuple[np.ndarray, tuple[float, float]]] = []
-    for agent_id in sorted(series_map):
-        entries = [(d, v) for d, v in series_map[agent_id].entries if d <= cutoff]
-        L = len(entries)
-        if L < m + n:
-            continue
-        values = np.array([v for _, v in entries], dtype=np.float64)
-        feats = _window_matrix(values, m)           # rows end at index m-1..L-1
-        F = np.lib.stride_tricks.sliding_window_view(values, n)
-        fut_mu = F.mean(axis=1)                     # rows start at index 0..L-n
-        fut_sigma = F.std(axis=1)
-        anchors = list(range(m - 1, L - n))
-        if cap is not None:
-            anchors = anchors[-cap:]
-        for i in anchors:
-            x = feats[i - (m - 1)]
-            extra = extras(agent_id, entries[i][0]) if extras is not None else None
-            if extra is not None:
-                x = np.concatenate([x, np.asarray(extra, dtype=np.float64)])
-            pairs.append((x, (float(fut_mu[i + 1]), float(fut_sigma[i + 1]))))
-    return pairs
+    m: int
+    n: int
+    features: array = field(default_factory=lambda: array("d"))
+    targets: array = field(default_factory=lambda: array("d"))
+    extras: list = field(default_factory=list)
+
+    def add(self, values: list[float], extra) -> None:
+        """Take the newest score's extra columns; finish the row n scores back."""
+        self.extras.append(extra)
+        i = len(values) - 1 - self.n
+        if i < self.m - 1:
+            return
+        # two windows, not one: numpy computes a one-row product with another
+        # kernel, whose rounding differs; for m < 8 every larger batch rounds
+        # each row alike, so the row matches one built over the whole series
+        window = np.asarray(values[i - self.m + 1: i + 2], dtype=np.float64)
+        self.features.extend(_window_matrix(window, self.m)[0])
+        self.features.extend(self.extras[i] or ())
+        future = np.asarray(values[i + 1:], dtype=np.float64)
+        self.targets.extend((future.mean(), future.std()))
 
 
 def _current_features(series: ScoreSeries, extras_vec, m: int, cutoff: dt.date):
@@ -211,10 +211,16 @@ def _current_features(series: ScoreSeries, extras_vec, m: int, cutoff: dt.date):
     return x
 
 
-def _fit_or_baseline(config: ContestConfig, pairs) -> PredictorModel:
-    threshold = max(config.min_train_pairs, 30)
-    if config.predictor.kind == "gbdt" and len(pairs) >= threshold:
-        return train(config.predictor, pairs)
+def _fit_or_baseline(config: ContestConfig, rows: dict[str, _TrainingRows]) -> PredictorModel:
+    """Fit on each agent's latest ``train_window_days`` rows, or fall back
+    to the baseline when the predictor is the baseline or rows are few."""
+    cap = config.train_window_days
+    window = slice(None if cap is None else -cap, None)
+    chosen = [r for _, r in sorted(rows.items()) if r.targets]
+    X = [np.array(r.features).reshape(len(r.targets) // 2, -1)[window] for r in chosen]
+    targets = [np.array(r.targets).reshape(-1, 2)[window] for r in chosen]
+    if config.predictor.kind == "gbdt" and sum(map(len, X)) >= max(config.min_train_pairs, 30):
+        return train(config.predictor, np.vstack(X), np.vstack(targets))
     return baseline_model()
 
 
@@ -248,9 +254,17 @@ class ContestEngine:
         self.research_sharpe: dict[str, ScoreSeries] = {
             a.agent_id: ScoreSeries(a.agent_id) for a in self.research_agents
         }
-        self.judger_history: dict[str, list[tuple[dt.date, tuple[float, float]]]] = {
-            a.agent_id: [] for a in self.research_agents
+        self.judged: dict[str, deque[tuple[float, float]]] = {
+            a.agent_id: deque(maxlen=config.m) for a in self.research_agents
         }
+        self.judger_means: dict[str, tuple[float, float]] = {}
+        # training rows are kept only where a gbdt predictor will read them
+        gbdt = config.predictor.kind == "gbdt"
+        self.data_rows = {a.agent_id: _TrainingRows(config.m, config.n_data)
+                          for a in self.data_agents if gbdt and not config.no_data_contest}
+        self.research_rows = {a.agent_id: _TrainingRows(config.m, config.n_research)
+                              for a in self.research_agents
+                              if gbdt and not config.no_research_contest}
         self.active_portfolio: FactorPortfolio | None = None
         self.active_weights: CapitalWeights | None = None
 
@@ -284,6 +298,8 @@ class ContestEngine:
                 absent.append(agent_id)
                 continue
             self.data_scores[agent_id].append(t_prev, q)
+            if agent_id in self.data_rows:
+                self.data_rows[agent_id].add(self.data_scores[agent_id].values, None)
             factor_scores[agent_id] = q
 
         m = self.config.m
@@ -300,51 +316,39 @@ class ContestEngine:
             window = [r for _, r in self.research_returns[agent_id][-m:]]
             judger = None if self.config.no_judger else stub_judger(signal)
             entry: dict[str, float] = {}
-            if len(window) >= 2:
-                if judger is not None:
-                    hybrid = researcher_score([signal], window, judger)
-                    sharpe = hybrid.realized_sharpe_m
-                else:
-                    sharpe = realized_sharpe(window)
-                self.research_sharpe[agent_id].append(t_prev, sharpe)
-                entry["sharpe"] = sharpe
             if judger is not None:
-                self.judger_history[agent_id].append(
-                    (t_prev, (judger.logical_soundness, judger.evidence_quality))
-                )
+                judged = self.judged[agent_id]
+                judged.append((judger.logical_soundness, judger.evidence_quality))
+                self.judger_means[agent_id] = (sum(v[0] for v in judged) / len(judged),
+                                               sum(v[1] for v in judged) / len(judged))
                 entry["soundness"] = judger.logical_soundness
                 entry["quality"] = judger.evidence_quality
+            if len(window) >= 2:
+                sharpe = realized_sharpe(window) if judger is None \
+                    else researcher_score([signal], window, judger).realized_sharpe_m
+                self.research_sharpe[agent_id].append(t_prev, sharpe)
+                if agent_id in self.research_rows:
+                    self.research_rows[agent_id].add(self.research_sharpe[agent_id].values,
+                                                     self.judger_means.get(agent_id))
+                entry["sharpe"] = sharpe
             if entry:
                 researcher_scores[agent_id] = entry
         return factor_scores, researcher_scores
 
-    def _judger_extras(self, agent_id: str, cutoff: dt.date):
-        if self.config.no_judger:
-            return None
-        hist = [v for d, v in self.judger_history[agent_id] if d <= cutoff]
-        if not hist:
-            return None
-        window = hist[-self.config.m:]
-        sound = sum(v[0] for v in window) / len(window)
-        qual = sum(v[1] for v in window) / len(window)
-        return (sound, qual)
-
-    def _predict_utilities(self, series_map, extras_fn, n: int, cutoff: dt.date):
-        pairs = _training_pairs(series_map, extras_fn, self.config.m, n, cutoff,
-                                self.config.train_window_days)
-        model = _fit_or_baseline(self.config, pairs)
+    def _predict_utilities(self, series_map, rows, extras: dict, cutoff: dt.date):
+        model = _fit_or_baseline(self.config, rows)
         agents: list[str] = []
-        rows: list[np.ndarray] = []
+        feature_rows: list[np.ndarray] = []
         for agent_id in sorted(series_map):
-            extras_vec = extras_fn(agent_id, cutoff) if extras_fn is not None else None
-            x = _current_features(series_map[agent_id], extras_vec, self.config.m, cutoff)
+            x = _current_features(series_map[agent_id], extras.get(agent_id),
+                                  self.config.m, cutoff)
             if x is None:
                 continue
             agents.append(agent_id)
-            rows.append(x)
+            feature_rows.append(x)
         if not agents:
             return {}, model.kind
-        mu, sigma = model.predict_batch(np.vstack(rows))
+        mu, sigma = model.predict_batch(np.vstack(feature_rows))
         utilities = {
             a: clipped_utility(float(mu[i]), float(sigma[i])).utility
             for i, a in enumerate(agents)
@@ -374,7 +378,7 @@ class ContestEngine:
             return {}, "random"
 
         utilities, model_kind = self._predict_utilities(
-            self.data_scores, None, self.config.n_data, t_prev)
+            self.data_scores, self.data_rows, {}, t_prev)
         items = [
             KnapsackItem(agent_id=a, utility=u, tokens=factors_t[a].token_length,
                          factor=factors_t[a])
@@ -413,7 +417,7 @@ class ContestEngine:
             return {}, "random"
 
         utilities, model_kind = self._predict_utilities(
-            self.research_sharpe, self._judger_extras, self.config.n_research, t_prev)
+            self.research_sharpe, self.research_rows, self.judger_means, t_prev)
         if not utilities:
             self.active_weights = None
             return {}, model_kind

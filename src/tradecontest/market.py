@@ -13,6 +13,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -170,13 +171,11 @@ class MarketView:
         cached = self._returns_cache.get(key)
         if cached is not None:
             return cached
-        dates = [d for d in self._calendar if self._store.has_bar(symbol, d)]
-        dates = dates[-(window + 1):]
-        out = []
-        for prev, cur in zip(dates, dates[1:]):
-            c0 = self._store.close(symbol, prev)
-            c1 = self._store.close(symbol, cur)
-            out.append(c1 / c0 - 1.0)
+        bars = self._store._bars.get(symbol, {})
+        # walk back from the cutoff until window + 1 closes are found
+        found = (bars[d].close for d in reversed(self._calendar) if d in bars)
+        closes = list(islice(found, window + 1))[::-1]
+        out = [c1 / c0 - 1.0 for c0, c1 in zip(closes, closes[1:])]
         self._returns_cache[key] = out
         return out
 

@@ -154,34 +154,20 @@ def baseline_model() -> PredictorModel:
     return PredictorModel(kind="baseline")
 
 
-def train(model_spec: PredictorSpec, history) -> PredictorModel:
-    """Fit a predictor on (features, (future mean, future std)) pairs.
-
-    ``history`` is a sequence of (FeatureVector | array, (mu, sigma))
-    pairs collected from the training period.
-    """
-    pairs = list(history)
-    if len(pairs) < MIN_TRAIN_PAIRS:
-        raise TrainingError(
-            f"need >= {MIN_TRAIN_PAIRS} training pairs, got {len(pairs)}"
-        )
+def train(model_spec: PredictorSpec, X, targets) -> PredictorModel:
+    """Fit a predictor on feature rows ``X`` and their (future mean,
+    future std) ``targets``, one pair per row."""
+    X = np.asarray(X, dtype=np.float64)
+    if len(X) < MIN_TRAIN_PAIRS:
+        raise TrainingError(f"need >= {MIN_TRAIN_PAIRS} training pairs, got {len(X)}")
     if model_spec.kind == "baseline":
-        return PredictorModel(kind="baseline", train_window=len(pairs))
-    X = np.vstack([
-        f.as_array() if isinstance(f, FeatureVector) else np.asarray(f, dtype=np.float64)
-        for f, _ in pairs
-    ])
-    y_mu = np.array([target[0] for _, target in pairs], dtype=np.float64)
-    y_sigma = np.array([target[1] for _, target in pairs], dtype=np.float64)
-    mu_model = GradientBoostedRegressor(
-        n_trees=model_spec.n_trees, max_depth=model_spec.max_depth,
-        learning_rate=model_spec.learning_rate,
-    ).fit(X, y_mu)
-    sigma_model = GradientBoostedRegressor(
-        n_trees=model_spec.n_trees, max_depth=model_spec.max_depth,
-        learning_rate=model_spec.learning_rate,
-    ).fit(X, y_sigma)
-    return PredictorModel(kind="gbdt", train_window=len(pairs),
+        return PredictorModel(kind="baseline", train_window=len(X))
+    mu_model, sigma_model = (
+        GradientBoostedRegressor(n_trees=model_spec.n_trees, max_depth=model_spec.max_depth,
+                                 learning_rate=model_spec.learning_rate).fit(X, y)
+        for y in np.array(targets, dtype=np.float64).T.copy()
+    )
+    return PredictorModel(kind="gbdt", train_window=len(X),
                           mu_model=mu_model, sigma_model=sigma_model)
 
 
@@ -270,12 +256,11 @@ def validate_momentum(series_set: list[ScoreSeries], m: int, n: int,
         raise InsufficientCrossSectionError(
             f"need >= 2 score series for cross-sectional ranks, got {len(series_set)}"
         )
-    common = set.intersection(*(set(d for d, _ in s.entries) for s in series_set))
+    common = set.intersection(*(set(s.dates) for s in series_set))
     if not common:
         raise InsufficientHistoryError("score series share no dates")
-    dates = sorted(common)
     panel = np.array([
-        [dict(s.entries)[d] for d in dates] for s in series_set
+        [v for d, v in s.entries if d in common] for s in series_set
     ], dtype=np.float64)
     if panel.shape[1] < max(m + n, M + N):
         raise InsufficientHistoryError(

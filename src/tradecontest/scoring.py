@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .agents import Observation, TextualFactor, TradingSignal
@@ -22,25 +23,32 @@ STD_FLOOR = 1e-4
 
 @dataclass
 class ScoreSeries:
-    """Per-agent history of daily scores, strictly increasing in date."""
+    """Per-agent history of daily scores, strictly increasing in date,
+    as parallel lists: a date lookup is a bisection, a window a slice."""
 
     agent_id: str
-    entries: list[tuple[dt.date, float]] = field(default_factory=list)
+    dates: list[dt.date] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
+
+    @property
+    def entries(self) -> list[tuple[dt.date, float]]:
+        return list(zip(self.dates, self.values))
 
     def append(self, t: dt.date, score: float) -> None:
-        if self.entries and t <= self.entries[-1][0]:
+        if self.dates and t <= self.dates[-1]:
             raise ValueError(f"{self.agent_id}: dates must be strictly increasing")
-        self.entries.append((t, score))
+        self.dates.append(t)
+        self.values.append(score)
 
     def values_until(self, t: dt.date) -> list[float]:
-        return [v for d, v in self.entries if d <= t]
+        return self.values[:bisect_right(self.dates, t)]
 
     def values_between(self, start: dt.date, end: dt.date) -> list[float]:
         """Scores with start < date <= end."""
-        return [v for d, v in self.entries if start < d <= end]
+        return self.values[bisect_right(self.dates, start):bisect_right(self.dates, end)]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.dates)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradecontest.allocation import (
@@ -153,6 +154,7 @@ class TestSharpeWeights:
     @given(st.dictionaries(st.text("abcdef", min_size=1, max_size=4),
                            st.floats(-10, 10), min_size=1, max_size=8),
            st.floats(0.1, 100.0))
+    @example({"a": 5e-324}, 0.5)  # the scaled utility underflows to 0.0
     def test_properties(self, utilities, scale):
         w = sharpe_weights(utilities)
         values = list(w.weights.values())
@@ -163,8 +165,13 @@ class TestSharpeWeights:
         else:
             assert total == 0.0
         scaled = sharpe_weights({a: u * scale for a, u in utilities.items()})
-        for agent in w.weights:
-            assert scaled.weights[agent] == pytest.approx(w.weights[agent], abs=1e-9)
+        # scaling keeps the weights only while every scaled positive utility
+        # stays a normal float; below that it loses precision or becomes 0.0
+        if all(u * scale >= sys.float_info.min for u in utilities.values() if u > 0):
+            for agent in w.weights:
+                assert scaled.weights[agent] == pytest.approx(w.weights[agent], abs=1e-9)
+        elif not any(u * scale > 0 for u in utilities.values()):
+            assert all(v == 0.0 for v in scaled.weights.values())
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 import yaml
 
 from tradecontest import config as cfgmod
-from tradecontest.cli import main
+from tradecontest.cli import main, run_contest_backtest
 from tradecontest.errors import ConfigurationError
 
 STUB = f"{sys.executable} {Path(__file__).parent / 'stub_agent.py'}"
@@ -149,6 +150,60 @@ class TestCmdBacktest:
         for line in ledger:
             scored |= set(json.loads(line)["factor_scores"])
         assert "x00" in scored
+
+
+    def test_move_limit_holds_on_first_evaluation_day(self, tmp_path):
+        # SYM000 closes at the +10% limit every day, so a buy on the first
+        # evaluation day meets a locked limit-up like on any other day
+        cfg_path = write_config(
+            tmp_path / "run.yaml",
+            data={"kind": "synthetic", "n_symbols": 2, "n_days": 40, "daily_vol": 0.01,
+                  "planted": [{"symbol": "SYM000", "start_day": 0, "drift": 0.5}]},
+            agents={"data": [{"agent_id": f"d{i}", "skill": 1.0} for i in range(3)],
+                    "research": [{"agent_id": "r0", "belief": "momentum"}]},
+        )
+        records, state, _ = run_contest_backtest(cfgmod.load_config(cfg_path))
+        first = state.days[0]
+        assert records[0]["target_weights"].get("SYM000", 0.0) > 0
+        assert "buy SYM000: limit-up" in first.rejected
+        assert not [f for f in state.fills if f.date == first.date]
+
+
+# A small gbdt run with the judger on and a training window of 15 days. Its
+# ledger's sha256 was recorded before the engine kept training rows
+# incrementally, on numpy 2.4.6 with its bundled OpenBLAS 0.3.31 (x86-64):
+# a change that alters one bit of any fitted model, utility or weight
+# changes the hash. The slope feature goes through a BLAS kernel, so other
+# numpy or BLAS builds may round it differently and need their own hash.
+GOLDEN_CONFIG = {
+    "seed": 23,
+    "data": {"kind": "synthetic", "n_symbols": 8, "n_days": 90, "daily_vol": 0.015,
+             "planted": [{"symbol": "SYM000", "start_day": 0, "drift": 0.006},
+                         {"symbol": "SYM001", "start_day": 40, "drift": -0.006}]},
+    "period": {"train_start": "2024-01-02", "train_end": "2024-01-22",
+               "test_start": "2024-01-23"},
+    "agents": {
+        "data": [{"agent_id": f"d{i}", "skill": 0.7 if i < 2 else 0.0} for i in range(6)],
+        "research": [{"agent_id": "r0", "belief": "momentum"},
+                     {"agent_id": "r1", "belief": "reversal"},
+                     {"agent_id": "r2", "belief": "random"}],
+    },
+    "contest": {"m": 5, "n_data": 3, "n_research": 5, "budget": 256,
+                "predictor": "gbdt", "n_trees": 20},
+}
+GOLDEN_LEDGER_SHA256 = "84efa5b268b6f664f0b8f522e210db4d8ef6b31a9a966f9ccee14d27d7fd67b0"
+
+
+def test_golden_ledger_sha256(tmp_path):
+    cfg_path = tmp_path / "golden.yaml"
+    cfg_path.write_text(yaml.safe_dump(GOLDEN_CONFIG))
+    out = tmp_path / "out"
+    assert main(["backtest", str(cfg_path), "--output-dir", str(out)]) == 0
+    ledger = (out / "ledger.jsonl").read_bytes()
+    records = [json.loads(line) for line in ledger.splitlines()]
+    assert {r["model_kinds"].get("data") for r in records} >= {"gbdt"}
+    assert {r["model_kinds"].get("research") for r in records} >= {"gbdt"}
+    assert hashlib.sha256(ledger).hexdigest() == GOLDEN_LEDGER_SHA256
 
 
 class TestCmdAblate:

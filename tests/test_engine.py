@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from tradecontest.agents import (
@@ -7,8 +8,15 @@ from tradecontest.agents import (
     SyntheticDataAgent,
     SyntheticResearchAgent,
 )
-from tradecontest.engine import ContestConfig, contest_ic_pairs, run_full
-from tradecontest.errors import ConfigurationError
+from tradecontest import engine as eng
+from tradecontest.engine import (
+    ContestConfig,
+    ContestEngine,
+    _window_matrix,
+    contest_ic_pairs,
+    run_full,
+)
+from tradecontest.errors import AgentUnavailableError, ConfigurationError
 from tradecontest.market import (
     PlantedEffect,
     SyntheticSpec,
@@ -16,6 +24,7 @@ from tradecontest.market import (
     perturb_after,
 )
 from tradecontest.prediction import PredictorSpec
+from tradecontest.scoring import stub_judger
 
 
 def data_agent(agent_id, skill=0.0, seed=None, obs=2):
@@ -218,3 +227,129 @@ class TestIcPairs:
         records = run_full(cfg, store, data, research)
         kinds = {r.model_kinds.get("data") for r in records if r.data_rebalance}
         assert "gbdt" in kinds
+
+
+# -- training rows: the engine's incremental state against a full rebuild -----
+
+
+def reference_rows(series_map, judger_history, m, n, cap):
+    """Stacked training rows and targets rebuilt from whole score histories.
+
+    Every row of every agent is recomputed from scratch: one feature matrix
+    over the agent's whole series, forward means and stds from a sliding
+    window, and judger means from a scan of the judger history up to each
+    anchor's date. Every resolved score is dated at or before the cutoff of
+    the rebalance that reads it, so no cutoff filter is needed.
+    """
+    X, Y = [], []
+    for agent_id in sorted(series_map):
+        series = series_map[agent_id]
+        values = np.array(series.values, dtype=np.float64)
+        L = len(values)
+        if L < m + n:
+            continue
+        feats = _window_matrix(values, m)
+        F = np.lib.stride_tricks.sliding_window_view(values, n)
+        fut_mu, fut_sigma = F.mean(axis=1), F.std(axis=1)
+        anchors = list(range(m - 1, L - n))
+        if cap is not None:
+            anchors = anchors[-cap:]
+        for i in anchors:
+            x = feats[i - (m - 1)]
+            if judger_history is not None:
+                hist = [v for d, v in judger_history[agent_id] if d <= series.dates[i]][-m:]
+                extra = (sum(v[0] for v in hist) / len(hist), sum(v[1] for v in hist) / len(hist))
+                x = np.concatenate([x, np.asarray(extra, dtype=np.float64)])
+            X.append(x)
+            Y.append((float(fut_mu[i + 1]), float(fut_sigma[i + 1])))
+    if not X:
+        return np.empty((0, 0)), np.empty((0, 2))
+    return np.vstack(X), np.array(Y)
+
+
+def judger_history(engine):
+    """(date, (soundness, quality)) of every judged signal, per research agent."""
+    out = {}
+    for agent_id, returns in engine.research_returns.items():
+        judged = [stub_judger(engine.signals[d][agent_id]) for d, _ in returns]
+        out[agent_id] = [(d, (j.logical_soundness, j.evidence_quality))
+                         for (d, _), j in zip(returns, judged)]
+    return out
+
+
+class Flaky:
+    """Wraps an agent and leaves it absent on every third calendar day."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.agent_id = agent.agent_id
+
+    def produce(self, *args):
+        if args[-1].toordinal() % 3 == 0:
+            raise AgentUnavailableError("down today")
+        return self.agent.produce(*args)
+
+
+def run_checking_rows(monkeypatch, config, store, data, research):
+    """Run every calendar day; at each rebalance assert that the rows the
+    engine hands to ``train`` equal the reference rebuild. Returns the side
+    ("data" or "research") of each checked fit."""
+    engine = ContestEngine(config, store, data, research)
+    passed, checked = [], []
+    real_train, real_fit = eng.train, eng._fit_or_baseline
+
+    def train(spec, X, targets):
+        passed.append((X, targets))
+        return real_train(spec, X, targets)
+
+    def fit(cfg, rows):
+        passed.clear()
+        model = real_fit(cfg, rows)
+        if rows is engine.data_rows:
+            side = "data"
+            X, Y = reference_rows(engine.data_scores, None, cfg.m, cfg.n_data,
+                                  cfg.train_window_days)
+        else:
+            side = "research"
+            judged = None if cfg.no_judger else judger_history(engine)
+            X, Y = reference_rows(engine.research_sharpe, judged, cfg.m, cfg.n_research,
+                                  cfg.train_window_days)
+        if len(X) < 30:
+            assert passed == []
+            return model
+        [(X_engine, targets)] = passed
+        assert np.array_equal(X_engine, X)
+        assert np.array_equal(np.array(targets), Y)
+        checked.append(side)
+        return model
+
+    monkeypatch.setattr(eng, "train", train)
+    monkeypatch.setattr(eng, "_fit_or_baseline", fit)
+    for i, t in enumerate(store.calendar):
+        engine.run_contest_day(i, t, config.warmup_days)
+    return checked
+
+
+class TestTrainingRows:
+    @pytest.mark.parametrize("cap, no_judger", [(None, False), (12, False), (12, True)])
+    def test_rows_equal_full_rebuild_at_every_fit(self, monkeypatch, cap, no_judger):
+        store = small_market(n_days=80)
+        data, research = small_rosters()
+        data[0] = Flaky(data[0])
+        research[1] = Flaky(research[1])
+        cfg = ContestConfig(predictor=PredictorSpec(kind="gbdt", n_trees=5), seed=9,
+                            train_window_days=cap, no_judger=no_judger)
+        checked = run_checking_rows(monkeypatch, cfg, store, data, research)
+        assert checked.count("data") >= 10 and checked.count("research") >= 5
+
+    def test_baseline_builds_no_rows(self, monkeypatch):
+        def no_rows(values, m):
+            raise AssertionError("a training row was built under the baseline predictor")
+
+        monkeypatch.setattr(eng, "_window_matrix", no_rows)
+        store = small_market()
+        data, research = small_rosters()
+        engine = ContestEngine(BASELINE, store, data, research)
+        for i, t in enumerate(store.calendar):
+            engine.run_contest_day(i, t, BASELINE.warmup_days)
+        assert engine.data_rows == {} and engine.research_rows == {}

@@ -213,6 +213,61 @@ class TestViewUntil:
         assert rets == pytest.approx(expected)
 
 
+def filtered_trailing_returns(store, cutoff, symbol, window):
+    """Trailing returns from a filter over the whole calendar up to the cutoff."""
+    dates = [d for d in store.calendar if d <= cutoff and store.has_bar(symbol, d)]
+    dates = dates[-(window + 1):]
+    return [store.close(symbol, b) / store.close(symbol, a) - 1.0
+            for a, b in zip(dates, dates[1:])]
+
+
+@pytest.fixture()
+def gappy_store():
+    """AAA trades every day; BBB misses days 2, 5 and 6 and all of the last two."""
+    days = business_days(D(2025, 1, 2), 12)
+    rng = np.random.default_rng(5)
+    bars = [_bar(d, "AAA", float(10 + rng.random())) for d in days]
+    bars += [_bar(d, "BBB", float(20 + rng.random()))
+             for i, d in enumerate(days) if i not in (2, 5, 6, 10, 11)]
+    return MarketStore(bars)
+
+
+class TestTrailingReturnsWalkBack:
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 30])
+    def test_matches_calendar_filter_with_missing_bars(self, gappy_store, window):
+        for cutoff in gappy_store.calendar:
+            view = view_until(gappy_store, cutoff)
+            for symbol in ("AAA", "BBB"):
+                assert view.trailing_returns(symbol, window) == \
+                    filtered_trailing_returns(gappy_store, cutoff, symbol, window)
+
+    def test_fewer_bars_than_window(self, gappy_store):
+        cutoff = gappy_store.calendar[4]  # BBB has 4 bars by then
+        view = view_until(gappy_store, cutoff)
+        rets = view.trailing_returns("BBB", 10)
+        assert len(rets) == 3
+        assert rets == filtered_trailing_returns(gappy_store, cutoff, "BBB", 10)
+
+    def test_cutoff_on_first_day(self, gappy_store):
+        first = gappy_store.calendar[0]
+        view = view_until(gappy_store, first)
+        assert view.trailing_returns("AAA", 5) == [] == \
+            filtered_trailing_returns(gappy_store, first, "AAA", 5)
+
+    def test_unknown_symbol_is_empty(self, gappy_store):
+        assert view_until(gappy_store, gappy_store.calendar[-1]).trailing_returns("ZZZ", 5) == []
+
+    def test_queries_past_cutoff_still_raise(self, gappy_store):
+        cal = gappy_store.calendar
+        view = view_until(gappy_store, cal[6])
+        view.trailing_returns("AAA", 5)
+        for t in cal[7:]:
+            with pytest.raises(TemporalViolationError):
+                view.get_bar("AAA", t)
+            with pytest.raises(TemporalViolationError):
+                view.has_bar("BBB", t)
+
+
 class TestPerturbAfter:
     def test_prefix_unchanged(self, tiny_store):
         cut = tiny_store.calendar[5]

@@ -70,18 +70,19 @@ class TestExtractFeatures:
 
 
 def toy_history(n=60, seed=3):
+    """(feature rows, (mean, std) targets) for ``train``."""
     rng = np.random.default_rng(seed)
-    pairs = []
+    rows, targets = [], []
     for _ in range(n):
         x = rng.normal(size=4)
-        f = FeatureVector(mean_m=x[0], std_m=abs(x[1]), last=x[2], slope=x[3])
-        pairs.append((f, (float(x[0]), float(abs(x[1])))))
-    return pairs
+        rows.append([x[0], abs(x[1]), x[2], x[3]])
+        targets.append((float(x[0]), float(abs(x[1]))))
+    return np.array(rows), targets
 
 
 class TestTrainPredict:
     def test_baseline_is_closed_form(self):
-        model = train(PredictorSpec(kind="baseline"), toy_history())
+        model = train(PredictorSpec(kind="baseline"), *toy_history())
         pred = predict_utility(model, FeatureVector(mean_m=-1.0, std_m=0.5,
                                                     last=0.0, slope=0.0))
         assert pred.utility == pytest.approx(-2.0)
@@ -108,7 +109,7 @@ class TestTrainPredict:
 
     def test_too_few_pairs(self):
         with pytest.raises(TrainingError):
-            train(PredictorSpec(kind="gbdt"), toy_history(10))
+            train(PredictorSpec(kind="gbdt"), *toy_history(10))
 
     def test_gbdt_fits_identity_map(self):
         rng = np.random.default_rng(3)
@@ -120,15 +121,15 @@ class TestTrainPredict:
         assert rmse <= 0.1 * float(y.std())
 
     def test_gbdt_deterministic(self):
-        pairs = toy_history(80)
+        rows, targets = toy_history(80)
         spec = PredictorSpec(kind="gbdt", seed=5)
-        a = train(spec, pairs)
-        b = train(spec, pairs)
+        a = train(spec, rows, targets)
+        b = train(spec, rows, targets)
         x = FeatureVector(mean_m=0.3, std_m=0.4, last=0.1, slope=0.0)
         assert predict_utility(a, x) == predict_utility(b, x)
 
     def test_gbdt_serialization_round_trip(self):
-        model = train(PredictorSpec(kind="gbdt"), toy_history(60))
+        model = train(PredictorSpec(kind="gbdt"), *toy_history(60))
         again = PredictorModel.from_json(model.to_json())
         x = FeatureVector(mean_m=0.3, std_m=0.4, last=0.1, slope=0.2)
         assert predict_utility(again, x) == predict_utility(model, x)
