@@ -250,70 +250,65 @@ class AgentRequest:
     date: dt.date
     agent_id: str
     universe: tuple[str, ...]
-    bars: tuple[dict, ...] = ()
+    bars: str = "[]"  # a JSON array, encoded once per day by MarketView.bars_json
     factor_portfolio: str | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "date": self.date.isoformat(),
-            "agent_id": self.agent_id,
-            "universe": list(self.universe),
-            "bars": list(self.bars),
-            "factor_portfolio": self.factor_portfolio,
-        }
-        return json.dumps(payload, sort_keys=True)
+        """The fields as ``json.dumps(fields, sort_keys=True)`` writes them."""
+        enc = json.dumps
+        return (f'{{"agent_id": {enc(self.agent_id)}, "bars": {self.bars}, '
+                f'"date": "{self.date.isoformat()}", "factor_portfolio": '
+                f'{enc(self.factor_portfolio)}, "kind": {enc(self.kind)}, '
+                f'"universe": {enc(list(self.universe))}}}')
 
 
 def build_request(kind: str, agent_id: str, view: MarketView, t: dt.date,
                   portfolio_text: str | None = None, lookback: int = 30) -> AgentRequest:
     """Request payload using only data visible through the view."""
-    days = view.calendar[-lookback:]
-    bars = []
-    for day in days:
-        for sym in view.symbols:
-            if view.has_bar(sym, day):
-                b = view.get_bar(sym, day)
-                bars.append({
-                    "date": b.date.isoformat(), "symbol": b.symbol,
-                    "open": b.open, "high": b.high, "low": b.low,
-                    "close": b.close, "volume": b.volume,
-                })
-    return AgentRequest(kind=kind, date=t, agent_id=agent_id,
-                        universe=view.symbols, bars=tuple(bars),
-                        factor_portfolio=portfolio_text)
+    return AgentRequest(kind=kind, date=t, agent_id=agent_id, universe=view.symbols,
+                        bars=view.bars_json(lookback), factor_portfolio=portfolio_text)
 
 
-def _require(payload: dict, key: str):
-    if key not in payload:
+_MISSING = object()
+
+
+def _field(obj, key: str, kind: type = object, default=_MISSING):
+    """``obj[key]``: present unless ``default`` is given, and a ``kind``."""
+    if not isinstance(obj, dict):
+        raise ProtocolError(f"expected a JSON object holding {key!r}, got {obj!r:.80}")
+    value = obj.get(key, default)
+    if value is _MISSING:
         raise ProtocolError(f"missing field {key!r} in agent response")
-    return payload[key]
+    if not isinstance(value, kind):
+        raise ProtocolError(f"field {key!r} must be a {kind.__name__}, got {value!r:.80}")
+    return value
 
 
-def parse_factor_response(payload: dict) -> TextualFactor:
+def parse_factor_response(payload) -> TextualFactor:
     observations = []
-    for i, obs in enumerate(_require(payload, "observations")):
+    for i, obs in enumerate(_field(payload, "observations", list)):
         rated = []
-        for pair in obs.get("rated_symbols", []):
+        for pair in _field(obs, "rated_symbols", list, []):
             if isinstance(pair, dict):
                 sym, rating = pair.get("symbol"), pair.get("rating")
-            else:
-                if len(pair) != 2:
-                    raise ProtocolError(f"observation {i}: rated_symbols entries must be pairs")
+            elif isinstance(pair, list) and len(pair) == 2:
                 sym, rating = pair
-            if not isinstance(rating, int) or rating not in RATING_SET:
+            else:
+                raise ProtocolError(f"observation {i}: rated_symbols entries must be pairs")
+            # bool is a subclass of int, so only an exact int is a rating
+            if type(rating) is not int or rating not in RATING_SET:
                 raise ProtocolError(f"rating out of range: {sym} rated {rating}")
             rated.append((str(sym), rating))
         observations.append(Observation(text=str(obs.get("text", "")), rated_symbols=tuple(rated)))
-    token_length = _require(payload, "token_length")
-    if not isinstance(token_length, int) or token_length < 0:
+    token_length = _field(payload, "token_length")
+    if type(token_length) is not int or token_length < 0:
         raise ProtocolError(f"token_length must be a non-negative integer, got {token_length!r}")
     if token_length > TOKEN_CAP:
         raise ProtocolError(f"token cap exceeded: {token_length} > {TOKEN_CAP}")
     try:
         return TextualFactor(
-            agent_id=str(_require(payload, "agent_id")),
-            date=dt.date.fromisoformat(str(_require(payload, "date"))),
+            agent_id=_field(payload, "agent_id", str),
+            date=dt.date.fromisoformat(str(_field(payload, "date"))),
             observations=tuple(observations),
             token_length=token_length,
         )
@@ -321,16 +316,16 @@ def parse_factor_response(payload: dict) -> TextualFactor:
         raise ProtocolError(str(exc)) from exc
 
 
-def parse_signal_response(payload: dict) -> TradingSignal:
-    action = _require(payload, "action")
+def parse_signal_response(payload) -> TradingSignal:
+    action = _field(payload, "action")
     if action not in ACTIONS:
         raise ProtocolError(f"action must be one of {ACTIONS}, got {action!r}")
-    evidence = tuple(str(e) for e in payload.get("evidence", []))
+    evidence = tuple(str(e) for e in _field(payload, "evidence", list, []))
     try:
         return TradingSignal(
-            agent_id=str(_require(payload, "agent_id")),
-            date=dt.date.fromisoformat(str(_require(payload, "date"))),
-            symbol=str(_require(payload, "symbol")),
+            agent_id=_field(payload, "agent_id", str),
+            date=dt.date.fromisoformat(str(_field(payload, "date"))),
+            symbol=str(_field(payload, "symbol")),
             action=action,
             evidence=evidence,
             limitation=str(payload.get("limitation", "")),
@@ -386,13 +381,13 @@ def external_agent_call(endpoint: str, request: AgentRequest, timeout: float = 6
         raw = _call_subprocess(endpoint, line, timeout)
     try:
         payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"malformed JSON from agent: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ProtocolError("agent response must be a JSON object")
-    if request.kind == "data":
-        return parse_factor_response(payload)
-    return parse_signal_response(payload)
+    parse = parse_factor_response if request.kind == "data" else parse_signal_response
+    reply = parse(payload)
+    if reply.agent_id != request.agent_id:
+        raise ProtocolError(f"reply from {reply.agent_id!r} to a request for {request.agent_id!r}")
+    return reply
 
 
 # --- engine-facing wrappers -------------------------------------------------
@@ -445,7 +440,7 @@ class ExternalResearchAgent:
                                 portfolio_text=text, lookback=self.lookback)
         else:
             req = AgentRequest(kind="research", date=t, agent_id=self.agent_id,
-                               universe=(), bars=(), factor_portfolio=text)
+                               universe=(), factor_portfolio=text)
         signal = external_agent_call(self.endpoint, req, timeout=self.timeout)
         if not isinstance(signal, TradingSignal):
             raise ProtocolError("research agent returned a textual factor")

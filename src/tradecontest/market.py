@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -140,6 +141,7 @@ class MarketView:
         cut = store.day_index(cutoff)
         self._calendar = store.calendar[: cut + 1]
         self._returns_cache: dict[tuple[str, int], list[float]] = {}
+        self._bars_json_cache: dict[int, str] = {}
 
     @property
     def calendar(self) -> tuple[dt.date, ...]:
@@ -178,6 +180,18 @@ class MarketView:
         out = [c1 / c0 - 1.0 for c0, c1 in zip(closes, closes[1:])]
         self._returns_cache[key] = out
         return out
+
+    def bars_json(self, lookback: int) -> str:
+        """JSON array of the bars of the last ``lookback`` days, day-major in
+        symbol order; encoded once per view and shared by every reader."""
+        if lookback not in self._bars_json_cache:
+            # a literal per bar: vars(b) would attach a __dict__ to every Bar read
+            self._bars_json_cache[lookback] = json.dumps([
+                {"date": d.isoformat(), "symbol": s, "open": b.open, "high": b.high,
+                 "low": b.low, "close": b.close, "volume": b.volume}
+                for d in self._calendar[-lookback:] for s in self.symbols
+                if (b := self._store._bars[s].get(d))], sort_keys=True)
+        return self._bars_json_cache[lookback]
 
 
 def view_until(store: MarketStore, t: dt.date) -> MarketView:

@@ -1,8 +1,8 @@
 """Scriptable external agent for protocol tests.
 
 Reads one request line from stdin and answers per the mode in argv[1]:
-ok mirrors a valid response for the request kind, the rest simulate
-specific misbehaviors.
+ok mirrors a valid response for the request kind (echoing its agent id),
+the rest simulate specific misbehaviors.
 """
 
 import json
@@ -37,6 +37,8 @@ def main():
         }
         if mode == "bad-rating":
             payload["observations"][0]["rated_symbols"] = [[req["universe"][0], 3]]
+        elif mode == "bool-rating":
+            payload["observations"][0]["rated_symbols"] = [[req["universe"][0], True]]
         elif mode == "over-token":
             payload["token_length"] = 5000
     else:
@@ -52,6 +54,8 @@ def main():
             payload["action"] = "short"
         elif mode == "no-evidence":
             payload["evidence"] = []
+    if mode == "wrong-id":
+        payload["agent_id"] = req["agent_id"] + "-impostor"
     print(json.dumps(payload))
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
 import json
 import sys
 import threading
@@ -9,23 +10,39 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tradecontest import agents as agents_mod
 from tradecontest.agents import (
     AgentRequest,
+    ExternalDataAgent,
+    ExternalResearchAgent,
     Observation,
     SyntheticAgentSpec,
     TextualFactor,
     TradingSignal,
     build_request,
     external_agent_call,
+    parse_factor_response,
+    parse_signal_response,
     render_portfolio_text,
     synthetic_data_agent,
     synthetic_research_agent,
     token_count,
 )
 from tradecontest.allocation import FactorPortfolio, empty_portfolio
+from tradecontest.engine import ContestConfig, run_full
 from tradecontest.errors import AgentUnavailableError, ProtocolError
-from tradecontest.market import PlantedEffect, SyntheticSpec, generate_synthetic, price_change, view_until
+from tradecontest.market import (
+    MarketStore,
+    PlantedEffect,
+    SyntheticSpec,
+    generate_synthetic,
+    price_change,
+    view_until,
+)
+from tradecontest.prediction import PredictorSpec
 
 STUB = f"{sys.executable} {Path(__file__).parent / 'stub_agent.py'}"
 
@@ -244,6 +261,21 @@ class TestExternalProtocol:
         with pytest.raises(AgentUnavailableError, match="exited"):
             external_agent_call(f"{STUB} crash", self._request("data"), timeout=20)
 
+    def test_bool_rating(self):
+        with pytest.raises(ProtocolError, match="rating out of range"):
+            external_agent_call(f"{STUB} bool-rating", self._request("data"), timeout=20)
+
+    @pytest.mark.parametrize("kind", ["data", "research"])
+    def test_reply_for_another_agent(self, kind):
+        with pytest.raises(ProtocolError, match="impostor"):
+            external_agent_call(f"{STUB} wrong-id", self._request(kind), timeout=20)
+
+    def test_nesting_too_deep_to_parse(self, monkeypatch):
+        monkeypatch.setattr(agents_mod, "_call_subprocess",
+                            lambda command, line, timeout: "[" * 100_000)
+        with pytest.raises(ProtocolError, match="malformed JSON"):
+            external_agent_call("agent", self._request("data"), timeout=20)
+
     def test_request_schema(self, tiny_store):
         t = tiny_store.calendar[4]
         req = build_request("data", "x0", view_until(tiny_store, t), t, lookback=3)
@@ -283,6 +315,180 @@ class TestExternalProtocol:
             assert factor.token_length == 0
         finally:
             server.shutdown()
+
+
+FACTOR = {"agent_id": "x0", "date": "2025-01-02", "token_length": 6,
+          "observations": [{"text": "t", "rated_symbols": [["AAA", 1]]}]}
+SIGNAL = {"agent_id": "x0", "date": "2025-01-02", "symbol": "AAA", "action": "buy",
+          "evidence": ["e"], "limitation": ""}
+
+# any JSON value, with object keys drawn mostly from the protocol's own fields
+# so that nested shapes get past the first checks
+FIELDS = sorted({*FACTOR, *SIGNAL, "text", "rated_symbols", "rating"})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5000) | st.floats()
+    | st.text(max_size=12) | st.sampled_from(["buy", "2025-01-02", "x0"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), inner, max_size=6),
+    max_leaves=24,
+)
+
+
+class TestResponseShapes:
+    @pytest.mark.parametrize("change", [
+        {"observations": 5},
+        {"observations": {"text": "t"}},
+        {"observations": [5]},
+        {"observations": ["text"]},
+        {"observations": [{"text": "t", "rated_symbols": 5}]},
+        {"observations": [{"text": "t", "rated_symbols": [5]}]},
+        {"observations": [{"text": "t", "rated_symbols": [["AAA", 1, 2]]}]},
+        {"observations": [{"text": "t", "rated_symbols": [["AAA", True]]}]},
+        {"observations": [{"text": "t", "rated_symbols": [["AAA", 1.0]]}]},
+        {"token_length": True},
+        {"token_length": "6"},
+        {"agent_id": 5},
+        {"date": [2025, 1, 2]},
+    ])
+    def test_factor_shape_errors(self, change):
+        parse_factor_response(FACTOR)
+        with pytest.raises(ProtocolError):
+            parse_factor_response({**FACTOR, **change})
+
+    @pytest.mark.parametrize("change", [
+        {"evidence": 5},
+        {"evidence": "a string"},
+        {"action": ["buy"]},
+        {"agent_id": None},
+        {"date": "yesterday"},
+    ])
+    def test_signal_shape_errors(self, change):
+        parse_signal_response(SIGNAL)
+        with pytest.raises(ProtocolError):
+            parse_signal_response({**SIGNAL, **change})
+
+    @pytest.mark.parametrize("payload", [5, "x", None, [FACTOR], True])
+    def test_reply_must_be_an_object(self, payload):
+        for parse in (parse_factor_response, parse_signal_response):
+            with pytest.raises(ProtocolError):
+                parse(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_any_json_value_parses_or_raises_protocol_error(self, payload):
+        for parse in (parse_factor_response, parse_signal_response):
+            try:
+                parse(payload)
+            except ProtocolError:
+                pass
+
+
+def reference_line(kind, agent_id, view, t, portfolio_text=None, lookback=30):
+    """The request encoder from before windows were cached: one dict per
+    bar per call, then ``json.dumps(payload, sort_keys=True)``."""
+    bars = []
+    if view is not None:
+        for day in view.calendar[-lookback:]:
+            for sym in view.symbols:
+                if view.has_bar(sym, day):
+                    b = view.get_bar(sym, day)
+                    bars.append({
+                        "date": b.date.isoformat(), "symbol": b.symbol,
+                        "open": b.open, "high": b.high, "low": b.low,
+                        "close": b.close, "volume": b.volume,
+                    })
+    payload = {
+        "kind": kind, "date": t.isoformat(), "agent_id": agent_id,
+        "universe": list(view.symbols) if view is not None else [],
+        "bars": bars, "factor_portfolio": portfolio_text,
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+def fake_endpoint(lines):
+    """A stand-in for ``_call_subprocess`` that records each request line
+    and answers it validly, echoing the agent id and date."""
+    def answer(command, line, timeout):
+        lines.append(line)
+        req = json.loads(line)
+        head = {"agent_id": req["agent_id"], "date": req["date"]}
+        if req["kind"] == "data":
+            return json.dumps({**head, "token_length": 6, "observations": [
+                {"text": "steady", "rated_symbols": [[req["universe"][0], 1]]}]})
+        sym = req["universe"][0] if req["universe"] else "CASH"
+        return json.dumps({**head, "symbol": sym, "action": "buy" if req["universe"] else "hold",
+                           "evidence": ["e"], "limitation": ""})
+    return answer
+
+
+# sha256 of every request line of the run in test_pinned_run_request_bytes,
+# recorded with the per-call encoder that reference_line keeps
+PINNED_REQUESTS_SHA256 = "c46b6677467aa240a7b90fe5d8ac4eacc5d742ebb7229dc67ce077331ca6f7dc"
+
+
+class TestRequestBytes:
+    @pytest.mark.parametrize("agent_id", ["x0", "agént-☃", 'q"uo\\te\nnl'])
+    @pytest.mark.parametrize("text", [None, "", "d0: snow ☃ \"up\"\n\ttabbed [SYM000:+1]"])
+    @pytest.mark.parametrize("kind", ["data", "research"])
+    def test_ids_and_texts(self, tiny_store, kind, agent_id, text):
+        t = tiny_store.calendar[6]
+        view = view_until(tiny_store, t)
+        req = build_request(kind, agent_id, view, t, portfolio_text=text, lookback=4)
+        assert req.to_json() == reference_line(kind, agent_id, view, t, text, 4)
+
+    @pytest.mark.parametrize("day", [0, 1, 5, 11])
+    @pytest.mark.parametrize("lookback", [1, 3, 30])
+    def test_windows(self, tiny_store, day, lookback):
+        t = tiny_store.calendar[day]
+        view = view_until(tiny_store, t)
+        req = build_request("data", "x0", view, t, lookback=lookback)
+        assert req.to_json() == reference_line("data", "x0", view, t, None, lookback)
+
+    def test_symbol_with_missing_bars(self, tiny_store):
+        gaps = {("SYM001", tiny_store.calendar[3]), ("SYM001", tiny_store.calendar[4]),
+                ("SYM002", tiny_store.calendar[8])}
+        store = MarketStore([b for b in tiny_store.iter_bars() if (b.symbol, b.date) not in gaps])
+        for day in (4, 8, 10):
+            t = store.calendar[day]
+            view = view_until(store, t)
+            req = build_request("research", "r0", view, t, portfolio_text="p", lookback=6)
+            assert req.to_json() == reference_line("research", "r0", view, t, "p", 6)
+
+    def test_empty_universe(self):
+        t = D(2025, 1, 2)
+        req = AgentRequest(kind="research", date=t, agent_id="r0", universe=(),
+                           factor_portfolio="d0: x")
+        assert req.to_json() == reference_line("research", "r0", None, t, "d0: x")
+
+    def test_agents_on_one_day_share_the_window(self, tiny_store, monkeypatch):
+        sent = []
+        monkeypatch.setattr(agents_mod, "external_agent_call",
+                            lambda endpoint, req, timeout: sent.append(req))
+        t = tiny_store.calendar[7]
+        view = view_until(tiny_store, t)
+        for agent_id in ("x0", "x1"):
+            with pytest.raises(ProtocolError):  # the stand-in returns no factor
+                ExternalDataAgent(agent_id, "agent", lookback=5).produce(view, t)
+        with pytest.raises(ProtocolError):
+            ExternalResearchAgent("r0", "agent", lookback=5).produce(None, view, t)
+        assert len(sent) == 3 and len(json.loads(sent[0].bars)) == 5 * 3
+        assert sent[0].bars is sent[1].bars is sent[2].bars
+        assert view.bars_json(3) is not sent[0].bars
+
+    def test_pinned_run_request_bytes(self, monkeypatch):
+        lines = []
+        monkeypatch.setattr(agents_mod, "_call_subprocess", fake_endpoint(lines))
+        store = generate_synthetic(SyntheticSpec(n_symbols=4, n_days=24, seed=5, daily_vol=0.01))
+        data = [ExternalDataAgent("x0", "agent", lookback=3),
+                ExternalDataAgent('xé"1', "agent", lookback=40)]
+        research = [ExternalResearchAgent("r0", "agent", lookback=5)]
+        for deep_inputs_cut in (False, True):
+            config = ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=3,
+                                   no_deep_inputs=deep_inputs_cut)
+            run_full(config, store, data, research)
+        assert len(lines) == 144
+        blob = "".join(lines).encode()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_REQUESTS_SHA256
 
 
 def test_render_portfolio_text():
