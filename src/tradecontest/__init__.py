@@ -12,11 +12,8 @@ from .agents import (
 )
 from .allocation import (
     CapitalWeights,
-    ContextModel,
     FactorPortfolio,
     KnapsackItem,
-    decision_capability,
-    decision_value,
     knapsack_select,
     sharpe_weights,
 )
@@ -41,12 +38,8 @@ from .market import (
     view_until,
 )
 from .prediction import (
-    FeatureVector,
     PredictorModel,
     PredictorSpec,
-    UtilityPrediction,
-    extract_features,
-    predict_utility,
     rank_ic,
     train,
     validate_momentum,

@@ -61,9 +61,6 @@ class TextualFactor:
         if self.token_length < 0:
             raise ValueError("token_length must be >= 0")
 
-    def mentioned_symbols(self) -> list[str]:
-        return sorted({s for obs in self.observations for s, _ in obs.rated_symbols})
-
 
 @dataclass(frozen=True)
 class TradingSignal:

@@ -4,60 +4,17 @@ Factor selection is an exact 0/1 knapsack over predicted utilities under
 a token budget; items with non-positive utility are pre-excluded since
 they can only lower the objective. Capital weights are proportional to
 positive predicted utilities, with an all-cash fallback when nothing is
-positive. The context-capacity model (value times a sigmoid capability
-decay in total length) is exposed for analysis and budget sweeps.
+positive.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .agents import TextualFactor
-
-DEFAULT_STEEPNESS = 3e-4
-DEFAULT_INFLECTION = 32_768
-DEFAULT_BUDGET = 16_384
-
-
-@dataclass(frozen=True)
-class ContextModel:
-    """Capability decay in total context length: sigmoid with inflection L0."""
-
-    k: float = DEFAULT_STEEPNESS
-    L0: int = DEFAULT_INFLECTION
-    L_star: int = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("steepness k must be > 0")
-        if not (0 < self.L_star < self.L0):
-            raise ValueError("budget L_star must satisfy 0 < L_star < L0")
-
-
-def decision_capability(model: ContextModel, length: float) -> float:
-    """Probability-like capability at total context length ``length``."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    x = model.k * (length - model.L0)
-    if x >= 0:
-        e = math.exp(-x)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(x))
-
-
-def decision_value(values, lengths, model: ContextModel) -> float:
-    """Total information value discounted by capability at total length."""
-    values = list(values)
-    lengths = list(lengths)
-    if len(values) != len(lengths):
-        raise ValueError("values and lengths must align")
-    if not values:
-        return 0.0
-    return sum(values) * decision_capability(model, sum(lengths))
 
 
 @dataclass(frozen=True)
@@ -83,13 +40,6 @@ class FactorPortfolio:
 
     def agent_ids(self) -> list[str]:
         return [a for a, _ in self.selected]
-
-    def mentioned_symbols(self) -> list[str]:
-        syms: set[str] = set()
-        for _, factor in self.selected:
-            if factor is not None:
-                syms.update(factor.mentioned_symbols())
-        return sorted(syms)
 
 
 def empty_portfolio(date: dt.date | None = None) -> FactorPortfolio:

@@ -241,17 +241,6 @@ class MetricsReport:
     icir: float
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "CR": self.cumulative_return,
-            "SR": self.sharpe,
-            "MDD": self.max_drawdown,
-            "RankIC": self.mean_rank_ic,
-            "ICIR": self.icir,
-            "rank_ic_series": list(self.rank_ic_series),
-            "flags": list(self.flags),
-        }
-
 
 def max_drawdown(navs) -> float:
     peak = -np.inf

@@ -50,11 +50,14 @@ def run_contest_backtest(config: cfgmod.RunConfig, **contest_overrides):
     store = cfgmod.build_store(config)
     data_agents, research_agents = cfgmod.build_agents(config)
     ccfg = cfgmod.contest_config(config, store, **contest_overrides)
+    try:
+        state = new_state(config.backtest.initial_cash)
+    except ValueError as exc:
+        raise ConfigurationError(f"backtest: {exc}") from exc
     records = run_full(
         ccfg, store, data_agents, research_agents,
         eval_start=config.period.test_start, eval_end=config.period.test_end,
     )
-    state = new_state(config.initial_cash)
     # the day before the first evaluation day gives its move-limit reference
     prev_day = store.calendar[store.day_index(records[0].date) - 1]
     state.prev_closes = {s: store.close(s, prev_day)
@@ -67,14 +70,14 @@ def run_contest_backtest(config: cfgmod.RunConfig, **contest_overrides):
         }
         apply_day(state, record.target_weights, bars_t, record.date, rules)
     record_dicts = [r.to_dict() for r in records]
-    metrics = _metrics_dict(config, ccfg.n_data, ccfg.n_research,
-                            state.nav_history, record_dicts)
+    metrics = _metrics_dict(config, state.nav_history, record_dicts)
     return record_dicts, state, metrics
 
 
-def _metrics_dict(config, n_data: int, n_research: int, nav_history, record_dicts) -> dict:
-    data_pred, data_real = contest_ic_pairs(record_dicts, n_data, "data")
-    res_pred, res_real = contest_ic_pairs(record_dicts, n_research, "research")
+def _metrics_dict(config, nav_history, record_dicts) -> dict:
+    """metrics.json: strategy metrics plus both contests' rank ICs."""
+    data_pred, data_real = contest_ic_pairs(record_dicts, config.contest.n_data, "data")
+    res_pred, res_real = contest_ic_pairs(record_dicts, config.contest.n_research, "research")
     base = compute_metrics(nav_history, data_pred, data_real)
     research = compute_metrics(nav_history, res_pred, res_real)
     return {
@@ -178,14 +181,15 @@ def _panel_from_ledger(path: str) -> list[ScoreSeries]:
 def cmd_validate_ric(config_path: str, output_dir: str | None = None) -> int:
     config = cfgmod.load_config(config_path)
     out_dir = _resolve_output_dir(config, output_dir)
-    m, n, M, N = config.ric_windows
-    if config.ric_source == "ledger":
-        if not config.ric_ledger:
+    ric = config.validate_ric
+    m, n, M, N = ric.windows.m, ric.windows.n, ric.windows.M, ric.windows.N
+    if ric.source == "ledger":
+        if not ric.ledger:
             raise ConfigurationError("validate_ric.ledger: path required when source is ledger")
-        panel = _panel_from_ledger(config.ric_ledger)
+        panel = _panel_from_ledger(ric.ledger)
     else:
-        phi = config.ric_phi if config.ric_panel_kind == "ar1" else 0.0
-        panel = ar1_score_panel(config.ric_agents, config.ric_days, phi,
+        phi = ric.panel.phi if ric.panel.kind == "ar1" else 0.0
+        panel = ar1_score_panel(ric.panel.agents, ric.panel.days, phi,
                                 seed=child_seed(config.seed, "ric-panel"))
     report = validate_momentum(panel, m, n, M, N)
     payload = {
@@ -232,26 +236,14 @@ def cmd_report(run_dir: str) -> int:
         for line in fh:
             date_str, nav_str = line.strip().split(",")
             nav_history.append((dt.date.fromisoformat(date_str), float(nav_str)))
-    n_data, n_research = 3, 5
+    # the run's own config gives the contest horizons; without one, the defaults
+    config_dict = {}
     metrics_path = run / "metrics.json"
-    config_dict = None
     if metrics_path.exists():
         with open(metrics_path) as fh:
-            old = json.load(fh)
-        config_dict = old.get("config")
-        contest = (config_dict or {}).get("contest", {})
-        n_data = int(contest.get("n_data", n_data))
-        n_research = int(contest.get("n_research", n_research))
-    data_pred, data_real = contest_ic_pairs(record_dicts, n_data, "data")
-    res_pred, res_real = contest_ic_pairs(record_dicts, n_research, "research")
-    base = compute_metrics(nav_history, data_pred, data_real)
-    research = compute_metrics(nav_history, res_pred, res_real)
-    print(json.dumps({
-        "CR": base.cumulative_return, "SR": base.sharpe, "MDD": base.max_drawdown,
-        "RankIC": base.mean_rank_ic, "ICIR": base.icir,
-        "RankIC_research": research.mean_rank_ic, "ICIR_research": research.icir,
-        "n_days": len(nav_history),
-    }, sort_keys=True, indent=2))
+            config_dict = json.load(fh).get("config") or {}
+    metrics = _metrics_dict(cfgmod.from_dict(config_dict), nav_history, record_dicts)
+    print(json.dumps(metrics, sort_keys=True, indent=2))
     return 0
 
 

@@ -4,11 +4,18 @@ One file describes a full run: data source, train/test period, agent
 roster, contest parameters, and backtest rules. Everything random in a
 run derives from the single root seed, so rerunning a config reproduces
 outputs byte for byte and ablation variants stay paired.
+
+The section dataclasses below are the schema: each field is one YAML key,
+named as in the file, with its type and default. ``from_dict`` and
+``to_dict`` walk those fields, so a key is declared in exactly one place.
 """
 
-from __future__ import annotations
-
+# no ``from __future__ import annotations``: the loader reads each field's
+# type from ``dataclasses.fields`` as a live type, not as a string to evaluate
+import dataclasses
 import datetime as dt
+import types
+import typing
 from dataclasses import dataclass, field
 
 import yaml
@@ -41,6 +48,13 @@ def _date(value, where: str) -> dt.date:
 
 
 @dataclass(frozen=True)
+class PlantedEntry:
+    symbol: str
+    drift: float
+    start_day: int = 0
+
+
+@dataclass(frozen=True)
 class DataSection:
     kind: str = "synthetic"  # synthetic | csv
     csv_path: str | None = None
@@ -50,13 +64,13 @@ class DataSection:
     limit_pct: float = 0.10
     start: dt.date = dt.date(2024, 1, 2)
     start_price: float = 100.0
-    planted: tuple[PlantedEffect, ...] = ()
+    planted: tuple[PlantedEntry, ...] = ()
 
-    def validate(self):
+    def validate(self, where: str):
         if self.kind not in ("synthetic", "csv"):
-            raise ConfigurationError(f"data.kind: must be synthetic or csv, got {self.kind!r}")
+            raise ConfigurationError(f"{where}.kind: must be synthetic or csv, got {self.kind!r}")
         if self.kind == "csv" and not self.csv_path:
-            raise ConfigurationError("data.csv_path: required when data.kind is csv")
+            raise ConfigurationError(f"{where}.csv_path: required when data.kind is csv")
 
 
 @dataclass(frozen=True)
@@ -66,25 +80,32 @@ class PeriodSection:
     test_start: dt.date | None = None
     test_end: dt.date | None = None
 
-    def validate(self):
+    def validate(self, where: str):
         if self.test_start is not None and self.train_end is not None:
             if self.test_start <= self.train_end:
                 raise ConfigurationError(
-                    f"period: train/test overlap (train_end {self.train_end} >= "
+                    f"{where}: train/test overlap (train_end {self.train_end} >= "
                     f"test_start {self.test_start})"
                 )
         if self.train_start is not None and self.train_end is not None:
             if self.train_end < self.train_start:
-                raise ConfigurationError("period: train_end before train_start")
+                raise ConfigurationError(f"{where}: train_end before train_start")
         if self.test_start is not None and self.test_end is not None:
             if self.test_end < self.test_start:
-                raise ConfigurationError("period: test_end before test_start")
+                raise ConfigurationError(f"{where}: test_end before test_start")
+
+
+# the keys each agent kind writes back; None values are left out
+_ENTRY_KEYS = {
+    "synthetic": ("kind", "agent_id", "skill", "obs_per_day", "belief", "noise_seed"),
+    "external": ("kind", "agent_id", "endpoint", "timeout", "lookback"),
+}
 
 
 @dataclass(frozen=True)
 class AgentEntry:
-    kind: str  # synthetic | external
     agent_id: str
+    kind: str = "synthetic"  # synthetic | external
     skill: float = 0.0
     obs_per_day: int = 3
     belief: str = "momentum"
@@ -94,20 +115,22 @@ class AgentEntry:
     noise_seed: int | None = None
 
     def validate(self, where: str):
-        if self.kind not in ("synthetic", "external"):
+        if self.kind not in _ENTRY_KEYS:
             raise ConfigurationError(f"{where}.kind: must be synthetic or external")
         if self.kind == "external" and not self.endpoint:
             raise ConfigurationError(f"{where}.endpoint: required for external agents")
+        if self.lookback < 1:
+            raise ConfigurationError(f"{where}.lookback: must be >= 1")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    output_dir: str = "runs/out"
-    data: DataSection = field(default_factory=DataSection)
-    period: PeriodSection = field(default_factory=PeriodSection)
-    data_agents: tuple[AgentEntry, ...] = ()
-    research_agents: tuple[AgentEntry, ...] = ()
+class AgentsSection:
+    data: tuple[AgentEntry, ...] = ()
+    research: tuple[AgentEntry, ...] = ()
+
+
+@dataclass(frozen=True)
+class ContestSection:
     m: int = 5
     n_data: int = 3
     n_research: int = 5
@@ -117,211 +140,126 @@ class RunConfig:
     max_depth: int = 3
     learning_rate: float = 0.1
     research_rebalance_daily: bool = False
+
+    def validate(self, where: str):
+        if self.predictor not in ("baseline", "gbdt"):
+            raise ConfigurationError(
+                f"{where}.predictor: must be baseline or gbdt, got {self.predictor!r}")
+
+
+@dataclass(frozen=True)
+class BacktestSection:
     initial_cash: float = 1_000_000.0
     fee: float = DEFAULT_FEE
     limit_pct: float = DEFAULT_LIMIT_PCT
-    ric_source: str = "panel"  # panel | ledger
-    ric_panel_kind: str = "ar1"
-    ric_phi: float = 0.6
-    ric_agents: int = 16
-    ric_days: int = 300
-    ric_ledger: str | None = None
-    ric_windows: tuple[int, int, int, int] = (5, 3, 60, 30)
 
 
-def default_roster(seed: int) -> tuple[tuple[AgentEntry, ...], tuple[AgentEntry, ...]]:
+@dataclass(frozen=True)
+class RicPanel:
+    kind: str = "ar1"  # ar1 | noise
+    phi: float = 0.6
+    agents: int = 16
+    days: int = 300
+
+
+@dataclass(frozen=True)
+class RicWindows:
+    m: int = 5
+    n: int = 3
+    M: int = 60
+    N: int = 30
+
+
+@dataclass(frozen=True)
+class ValidateRicSection:
+    source: str = "panel"  # panel | ledger
+    panel: RicPanel = field(default_factory=RicPanel)
+    ledger: str | None = None
+    windows: RicWindows = field(default_factory=RicWindows)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    seed: int = 0
+    output_dir: str = "runs/out"
+    data: DataSection = field(default_factory=DataSection)
+    period: PeriodSection = field(default_factory=PeriodSection)
+    agents: AgentsSection = field(default_factory=AgentsSection)
+    contest: ContestSection = field(default_factory=ContestSection)
+    backtest: BacktestSection = field(default_factory=BacktestSection)
+    validate_ric: ValidateRicSection = field(default_factory=ValidateRicSection)
+
+
+def default_roster(seed: int) -> AgentsSection:
     """16 data agents (4 stronger readers) and 8 mixed-belief researchers."""
     data = []
     for i in range(DEFAULT_DATA_AGENTS):
         skill = 0.8 if i < 4 else 0.0
-        data.append(AgentEntry(kind="synthetic", agent_id=f"data{i:02d}", skill=skill))
+        data.append(AgentEntry(agent_id=f"data{i:02d}", skill=skill))
     beliefs = ["momentum", "momentum", "momentum", "reversal", "reversal", "reversal",
                "random", "random"]
     research = [
-        AgentEntry(kind="synthetic", agent_id=f"res{i:02d}", belief=beliefs[i])
+        AgentEntry(agent_id=f"res{i:02d}", belief=beliefs[i])
         for i in range(DEFAULT_RESEARCH_AGENTS)
     ]
-    return tuple(data), tuple(research)
+    return AgentsSection(data=tuple(data), research=tuple(research))
 
 
-def _agent_entry(raw: dict, where: str) -> AgentEntry:
-    if "agent_id" not in raw:
-        raise ConfigurationError(f"{where}.agent_id: required")
-    entry = AgentEntry(
-        kind=str(raw.get("kind", "synthetic")),
-        agent_id=str(raw["agent_id"]),
-        skill=float(raw.get("skill", 0.0)),
-        obs_per_day=int(raw.get("obs_per_day", 3)),
-        belief=str(raw.get("belief", "momentum")),
-        endpoint=raw.get("endpoint"),
-        timeout=float(raw.get("timeout", 60.0)),
-        lookback=int(raw.get("lookback", 30)),
-        noise_seed=None if raw.get("noise_seed") is None else int(raw["noise_seed"]),
-    )
-    entry.validate(where)
-    return entry
+def _load(cls, raw, where: str):
+    """Build section ``cls`` from its YAML mapping; a missing or null key
+    takes the field's default."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where or 'config root'}: must be a mapping")
+    values = {}
+    for f in dataclasses.fields(cls):
+        path = f"{where}.{f.name}" if where else f.name
+        if raw.get(f.name) is not None:
+            values[f.name] = _convert(f.type, raw[f.name], path)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigurationError(f"{path}: required")
+    section = cls(**values)
+    if hasattr(section, "validate"):
+        section.validate(where)
+    return section
+
+
+def _convert(tp, value, where: str):
+    if isinstance(tp, types.UnionType):  # X | None: the null case never gets here
+        tp = next(t for t in typing.get_args(tp) if t is not type(None))
+    if dataclasses.is_dataclass(tp):
+        return _load(tp, value, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{where}: must be a list")
+        item = typing.get_args(tp)[0]
+        return tuple(_convert(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if tp is dt.date:
+        return _date(value, where)
+    try:
+        return tp(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{where}: expected {tp.__name__}, got {value!r}") from None
 
 
 def from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config root must be a mapping")
-    data_raw = raw.get("data", {}) or {}
-    planted = tuple(
-        PlantedEffect(symbol=str(p["symbol"]), start_day=int(p.get("start_day", 0)),
-                      drift=float(p["drift"]))
-        for p in (data_raw.get("planted") or [])
-    )
-    data = DataSection(
-        kind=str(data_raw.get("kind", "synthetic")),
-        csv_path=data_raw.get("csv_path"),
-        n_symbols=int(data_raw.get("n_symbols", 10)),
-        n_days=int(data_raw.get("n_days", 250)),
-        daily_vol=float(data_raw.get("daily_vol", 0.02)),
-        limit_pct=float(data_raw.get("limit_pct", 0.10)),
-        start=_date(data_raw.get("start", "2024-01-02"), "data.start"),
-        start_price=float(data_raw.get("start_price", 100.0)),
-        planted=planted,
-    )
-    data.validate()
-
-    period_raw = raw.get("period", {}) or {}
-    period = PeriodSection(
-        train_start=None if period_raw.get("train_start") is None
-        else _date(period_raw["train_start"], "period.train_start"),
-        train_end=None if period_raw.get("train_end") is None
-        else _date(period_raw["train_end"], "period.train_end"),
-        test_start=None if period_raw.get("test_start") is None
-        else _date(period_raw["test_start"], "period.test_start"),
-        test_end=None if period_raw.get("test_end") is None
-        else _date(period_raw["test_end"], "period.test_end"),
-    )
-    period.validate()
-
-    seed = int(raw.get("seed", 0))
-    agents_raw = raw.get("agents", {}) or {}
-    if agents_raw.get("data") or agents_raw.get("research"):
-        data_agents = tuple(
-            _agent_entry(a, f"agents.data[{i}]") for i, a in enumerate(agents_raw.get("data") or [])
-        )
-        research_agents = tuple(
-            _agent_entry(a, f"agents.research[{i}]")
-            for i, a in enumerate(agents_raw.get("research") or [])
-        )
-    else:
-        data_agents, research_agents = default_roster(seed)
-
-    contest_raw = raw.get("contest", {}) or {}
-    backtest_raw = raw.get("backtest", {}) or {}
-    ric_raw = raw.get("validate_ric", {}) or {}
-    panel_raw = ric_raw.get("panel", {}) or {}
-    windows_raw = ric_raw.get("windows", {}) or {}
-
-    predictor = str(contest_raw.get("predictor", "gbdt"))
-    if predictor not in ("baseline", "gbdt"):
-        raise ConfigurationError(f"contest.predictor: must be baseline or gbdt, got {predictor!r}")
-
-    return RunConfig(
-        seed=seed,
-        output_dir=str(raw.get("output_dir", "runs/out")),
-        data=data,
-        period=period,
-        data_agents=data_agents,
-        research_agents=research_agents,
-        m=int(contest_raw.get("m", 5)),
-        n_data=int(contest_raw.get("n_data", 3)),
-        n_research=int(contest_raw.get("n_research", 5)),
-        budget=int(contest_raw.get("budget", 16_384)),
-        predictor=predictor,
-        n_trees=int(contest_raw.get("n_trees", 50)),
-        max_depth=int(contest_raw.get("max_depth", 3)),
-        learning_rate=float(contest_raw.get("learning_rate", 0.1)),
-        research_rebalance_daily=bool(contest_raw.get("research_rebalance_daily", False)),
-        initial_cash=float(backtest_raw.get("initial_cash", 1_000_000.0)),
-        fee=float(backtest_raw.get("fee", DEFAULT_FEE)),
-        limit_pct=float(backtest_raw.get("limit_pct", DEFAULT_LIMIT_PCT)),
-        ric_source=str(ric_raw.get("source", "panel")),
-        ric_panel_kind=str(panel_raw.get("kind", "ar1")),
-        ric_phi=float(panel_raw.get("phi", 0.6)),
-        ric_agents=int(panel_raw.get("agents", 16)),
-        ric_days=int(panel_raw.get("days", 300)),
-        ric_ledger=ric_raw.get("ledger"),
-        ric_windows=(
-            int(windows_raw.get("m", 5)), int(windows_raw.get("n", 3)),
-            int(windows_raw.get("M", 60)), int(windows_raw.get("N", 30)),
-        ),
-    )
+    config = _load(RunConfig, raw, "")
+    if not config.agents.data and not config.agents.research:
+        config = dataclasses.replace(config, agents=default_roster(config.seed))
+    return config
 
 
-def to_dict(config: RunConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "output_dir": config.output_dir,
-        "data": {
-            "kind": config.data.kind,
-            "csv_path": config.data.csv_path,
-            "n_symbols": config.data.n_symbols,
-            "n_days": config.data.n_days,
-            "daily_vol": config.data.daily_vol,
-            "limit_pct": config.data.limit_pct,
-            "start": config.data.start.isoformat(),
-            "start_price": config.data.start_price,
-            "planted": [
-                {"symbol": p.symbol, "start_day": p.start_day, "drift": p.drift}
-                for p in config.data.planted
-            ],
-        },
-        "period": {
-            "train_start": None if config.period.train_start is None else config.period.train_start.isoformat(),
-            "train_end": None if config.period.train_end is None else config.period.train_end.isoformat(),
-            "test_start": None if config.period.test_start is None else config.period.test_start.isoformat(),
-            "test_end": None if config.period.test_end is None else config.period.test_end.isoformat(),
-        },
-        "agents": {
-            "data": [_entry_dict(a) for a in config.data_agents],
-            "research": [_entry_dict(a) for a in config.research_agents],
-        },
-        "contest": {
-            "m": config.m,
-            "n_data": config.n_data,
-            "n_research": config.n_research,
-            "budget": config.budget,
-            "predictor": config.predictor,
-            "n_trees": config.n_trees,
-            "max_depth": config.max_depth,
-            "learning_rate": config.learning_rate,
-            "research_rebalance_daily": config.research_rebalance_daily,
-        },
-        "backtest": {
-            "initial_cash": config.initial_cash,
-            "fee": config.fee,
-            "limit_pct": config.limit_pct,
-        },
-        "validate_ric": {
-            "source": config.ric_source,
-            "panel": {
-                "kind": config.ric_panel_kind,
-                "phi": config.ric_phi,
-                "agents": config.ric_agents,
-                "days": config.ric_days,
-            },
-            "ledger": config.ric_ledger,
-            "windows": {
-                "m": config.ric_windows[0], "n": config.ric_windows[1],
-                "M": config.ric_windows[2], "N": config.ric_windows[3],
-            },
-        },
-    }
-
-
-def _entry_dict(entry: AgentEntry) -> dict:
-    out = {"kind": entry.kind, "agent_id": entry.agent_id}
-    if entry.kind == "synthetic":
-        out.update(skill=entry.skill, obs_per_day=entry.obs_per_day, belief=entry.belief)
-        if entry.noise_seed is not None:
-            out["noise_seed"] = entry.noise_seed
-    else:
-        out.update(endpoint=entry.endpoint, timeout=entry.timeout, lookback=entry.lookback)
-    return out
+def to_dict(value):
+    """The YAML form of a config or of any part of it."""
+    if isinstance(value, AgentEntry):
+        keys = _ENTRY_KEYS[value.kind]
+        return {k: to_dict(getattr(value, k)) for k in keys if getattr(value, k) is not None}
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_dict(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [to_dict(v) for v in value]
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    return value
 
 
 def load_config(path) -> RunConfig:
@@ -343,70 +281,75 @@ def emit_config(config: RunConfig, path) -> None:
 
 
 def build_store(config: RunConfig) -> MarketStore:
-    if config.data.kind == "csv":
-        return ingest_csv(config.data.csv_path)
+    data = config.data
+    if data.kind == "csv":
+        return ingest_csv(data.csv_path)
     try:
         spec = SyntheticSpec(
-            n_symbols=config.data.n_symbols,
-            n_days=config.data.n_days,
+            n_symbols=data.n_symbols,
+            n_days=data.n_days,
             seed=child_seed(config.seed, "market"),
-            daily_vol=config.data.daily_vol,
-            limit_pct=config.data.limit_pct,
-            start=config.data.start,
-            start_price=config.data.start_price,
-            planted_effects=config.data.planted,
+            daily_vol=data.daily_vol,
+            limit_pct=data.limit_pct,
+            start=data.start,
+            start_price=data.start_price,
+            planted_effects=tuple(PlantedEffect(p.symbol, p.start_day, p.drift)
+                                  for p in data.planted),
         )
         return generate_synthetic(spec)
     except ValueError as exc:
         raise ConfigurationError(f"data: {exc}") from exc
 
 
+_AGENT_CLASSES = {  # side -> (synthetic, external)
+    "data": (SyntheticDataAgent, ExternalDataAgent),
+    "research": (SyntheticResearchAgent, ExternalResearchAgent),
+}
+
+
 def build_agents(config: RunConfig):
-    data_agents = []
-    for entry in config.data_agents:
-        if entry.kind == "external":
-            data_agents.append(ExternalDataAgent(
-                agent_id=entry.agent_id, endpoint=entry.endpoint,
-                timeout=entry.timeout, lookback=entry.lookback))
-        else:
+    rosters = {}
+    for side, (synthetic, external) in _AGENT_CLASSES.items():
+        agents = rosters[side] = []
+        for i, entry in enumerate(getattr(config.agents, side)):
+            if entry.kind == "external":
+                agents.append(external(agent_id=entry.agent_id, endpoint=entry.endpoint,
+                                       timeout=entry.timeout, lookback=entry.lookback))
+                continue
             seed = entry.noise_seed if entry.noise_seed is not None \
                 else child_seed(config.seed, "agent", entry.agent_id)
-            data_agents.append(SyntheticDataAgent(SyntheticAgentSpec(
-                agent_id=entry.agent_id, kind="data", noise_seed=seed,
-                skill=entry.skill, obs_per_day=entry.obs_per_day)))
-    research_agents = []
-    for entry in config.research_agents:
-        if entry.kind == "external":
-            research_agents.append(ExternalResearchAgent(
-                agent_id=entry.agent_id, endpoint=entry.endpoint,
-                timeout=entry.timeout, lookback=entry.lookback))
-        else:
-            seed = entry.noise_seed if entry.noise_seed is not None \
-                else child_seed(config.seed, "agent", entry.agent_id)
-            research_agents.append(SyntheticResearchAgent(SyntheticAgentSpec(
-                agent_id=entry.agent_id, kind="research", noise_seed=seed,
-                belief_bias=entry.belief)))
-    return data_agents, research_agents
+            try:
+                spec = SyntheticAgentSpec(
+                    agent_id=entry.agent_id, kind=side, noise_seed=seed, skill=entry.skill,
+                    obs_per_day=entry.obs_per_day, belief_bias=entry.belief)
+            except ValueError as exc:
+                raise ConfigurationError(f"agents.{side}[{i}]: {exc}") from exc
+            agents.append(synthetic(spec))
+    return rosters["data"], rosters["research"]
 
 
 def contest_config(config: RunConfig, store: MarketStore, **overrides) -> ContestConfig:
+    period, contest = config.period, config.contest
     train_window = None
-    if config.period.train_start is not None and config.period.train_end is not None:
+    if period.train_start is not None and period.train_end is not None:
         train_window = sum(
-            1 for d in store.calendar
-            if config.period.train_start <= d <= config.period.train_end
+            1 for d in store.calendar if period.train_start <= d <= period.train_end
         )
+    try:
+        predictor = PredictorSpec(
+            kind=contest.predictor, n_trees=contest.n_trees,
+            max_depth=contest.max_depth, learning_rate=contest.learning_rate,
+        )
+    except ValueError as exc:
+        raise ConfigurationError(f"contest: {exc}") from exc
     params = dict(
-        m=config.m,
-        n_data=config.n_data,
-        n_research=config.n_research,
-        budget=config.budget,
-        predictor=PredictorSpec(
-            kind=config.predictor, n_trees=config.n_trees,
-            max_depth=config.max_depth, learning_rate=config.learning_rate,
-        ),
+        m=contest.m,
+        n_data=contest.n_data,
+        n_research=contest.n_research,
+        budget=contest.budget,
+        predictor=predictor,
         seed=config.seed,
-        research_rebalance_daily=config.research_rebalance_daily,
+        research_rebalance_daily=contest.research_rebalance_daily,
         train_window_days=train_window,
     )
     params.update(overrides)
@@ -414,4 +357,4 @@ def contest_config(config: RunConfig, store: MarketStore, **overrides) -> Contes
 
 
 def backtest_rules(config: RunConfig) -> BacktestRules:
-    return BacktestRules(fee=config.fee, limit_pct=config.limit_pct)
+    return BacktestRules(fee=config.backtest.fee, limit_pct=config.backtest.limit_pct)

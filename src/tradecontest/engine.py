@@ -37,6 +37,7 @@ from .errors import (
 )
 from .market import MarketStore, price_change, view_until
 from .prediction import (
+    MIN_TRAIN_PAIRS,
     PredictorModel,
     PredictorSpec,
     baseline_model,
@@ -69,7 +70,6 @@ class ContestConfig:
     no_judger: bool = False
     no_deep_inputs: bool = False
     research_rebalance_daily: bool = False
-    min_train_pairs: int = 30
     train_window_days: int | None = None
 
     def __post_init__(self):
@@ -205,7 +205,7 @@ def _current_features(series: ScoreSeries, extras_vec, m: int, cutoff: dt.date):
     values = series.values_until(cutoff)
     if len(values) < m:
         return None
-    x = features_from_window(np.asarray(values[-m:], dtype=np.float64)).as_array()
+    x = features_from_window(np.asarray(values[-m:], dtype=np.float64))
     if extras_vec is not None:
         x = np.concatenate([x, np.asarray(extras_vec, dtype=np.float64)])
     return x
@@ -219,7 +219,7 @@ def _fit_or_baseline(config: ContestConfig, rows: dict[str, _TrainingRows]) -> P
     chosen = [r for _, r in sorted(rows.items()) if r.targets]
     X = [np.array(r.features).reshape(len(r.targets) // 2, -1)[window] for r in chosen]
     targets = [np.array(r.targets).reshape(-1, 2)[window] for r in chosen]
-    if config.predictor.kind == "gbdt" and sum(map(len, X)) >= max(config.min_train_pairs, 30):
+    if config.predictor.kind == "gbdt" and sum(map(len, X)) >= MIN_TRAIN_PAIRS:
         return train(config.predictor, np.vstack(X), np.vstack(targets))
     return baseline_model()
 
@@ -350,7 +350,7 @@ class ContestEngine:
             return {}, model.kind
         mu, sigma = model.predict_batch(np.vstack(feature_rows))
         utilities = {
-            a: clipped_utility(float(mu[i]), float(sigma[i])).utility
+            a: clipped_utility(float(mu[i]), float(sigma[i]))
             for i, a in enumerate(agents)
         }
         return utilities, model.kind

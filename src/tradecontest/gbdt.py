@@ -4,7 +4,7 @@ Small by design: depth-capped exact greedy trees, no subsampling, no
 randomness, so identical data always yields identical models. The split
 search is batched across features on presorted index matrices, and the
 presort is shared across boosting rounds since every round fits the same
-rows. Models serialize to plain dicts (JSON-ready) for reproducibility.
+rows. Every leaf may hold a single row.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ _LEAF = -1
 class RegressionTree:
     """Exact greedy CART regression tree on dense float features."""
 
-    def __init__(self, max_depth: int = 3, min_leaf: int = 1):
+    def __init__(self, max_depth: int = 3):
         self.max_depth = max_depth
-        self.min_leaf = min_leaf
         # parallel node arrays; children index into the same arrays
         self.feature: list[int] = []
         self.threshold: list[float] = []
@@ -45,7 +44,7 @@ class RegressionTree:
         position, keeping fits deterministic.
         """
         d, n = order.shape
-        if n < 2 * self.min_leaf:
+        if n < 2:
             return None
         Xs = np.take_along_axis(X.T, order, axis=1)
         ys = y[order]
@@ -53,22 +52,19 @@ class RegressionTree:
         csq = np.cumsum(ys * ys, axis=1)
         total_sum = csum[:, -1:]
         total_sq = csq[:, -1:]
-        ks = np.arange(self.min_leaf, n - self.min_leaf + 1, dtype=np.float64)
-        lo = self.min_leaf - 1
-        hi = n - self.min_leaf
-        left_sum = csum[:, lo:hi]
-        left_sq = csq[:, lo:hi]
+        ks = np.arange(1, n, dtype=np.float64)
+        left_sum = csum[:, :-1]
+        left_sq = csq[:, :-1]
         sse = (left_sq - left_sum * left_sum / ks) + (
             (total_sq - left_sq) - (total_sum - left_sum) ** 2 / (n - ks)
         )
-        valid = Xs[:, lo:hi] < Xs[:, lo + 1: hi + 1]
+        valid = Xs[:, :-1] < Xs[:, 1:]
         if not valid.any():
             return None
         sse = np.where(valid, sse, np.inf)
         flat = int(np.argmin(sse))
         j, pos = divmod(flat, sse.shape[1])
-        k = pos + self.min_leaf
-        thr = 0.5 * (float(Xs[j, k - 1]) + float(Xs[j, k]))
+        thr = 0.5 * (float(Xs[j, pos]) + float(Xs[j, pos + 1]))
         return float(sse[j, pos]), int(j), thr
 
     def fit(self, X: np.ndarray, y: np.ndarray, base_order: np.ndarray | None = None):
@@ -87,7 +83,7 @@ class RegressionTree:
         n = rows.size
         mean = float(y[rows].mean()) if n else 0.0
         node = self._new_node(mean)
-        if depth >= self.max_depth or n < max(2, 2 * self.min_leaf):
+        if depth >= self.max_depth or n < 2:
             self._train_pred[rows] = mean
             return node
         split = self._best_split(X, y, order)
@@ -121,8 +117,6 @@ class RegressionTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self._arrays is None:
-            self._freeze()
         feature, threshold, left, right, value = self._arrays
         node = np.zeros(X.shape[0], dtype=np.intp)
         rows = np.arange(X.shape[0])
@@ -137,32 +131,12 @@ class RegressionTree:
             node = np.where(internal, nxt, node)
         return value[node]
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": list(self.feature),
-            "threshold": [float(t) for t in self.threshold],
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": [float(v) for v in self.value],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RegressionTree":
-        tree = cls()
-        tree.feature = [int(f) for f in payload["feature"]]
-        tree.threshold = [float(t) for t in payload["threshold"]]
-        tree.left = [int(v) for v in payload["left"]]
-        tree.right = [int(v) for v in payload["right"]]
-        tree.value = [float(v) for v in payload["value"]]
-        tree._freeze()
-        return tree
-
 
 class GradientBoostedRegressor:
     """Least-squares boosting of shallow regression trees."""
 
     def __init__(self, n_trees: int = 50, max_depth: int = 3,
-                 learning_rate: float = 0.1, min_leaf: int = 1):
+                 learning_rate: float = 0.1):
         if n_trees < 1 or n_trees > 50:
             raise ValueError("n_trees must be in [1, 50]")
         if max_depth < 1 or max_depth > 3:
@@ -170,7 +144,6 @@ class GradientBoostedRegressor:
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.learning_rate = learning_rate
-        self.min_leaf = min_leaf
         self.base: float = 0.0
         self.trees: list[RegressionTree] = []
 
@@ -185,7 +158,7 @@ class GradientBoostedRegressor:
             residual = y - pred
             if float(np.max(np.abs(residual))) < 1e-14:
                 break
-            tree = RegressionTree(max_depth=self.max_depth, min_leaf=self.min_leaf)
+            tree = RegressionTree(max_depth=self.max_depth)
             train_pred = tree.fit(X, residual, base_order)
             pred = pred + self.learning_rate * train_pred
             self.trees.append(tree)
@@ -197,23 +170,3 @@ class GradientBoostedRegressor:
         for tree in self.trees:
             pred = pred + self.learning_rate * tree.predict(X)
         return pred
-
-    def to_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "n_trees": self.n_trees,
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GradientBoostedRegressor":
-        model = cls(
-            n_trees=int(payload["n_trees"]),
-            max_depth=int(payload["max_depth"]),
-            learning_rate=float(payload["learning_rate"]),
-        )
-        model.base = float(payload["base"])
-        model.trees = [RegressionTree.from_dict(t) for t in payload["trees"]]
-        return model

@@ -10,7 +10,6 @@ momentum validation used to justify the whole approach.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,61 +31,19 @@ UTILITY_CLIP = 10.0
 MIN_TRAIN_PAIRS = 30
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Summary of a trailing score window."""
-
-    mean_m: float
-    std_m: float
-    last: float
-    slope: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.mean_m, self.std_m, self.last, self.slope])
+def clipped_utility(mu_hat: float, sigma_hat: float) -> float:
+    """Predicted mean over predicted dispersion (floored), clipped."""
+    return max(-UTILITY_CLIP, min(UTILITY_CLIP, mu_hat / max(sigma_hat, SIGMA_FLOOR)))
 
 
-@dataclass(frozen=True)
-class UtilityPrediction:
-    mu_hat: float
-    sigma_hat: float
-    utility: float
-
-    def __post_init__(self):
-        if self.sigma_hat < SIGMA_FLOOR:
-            raise ValueError(f"sigma_hat must be >= {SIGMA_FLOOR}")
-
-
-def clipped_utility(mu_hat: float, sigma_hat: float) -> UtilityPrediction:
-    sigma = max(sigma_hat, SIGMA_FLOOR)
-    utility = max(-UTILITY_CLIP, min(UTILITY_CLIP, mu_hat / sigma))
-    return UtilityPrediction(mu_hat=mu_hat, sigma_hat=sigma, utility=utility)
-
-
-def extract_features(series: ScoreSeries, t: dt.date, m: int) -> FeatureVector:
-    """Mean, population std, last value and least-squares slope of the
-    m-entry window ending at t."""
-    if m < 2:
-        raise ValueError("window length m must be >= 2")
-    values = series.values_until(t)
-    if len(values) < m:
-        raise InsufficientHistoryError(
-            f"{series.agent_id}: need {m} scores at or before {t}, have {len(values)}"
-        )
-    window = np.asarray(values[-m:], dtype=np.float64)
-    return features_from_window(window)
-
-
-def features_from_window(window: np.ndarray) -> FeatureVector:
+def features_from_window(window: np.ndarray) -> np.ndarray:
+    """Mean, population std, last value and least-squares slope of a
+    score window."""
     m = window.size
     x = np.arange(m, dtype=np.float64)
     xc = x - x.mean()
     slope = float(np.dot(xc, window - window.mean()) / np.dot(xc, xc))
-    return FeatureVector(
-        mean_m=float(window.mean()),
-        std_m=float(window.std()),
-        last=float(window[-1]),
-        slope=slope,
-    )
+    return np.array([float(window.mean()), float(window.std()), float(window[-1]), slope])
 
 
 @dataclass(frozen=True)
@@ -95,7 +52,6 @@ class PredictorSpec:
     n_trees: int = 50
     max_depth: int = 3
     learning_rate: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("baseline", "gbdt"):
@@ -118,35 +74,14 @@ class PredictorModel:
     """
 
     kind: str
-    train_window: int = 0
     mu_model: GradientBoostedRegressor | None = None
     sigma_model: GradientBoostedRegressor | None = None
-
-    def predict(self, features: np.ndarray) -> tuple[float, float]:
-        mu, sigma = self.predict_batch(np.asarray(features, dtype=np.float64).reshape(1, -1))
-        return float(mu[0]), float(sigma[0])
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self.kind == "baseline":
             return X[:, 0].copy(), X[:, 1].copy()
         return self.mu_model.predict(X), self.sigma_model.predict(X)
-
-    def to_json(self) -> str:
-        payload = {"kind": self.kind, "train_window": self.train_window}
-        if self.kind == "gbdt":
-            payload["mu_model"] = self.mu_model.to_dict()
-            payload["sigma_model"] = self.sigma_model.to_dict()
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, blob: str) -> "PredictorModel":
-        payload = json.loads(blob)
-        model = cls(kind=payload["kind"], train_window=int(payload.get("train_window", 0)))
-        if model.kind == "gbdt":
-            model.mu_model = GradientBoostedRegressor.from_dict(payload["mu_model"])
-            model.sigma_model = GradientBoostedRegressor.from_dict(payload["sigma_model"])
-        return model
 
 
 def baseline_model() -> PredictorModel:
@@ -155,27 +90,17 @@ def baseline_model() -> PredictorModel:
 
 
 def train(model_spec: PredictorSpec, X, targets) -> PredictorModel:
-    """Fit a predictor on feature rows ``X`` and their (future mean,
-    future std) ``targets``, one pair per row."""
+    """Fit the gbdt predictor, one ensemble per target, on feature rows
+    ``X`` and their (future mean, future std) ``targets``."""
     X = np.asarray(X, dtype=np.float64)
     if len(X) < MIN_TRAIN_PAIRS:
         raise TrainingError(f"need >= {MIN_TRAIN_PAIRS} training pairs, got {len(X)}")
-    if model_spec.kind == "baseline":
-        return PredictorModel(kind="baseline", train_window=len(X))
     mu_model, sigma_model = (
         GradientBoostedRegressor(n_trees=model_spec.n_trees, max_depth=model_spec.max_depth,
                                  learning_rate=model_spec.learning_rate).fit(X, y)
         for y in np.array(targets, dtype=np.float64).T.copy()
     )
-    return PredictorModel(kind="gbdt", train_window=len(X),
-                          mu_model=mu_model, sigma_model=sigma_model)
-
-
-def predict_utility(model: PredictorModel, x) -> UtilityPrediction:
-    """Risk-adjusted utility forecast from a feature vector."""
-    arr = x.as_array() if isinstance(x, FeatureVector) else np.asarray(x, dtype=np.float64)
-    mu, sigma = model.predict(arr)
-    return clipped_utility(mu, sigma)
+    return PredictorModel(kind="gbdt", mu_model=mu_model, sigma_model=sigma_model)
 
 
 # --- rank IC ----------------------------------------------------------------

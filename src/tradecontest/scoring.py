@@ -43,10 +43,6 @@ class ScoreSeries:
     def values_until(self, t: dt.date) -> list[float]:
         return self.values[:bisect_right(self.dates, t)]
 
-    def values_between(self, start: dt.date, end: dt.date) -> list[float]:
-        """Scores with start < date <= end."""
-        return self.values[bisect_right(self.dates, start):bisect_right(self.dates, end)]
-
     def __len__(self) -> int:
         return len(self.dates)
 

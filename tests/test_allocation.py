@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 
 from tradecontest.allocation import (
     CapitalWeights,
-    ContextModel,
     KnapsackItem,
-    decision_capability,
-    decision_value,
     knapsack_select,
     sharpe_weights,
 )
@@ -27,41 +24,6 @@ def brute_force_best(items, budget):
             if sum(it.tokens for it in combo) <= budget:
                 best = max(best, sum(it.utility for it in combo))
     return best
-
-
-class TestContextModel:
-    def test_half_at_inflection(self):
-        model = ContextModel()
-        assert decision_capability(model, model.L0) == pytest.approx(0.5)
-
-    def test_near_one_at_zero_length(self):
-        model = ContextModel(k=1e-3, L0=32768)
-        assert decision_capability(model, 0) == pytest.approx(1.0, abs=1e-9)
-
-    def test_monotone_decreasing(self):
-        model = ContextModel()
-        lengths = [0, 1000, 16384, 32768, 50000, 120000]
-        caps = [decision_capability(model, L) for L in lengths]
-        assert all(a > b for a, b in zip(caps, caps[1:]))
-
-    def test_no_overflow_at_huge_length(self):
-        model = ContextModel(k=1.0, L0=32768)
-        assert decision_capability(model, 10_000_000) == pytest.approx(0.0, abs=1e-12)
-
-    def test_budget_below_inflection_required(self):
-        with pytest.raises(ValueError):
-            ContextModel(L0=16384, L_star=32768)
-
-    def test_value_at_inflection(self):
-        model = ContextModel()
-        assert decision_value([10.0], [model.L0], model) == pytest.approx(5.0)
-
-    def test_empty_set(self):
-        assert decision_value([], [], ContextModel()) == 0.0
-
-    def test_small_lengths_keep_value(self):
-        model = ContextModel()
-        assert decision_value([3.0, 4.0], [100, 200], model) == pytest.approx(7.0, abs=1e-2)
 
 
 class TestKnapsack:

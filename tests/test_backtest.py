@@ -14,6 +14,8 @@ from tradecontest.backtest import (
     new_state,
     signals_to_weights,
 )
+from tradecontest.cli import _metrics_dict
+from tradecontest.config import RunConfig
 from tradecontest.market import Bar
 
 D = dt.date
@@ -189,5 +191,5 @@ class TestComputeMetrics:
 
     def test_report_dict_keys(self):
         navs = list(zip(DAYS, [1.0, 1.1, 1.05, 1.2]))
-        d = compute_metrics(navs).to_dict()
+        d = _metrics_dict(RunConfig(), navs, [])
         assert {"CR", "SR", "MDD", "RankIC", "ICIR"} <= set(d)

@@ -57,8 +57,8 @@ class TestConfigRoundTrip:
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump({"seed": 3}))
         config = cfgmod.load_config(path)
-        assert len(config.data_agents) == 16
-        assert len(config.research_agents) == 8
+        assert len(config.agents.data) == 16
+        assert len(config.agents.research) == 8
 
     def test_overlapping_periods_rejected(self, tmp_path):
         path = write_config(
@@ -82,6 +82,84 @@ class TestConfigRoundTrip:
     def test_missing_file(self):
         with pytest.raises(ConfigurationError, match="not found"):
             cfgmod.load_config("/nonexistent/run.yaml")
+
+
+# Every key of the schema, each set to a value other than its default.
+FULL_CONFIG = {
+    "seed": 5,
+    "output_dir": "runs/full",
+    "data": {"kind": "csv", "csv_path": "bars.csv", "n_symbols": 7, "n_days": 120,
+             "daily_vol": 0.03, "limit_pct": 0.05, "start": "2023-03-01",
+             "start_price": 50.0,
+             "planted": [{"symbol": "SYM001", "start_day": 4, "drift": -0.002}]},
+    "period": {"train_start": "2023-03-01", "train_end": "2023-04-28",
+               "test_start": "2023-05-01", "test_end": "2023-06-30"},
+    "agents": {
+        "data": [{"kind": "synthetic", "agent_id": "d0", "skill": 0.4, "obs_per_day": 5,
+                  "belief": "reversal", "noise_seed": 99},
+                 {"kind": "external", "agent_id": "x0", "endpoint": "awk -f agent.awk",
+                  "timeout": 7.5, "lookback": 12}],
+        "research": [{"kind": "synthetic", "agent_id": "r0", "skill": 0.5,
+                      "obs_per_day": 2, "belief": "random", "noise_seed": 7}],
+    },
+    "contest": {"m": 7, "n_data": 2, "n_research": 4, "budget": 512,
+                "predictor": "baseline", "n_trees": 20, "max_depth": 2,
+                "learning_rate": 0.05, "research_rebalance_daily": True},
+    "backtest": {"initial_cash": 250_000.0, "fee": 0.002, "limit_pct": 0.2},
+    "validate_ric": {"source": "ledger", "ledger": "runs/x/ledger.jsonl",
+                     "panel": {"kind": "noise", "phi": 0.3, "agents": 8, "days": 120},
+                     "windows": {"m": 4, "n": 2, "M": 40, "N": 20}},
+}
+
+
+def assert_no_default_left(full, default, where=""):
+    for key, value in default.items():
+        if isinstance(value, dict):
+            assert_no_default_left(full[key], value, f"{where}.{key}")
+        else:
+            assert full[key] != value, f"{where}.{key}"
+
+
+class TestFullSchemaRoundTrip:
+    def test_every_key_survives(self, tmp_path):
+        assert_no_default_left(FULL_CONFIG, cfgmod.to_dict(cfgmod.RunConfig()))
+        for entry in [*FULL_CONFIG["agents"]["data"], *FULL_CONFIG["agents"]["research"]]:
+            default = cfgmod.AgentEntry(agent_id="", kind=entry["kind"])
+            for key, value in entry.items():
+                assert key == "kind" or value != getattr(default, key), key
+        path = tmp_path / "full.yaml"
+        path.write_text(yaml.safe_dump(FULL_CONFIG))
+        config = cfgmod.load_config(path)
+        assert cfgmod.to_dict(config) == FULL_CONFIG
+        cfgmod.emit_config(config, tmp_path / "emitted.yaml")
+        assert cfgmod.load_config(tmp_path / "emitted.yaml") == config
+
+
+PLANTED_NO_DRIFT = {"kind": "synthetic", "n_symbols": 6, "n_days": 70,
+                    "planted": [{"symbol": "SYM000"}]}
+TWO_AGENTS = {"data": [{"agent_id": "d0"}], "research": [{"agent_id": "r0"}]}
+EXTERNAL = {"kind": "external", "agent_id": "x0", "endpoint": "true"}
+
+
+@pytest.mark.parametrize("overrides, where", [
+    ({"contest": {"predictor": "baseline", "m": "abc"}}, "contest.m: expected int"),
+    ({"contest": {"predictor": "baseline", "n_trees": 99}}, "contest: n_trees"),
+    ({"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "skill": 2.0}]}},
+     "agents.data[0]: skill"),
+    ({"agents": {**TWO_AGENTS, "research": [{"agent_id": "r0", "belief": "bogus"}]}},
+     "agents.research[0]: unknown belief"),
+    ({"backtest": {"initial_cash": 0}}, "backtest: initial cash"),
+    ({"data": PLANTED_NO_DRIFT}, "data.planted[0].drift: required"),
+    ({"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "lookback": 0}]}},
+     "agents.data[0].lookback: must be >= 1"),
+    ({"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "lookback": -2}]}},
+     "agents.research[0].lookback: must be >= 1"),
+], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
+        "planted-no-drift", "lookback-0", "lookback-negative"])
+def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
+    cfg_path = write_config(tmp_path / "run.yaml", **overrides)
+    assert main(["backtest", str(cfg_path)]) == 2
+    assert where in capsys.readouterr().err
 
 
 class TestCmdBacktest:
@@ -206,6 +284,21 @@ def test_golden_ledger_sha256(tmp_path):
     assert hashlib.sha256(ledger).hexdigest() == GOLDEN_LEDGER_SHA256
 
 
+# The same run's metrics.json, which embeds the config as ``to_dict`` writes
+# it. Recorded before ``to_dict`` was derived from the config schema; like
+# the ledger's hash, it holds for the numpy and BLAS build named above.
+GOLDEN_METRICS_SHA256 = "a9f276a249e68927e9a258d38bf718ea41db71c3a7762e43bb74a811de33bf6e"
+
+
+def test_golden_metrics_sha256(tmp_path):
+    cfg_path = tmp_path / "golden.yaml"
+    cfg_path.write_text(yaml.safe_dump(GOLDEN_CONFIG))
+    out = tmp_path / "out"
+    assert main(["backtest", str(cfg_path), "--output-dir", str(out)]) == 0
+    metrics = (out / "metrics.json").read_bytes()
+    assert hashlib.sha256(metrics).hexdigest() == GOLDEN_METRICS_SHA256
+
+
 class TestCmdAblate:
     def test_unknown_variant_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.yaml")
@@ -307,6 +400,7 @@ class TestGenDataAndReport:
         reported = json.loads(capsys.readouterr().out)
         assert reported["CR"] == pytest.approx(original["CR"], abs=1e-12)
         assert reported["RankIC"] == pytest.approx(original["RankIC"], abs=1e-12)
+        assert reported == original
 
     def test_report_on_empty_dir_exits_1(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1

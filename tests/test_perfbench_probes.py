@@ -1,0 +1,36 @@
+"""The benchmark's traced mode looks up tradecontest functions by name, so a
+rename or deletion in src/ must fail here before it breaks the benchmark."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_child_resolves_every_probe(tmp_path):
+    config = {
+        "seed": 3,
+        "data": {"kind": "synthetic", "n_symbols": 4, "n_days": 30, "daily_vol": 0.01},
+        "agents": {"data": [{"agent_id": f"d{i}", "skill": 0.5} for i in range(3)],
+                   "research": [{"agent_id": "r0"}, {"agent_id": "r1", "belief": "random"}]},
+        "contest": {"predictor": "baseline"},
+    }
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump(config))
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "--config", str(cfg_path),
+         "--out", str(tmp_path / "out"), "--run-id", "probe", "--trace", "1"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert isinstance(result["layers"], dict) and result["layers"]

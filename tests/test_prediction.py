@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from tradecontest.engine import _current_features
 from tradecontest.errors import (
     InsufficientCrossSectionError,
     InsufficientHistoryError,
@@ -18,12 +19,12 @@ from tradecontest.errors import (
 from tradecontest.gbdt import GradientBoostedRegressor
 from tradecontest.market import business_days
 from tradecontest.prediction import (
-    FeatureVector,
     PredictorModel,
     PredictorSpec,
     ar1_score_panel,
-    extract_features,
-    predict_utility,
+    baseline_model,
+    clipped_utility,
+    features_from_window,
     rank_ic,
     train,
     validate_momentum,
@@ -38,35 +39,35 @@ def series_from(values, start=dt.date(2025, 1, 2)):
     return s
 
 
+def window(values):
+    return np.asarray(values, dtype=np.float64)
+
+
 class TestExtractFeatures:
+    # features are (mean, population std, last, slope)
     def test_linear_window(self):
-        s = series_from([1, 2, 3, 4, 5])
-        f = extract_features(s, s.entries[-1][0], 5)
-        assert f.mean_m == pytest.approx(3.0)
-        assert f.std_m == pytest.approx(math.sqrt(2.0))
-        assert f.last == 5.0
-        assert f.slope == pytest.approx(1.0)
+        mean, std, last, slope = features_from_window(window([1, 2, 3, 4, 5]))
+        assert mean == pytest.approx(3.0)
+        assert std == pytest.approx(math.sqrt(2.0))
+        assert last == 5.0
+        assert slope == pytest.approx(1.0)
 
     def test_constant_window(self):
-        s = series_from([7.5] * 6)
-        f = extract_features(s, s.entries[-1][0], 6)
-        assert (f.mean_m, f.std_m, f.slope) == (7.5, 0.0, 0.0)
+        mean, std, _, slope = features_from_window(window([7.5] * 6))
+        assert (mean, std, slope) == (7.5, 0.0, 0.0)
 
     def test_two_point_window(self):
-        s = series_from([0, 1])
-        f = extract_features(s, s.entries[-1][0], 2)
-        assert f.mean_m == pytest.approx(0.5)
-        assert f.slope == pytest.approx(1.0)
+        mean, _, _, slope = features_from_window(window([0, 1]))
+        assert mean == pytest.approx(0.5)
+        assert slope == pytest.approx(1.0)
 
     def test_insufficient_history(self):
         s = series_from([1, 2, 3])
-        with pytest.raises(InsufficientHistoryError):
-            extract_features(s, s.entries[-1][0], 5)
+        assert _current_features(s, None, 5, s.dates[-1]) is None
 
     def test_window_ends_at_t(self):
         s = series_from([1, 2, 3, 4, 100])
-        f = extract_features(s, s.entries[3][0], 3)
-        assert f.last == 4.0
+        assert _current_features(s, None, 3, s.dates[3])[2] == 4.0
 
 
 def toy_history(n=60, seed=3):
@@ -80,32 +81,29 @@ def toy_history(n=60, seed=3):
     return np.array(rows), targets
 
 
+def utility(model, features):
+    mu, sigma = model.predict_batch(np.array([features], dtype=np.float64))
+    return clipped_utility(float(mu[0]), float(sigma[0]))
+
+
 class TestTrainPredict:
     def test_baseline_is_closed_form(self):
-        model = train(PredictorSpec(kind="baseline"), *toy_history())
-        pred = predict_utility(model, FeatureVector(mean_m=-1.0, std_m=0.5,
-                                                    last=0.0, slope=0.0))
-        assert pred.utility == pytest.approx(-2.0)
+        assert utility(baseline_model(), [-1.0, 0.5, 0.0, 0.0]) == pytest.approx(-2.0)
 
     def test_baseline_sigma_floor_and_clip(self):
         model = PredictorModel(kind="baseline")
-        pred = predict_utility(model, FeatureVector(mean_m=2.0, std_m=0.0,
-                                                    last=2.0, slope=0.0))
-        assert pred.sigma_hat == pytest.approx(1e-4)
-        assert pred.utility == 10.0
+        # sigma 0 is floored at 1e-4: 2e-5 / 1e-4 = 0.2
+        assert utility(model, [2e-5, 0.0, 2e-5, 0.0]) == pytest.approx(0.2)
+        assert utility(model, [2.0, 0.0, 2.0, 0.0]) == 10.0
 
     def test_baseline_zero_mean(self):
         model = PredictorModel(kind="baseline")
-        pred = predict_utility(model, FeatureVector(mean_m=0.0, std_m=1.0,
-                                                    last=0.0, slope=0.0))
-        assert pred.utility == 0.0
+        assert utility(model, [0.0, 1.0, 0.0, 0.0]) == 0.0
 
     def test_utility_sign_matches_mu(self):
         model = PredictorModel(kind="baseline")
         for mu in (-3.0, -0.001, 0.0, 0.5, 40.0):
-            pred = predict_utility(model, FeatureVector(mean_m=mu, std_m=0.2,
-                                                        last=0.0, slope=0.0))
-            assert np.sign(pred.utility) == np.sign(mu)
+            assert np.sign(utility(model, [mu, 0.2, 0.0, 0.0])) == np.sign(mu)
 
     def test_too_few_pairs(self):
         with pytest.raises(TrainingError):
@@ -122,17 +120,11 @@ class TestTrainPredict:
 
     def test_gbdt_deterministic(self):
         rows, targets = toy_history(80)
-        spec = PredictorSpec(kind="gbdt", seed=5)
+        spec = PredictorSpec(kind="gbdt")
         a = train(spec, rows, targets)
         b = train(spec, rows, targets)
-        x = FeatureVector(mean_m=0.3, std_m=0.4, last=0.1, slope=0.0)
-        assert predict_utility(a, x) == predict_utility(b, x)
-
-    def test_gbdt_serialization_round_trip(self):
-        model = train(PredictorSpec(kind="gbdt"), *toy_history(60))
-        again = PredictorModel.from_json(model.to_json())
-        x = FeatureVector(mean_m=0.3, std_m=0.4, last=0.1, slope=0.2)
-        assert predict_utility(again, x) == predict_utility(model, x)
+        x = [0.3, 0.4, 0.1, 0.0]
+        assert utility(a, x) == utility(b, x)
 
     def test_tree_limits_enforced(self):
         with pytest.raises(ValueError):

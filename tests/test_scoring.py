@@ -189,7 +189,6 @@ class TestScoreSeries:
         for i, d in enumerate(days):
             s.append(d, float(i))
         assert s.values_until(days[2]) == [0.0, 1.0, 2.0]
-        assert s.values_between(days[0], days[2]) == [1.0, 2.0]
 
     def test_judger_bounds(self):
         with pytest.raises(ValueError):
