@@ -109,13 +109,10 @@ def token_count(texts) -> int:
 
 
 def _trailing_momentum(view: MarketView, symbols) -> dict[str, float]:
-    """Mean daily return over the last MOMENTUM_WINDOW steps per symbol."""
-    out = {}
-    for sym in symbols:
-        rets = view.trailing_returns(sym, MOMENTUM_WINDOW)
-        if rets:
-            out[sym] = sum(rets) / len(rets)
-    return out
+    """Mean daily return over the last MOMENTUM_WINDOW steps of each of
+    ``symbols`` that has one; symbols outside the universe are skipped."""
+    means, _ = view.momentum(MOMENTUM_WINDOW)
+    return {sym: means[sym] for sym in symbols if sym in means}
 
 
 def synthetic_data_agent(spec: SyntheticAgentSpec, view: MarketView, t: dt.date) -> TextualFactor:
@@ -132,8 +129,7 @@ def synthetic_data_agent(spec: SyntheticAgentSpec, view: MarketView, t: dt.date)
         raise ValueError(f"{spec.agent_id} is not a data agent")
     rng = stream(spec.noise_seed, "data", t.isoformat())
     universe = list(view.symbols)
-    momentum = _trailing_momentum(view, universe)
-    ranked = sorted(momentum, key=lambda s: (-abs(momentum[s]), s))
+    momentum, ranked = view.momentum(MOMENTUM_WINDOW)
 
     observations = []
     for k in range(spec.obs_per_day):
@@ -213,7 +209,7 @@ def synthetic_research_agent(
         )
 
     if view is not None:
-        score = {s: m for s, m in _trailing_momentum(view, mentioned).items()}
+        score = _trailing_momentum(view, mentioned)
         basis = f"trailing {MOMENTUM_WINDOW}-day mean return"
     else:
         score = {s: float(sentiment[s]) for s in mentioned}

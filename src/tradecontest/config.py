@@ -205,14 +205,23 @@ def default_roster(seed: int) -> AgentsSection:
     return AgentsSection(data=tuple(data), research=tuple(research))
 
 
+def _path(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
 def _load(cls, raw, where: str):
     """Build section ``cls`` from its YAML mapping; a missing or null key
-    takes the field's default."""
+    takes the field's default, and a key the section lacks is an error."""
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{where or 'config root'}: must be a mapping")
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in raw:
+        if key not in names:
+            raise ConfigurationError(f"{_path(where, key)}: unknown key")
     values = {}
-    for f in dataclasses.fields(cls):
-        path = f"{where}.{f.name}" if where else f.name
+    for f in fields:
+        path = _path(where, f.name)
         if raw.get(f.name) is not None:
             values[f.name] = _convert(f.type, raw[f.name], path)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
@@ -235,6 +244,11 @@ def _convert(tp, value, where: str):
         return tuple(_convert(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     if tp is dt.date:
         return _date(value, where)
+    # bool("false") is True, int(True) is 1 and int(2.7) is 2: only a YAML
+    # boolean is a bool, and an int field takes no fraction
+    if (tp is bool) != isinstance(value, bool) or (
+            tp is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigurationError(f"{where}: expected {tp.__name__}, got {value!r}")
     try:
         return tp(value)
     except (TypeError, ValueError):

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import islice
+from types import MappingProxyType
 
 import numpy as np
 
@@ -140,7 +141,7 @@ class MarketView:
         self.cutoff = cutoff
         cut = store.day_index(cutoff)
         self._calendar = store.calendar[: cut + 1]
-        self._returns_cache: dict[tuple[str, int], list[float]] = {}
+        self._momentum_cache: dict[int, tuple[MappingProxyType, tuple[str, ...]]] = {}
         self._bars_json_cache: dict[int, str] = {}
 
     @property
@@ -169,17 +170,26 @@ class MarketView:
     def trailing_returns(self, symbol: str, window: int) -> list[float]:
         """Daily close-to-close returns for the last ``window`` steps ending
         at the cutoff; shorter if less history exists, empty if < 2 bars."""
-        key = (symbol, window)
-        cached = self._returns_cache.get(key)
-        if cached is not None:
-            return cached
         bars = self._store._bars.get(symbol, {})
         # walk back from the cutoff until window + 1 closes are found
         found = (bars[d].close for d in reversed(self._calendar) if d in bars)
         closes = list(islice(found, window + 1))[::-1]
-        out = [c1 / c0 - 1.0 for c0, c1 in zip(closes, closes[1:])]
-        self._returns_cache[key] = out
-        return out
+        return [c1 / c0 - 1.0 for c0, c1 in zip(closes, closes[1:])]
+
+    def momentum(self, window: int) -> tuple[MappingProxyType, tuple[str, ...]]:
+        """Mean of ``trailing_returns(symbol, window)`` for every symbol with
+        at least two bars, and those symbols strongest trend first (largest
+        absolute mean, ties by symbol). Computed once per view and shared,
+        read-only, by every reader."""
+        if window not in self._momentum_cache:
+            means = {}
+            for symbol in self.symbols:
+                rets = self.trailing_returns(symbol, window)
+                if rets:
+                    means[symbol] = sum(rets) / len(rets)
+            ranked = tuple(sorted(means, key=lambda s: (-abs(means[s]), s)))
+            self._momentum_cache[window] = (MappingProxyType(means), ranked)
+        return self._momentum_cache[window]
 
     def bars_json(self, lookback: int) -> str:
         """JSON array of the bars of the last ``lookback`` days, day-major in

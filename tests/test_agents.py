@@ -201,6 +201,16 @@ class TestSyntheticResearchAgent:
         assert mom.symbol == "SYM000"
         assert rev.symbol != "SYM000"
 
+    def test_symbols_outside_the_universe_are_skipped(self, drift_store):
+        t = drift_store.calendar[30]
+        portfolio = _portfolio_with(["SYM001", "ZZZ"], t, ratings=[1, 2])
+        for belief in ("momentum", "reversal"):
+            spec = SyntheticAgentSpec(agent_id="r0", kind="research", noise_seed=1,
+                                      belief_bias=belief)
+            signal = synthetic_research_agent(spec, portfolio, view_until(drift_store, t), t)
+            assert signal.symbol == "SYM001"
+            assert "among 2 mentioned instruments" in signal.evidence[0]
+
     def test_no_view_uses_sentiment(self):
         t = D(2025, 1, 6)
         portfolio = _portfolio_with(["AAA", "BBB"], t, ratings=[2, -2])

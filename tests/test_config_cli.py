@@ -154,12 +154,32 @@ EXTERNAL = {"kind": "external", "agent_id": "x0", "endpoint": "true"}
      "agents.data[0].lookback: must be >= 1"),
     ({"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "lookback": -2}]}},
      "agents.research[0].lookback: must be >= 1"),
+    ({"contest": {"predictor": "baseline", "research_rebalance_daily": "false"}},
+     "contest.research_rebalance_daily: expected bool, got 'false'"),
+    ({"contest": {"predictor": "baseline", "m": 2.7}}, "contest.m: expected int, got 2.7"),
+    ({"contest": {"predictor": "baseline", "m": True}}, "contest.m: expected int, got True"),
+    ({"backtest": {"fee": True}}, "backtest.fee: expected float, got True"),
+    ({"contest": {"predictor": "baseline", "n_tree": 20}}, "contest.n_tree: unknown key"),
+    ({"sed": 3}, "sed: unknown key"),
+    ({"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "skil": 0.5}]}},
+     "agents.data[0].skil: unknown key"),
+    ({"validate_ric": {"panel": {"phi": 0.5, "day": 10}}}, "validate_ric.panel.day: unknown key"),
 ], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
-        "planted-no-drift", "lookback-0", "lookback-negative"])
+        "planted-no-drift", "lookback-0", "lookback-negative", "bool-as-string",
+        "int-with-fraction", "int-as-bool", "float-as-bool", "unknown-contest-key",
+        "unknown-root-key", "unknown-agent-key", "unknown-nested-key"])
 def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
     cfg_path = write_config(tmp_path / "run.yaml", **overrides)
     assert main(["backtest", str(cfg_path)]) == 2
     assert where in capsys.readouterr().err
+
+
+def test_lossless_numbers_still_load():
+    config = cfgmod.from_dict({"contest": {"m": 4.0}, "backtest": {"initial_cash": 500, "fee": 0},
+                               "agents": {"data": [{**EXTERNAL, "timeout": 30}]}})
+    assert (config.contest.m, config.backtest.initial_cash, config.backtest.fee) == (4, 500.0, 0.0)
+    assert type(config.contest.m) is int and type(config.backtest.fee) is float
+    assert config.agents.data[0].timeout == 30.0
 
 
 class TestCmdBacktest:

@@ -268,6 +268,38 @@ class TestTrailingReturnsWalkBack:
                 view.has_bar("BBB", t)
 
 
+class TestMomentumTable:
+    def test_means_and_ranking(self, gappy_store):
+        for cutoff in gappy_store.calendar:
+            view = view_until(gappy_store, cutoff)
+            means, ranked = view.momentum(5)
+            expected = {}
+            for symbol in gappy_store.symbols:
+                rets = filtered_trailing_returns(gappy_store, cutoff, symbol, 5)
+                if rets:  # fewer than two bars: no mean, not ranked
+                    expected[symbol] = sum(rets) / len(rets)
+            assert dict(means) == expected
+            assert list(ranked) == sorted(expected, key=lambda s: (-abs(expected[s]), s))
+
+    def test_equal_strength_ranks_by_symbol(self):
+        days = business_days(D(2025, 1, 2), 3)
+        # returns of exactly -25% and +25%: three symbols of equal strength
+        closes = {"CCC": [8, 10, 12.5], "AAA": [8, 6, 4.5], "BBB": [8, 10, 12.5]}
+        store = MarketStore([_bar(d, s, c[i]) for s, c in closes.items()
+                             for i, d in enumerate(days)])
+        means, ranked = view_until(store, days[-1]).momentum(5)
+        assert means["AAA"] == -means["BBB"]
+        assert ranked == ("AAA", "BBB", "CCC")
+
+    def test_one_shared_read_only_table_per_view(self, gappy_store):
+        view = view_until(gappy_store, gappy_store.calendar[-1])
+        table = view.momentum(5)
+        assert view.momentum(5) is table
+        assert view.momentum(3) is not table
+        with pytest.raises(TypeError):
+            table[0]["AAA"] = 0.0
+
+
 class TestPerturbAfter:
     def test_prefix_unchanged(self, tiny_store):
         cut = tiny_store.calendar[5]

@@ -14,13 +14,14 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_child_resolves_every_probe(tmp_path):
+def traced_layers(tmp_path, n_days: int, contest: dict) -> dict:
+    """The per-layer figures of one traced child run of a small config."""
     config = {
         "seed": 3,
-        "data": {"kind": "synthetic", "n_symbols": 4, "n_days": 30, "daily_vol": 0.01},
+        "data": {"kind": "synthetic", "n_symbols": 4, "n_days": n_days, "daily_vol": 0.01},
         "agents": {"data": [{"agent_id": f"d{i}", "skill": 0.5} for i in range(3)],
                    "research": [{"agent_id": "r0"}, {"agent_id": "r1", "belief": "random"}]},
-        "contest": {"predictor": "baseline"},
+        "contest": contest,
     }
     cfg_path = tmp_path / "config.yaml"
     cfg_path.write_text(yaml.safe_dump(config))
@@ -32,5 +33,19 @@ def test_traced_child_resolves_every_probe(tmp_path):
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert isinstance(result["layers"], dict) and result["layers"]
+    layers = json.loads(proc.stdout)["layers"]
+    assert isinstance(layers, dict) and layers
+    return layers
+
+
+def test_traced_child_resolves_every_probe(tmp_path):
+    traced_layers(tmp_path, 30, {"predictor": "baseline"})
+
+
+def test_gbdt_fit_probe_reads_rows_and_trees(tmp_path):
+    # the probe reads the rows argument of GradientBoostedRegressor.fit and
+    # the fitted model's trees, which only a gbdt run exercises
+    layers = traced_layers(tmp_path, 60, {"predictor": "gbdt", "n_trees": 5})
+    assert layers["gbdt.fits"] > 0
+    assert layers["gbdt.trees"] > 0
+    assert layers["gbdt.fit_rows"] > 0

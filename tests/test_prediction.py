@@ -133,6 +133,145 @@ class TestTrainPredict:
             PredictorSpec(kind="gbdt", max_depth=4)
 
 
+class ReferenceTree:
+    """The exact greedy split search in its plain form, kept as the
+    reference for ``RegressionTree``: the sorted values gathered again at
+    every node, the SSE as one expression, ``ndarray.mean`` and ``np.sum``."""
+
+    def __init__(self, max_depth):
+        self.max_depth = max_depth
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
+
+    def _new_node(self, value):
+        for field, init in ((self.feature, -1), (self.threshold, 0.0), (self.left, -1),
+                            (self.right, -1), (self.value, value)):
+            field.append(init)
+        return len(self.value) - 1
+
+    def _best_split(self, X, y, order):
+        d, n = order.shape
+        if n < 2:
+            return None
+        Xs = np.take_along_axis(X.T, order, axis=1)
+        ys = y[order]
+        csum = np.cumsum(ys, axis=1)
+        csq = np.cumsum(ys * ys, axis=1)
+        total_sum = csum[:, -1:]
+        total_sq = csq[:, -1:]
+        ks = np.arange(1, n, dtype=np.float64)
+        left_sum = csum[:, :-1]
+        left_sq = csq[:, :-1]
+        sse = (left_sq - left_sum * left_sum / ks) + (
+            (total_sq - left_sq) - (total_sum - left_sum) ** 2 / (n - ks)
+        )
+        valid = Xs[:, :-1] < Xs[:, 1:]
+        if not valid.any():
+            return None
+        sse = np.where(valid, sse, np.inf)
+        flat = int(np.argmin(sse))
+        j, pos = divmod(flat, sse.shape[1])
+        thr = 0.5 * (float(Xs[j, pos]) + float(Xs[j, pos + 1]))
+        return float(sse[j, pos]), int(j), thr
+
+    def fit(self, X, y, base_order):
+        self._train_pred = np.empty(y.size)
+        self._grow(X, y, base_order, depth=0)
+        return self._train_pred
+
+    def _grow(self, X, y, order, depth):
+        rows = order[0]
+        n = rows.size
+        mean = float(y[rows].mean()) if n else 0.0
+        node = self._new_node(mean)
+        if depth >= self.max_depth or n < 2:
+            self._train_pred[rows] = mean
+            return node
+        split = self._best_split(X, y, order)
+        if split is None:
+            self._train_pred[rows] = mean
+            return node
+        sse, j, thr = split
+        node_sse = float(np.sum((y[rows] - mean) ** 2))
+        if not sse < node_sse - 1e-12:
+            self._train_pred[rows] = mean
+            return node
+        mask = (X[:, j] <= thr)[order]
+        n_left = int(mask[0].sum())
+        left_order = order[mask].reshape(order.shape[0], n_left)
+        right_order = order[~mask].reshape(order.shape[0], n - n_left)
+        self.feature[node] = j
+        self.threshold[node] = thr
+        self.left[node] = self._grow(X, y, left_order, depth + 1)
+        self.right[node] = self._grow(X, y, right_order, depth + 1)
+        return node
+
+
+def reference_boost(X, y, n_trees, max_depth, learning_rate=0.1):
+    base = float(y.mean())
+    order = np.argsort(X, axis=0, kind="mergesort").T
+    pred = np.full(y.shape, base)
+    trees = []
+    for _ in range(n_trees):
+        residual = y - pred
+        if float(np.max(np.abs(residual))) < 1e-14:
+            break
+        tree = ReferenceTree(max_depth)
+        pred = pred + learning_rate * tree.fit(X, residual, order)
+        trees.append(tree)
+    return base, trees
+
+
+def assert_same_ensemble(X, y, n_trees, max_depth):
+    model = GradientBoostedRegressor(n_trees=n_trees, max_depth=max_depth).fit(X, y)
+    base, trees = reference_boost(X, y, n_trees, max_depth)
+    assert model.base == base
+    assert len(model.trees) == len(trees)
+    for got, want in zip(model.trees, trees):
+        for field in ("feature", "threshold", "value", "left", "right"):
+            assert getattr(got, field) == getattr(want, field), field
+
+
+def shaped_rows(kind, n, rng):
+    """(X, y) with n rows and 4 features, shaped to stress one case of the search."""
+    X = rng.normal(size=(n, 4))
+    if kind == "duplicates":
+        X = rng.integers(0, 3, size=(n, 4)).astype(np.float64)
+    elif kind == "constant-column":
+        X[:, 1] = 7.0
+    elif kind == "mirrored":
+        # two features that order the rows the same way tie on every partition
+        X[:, 1] = -X[:, 0]
+        X[:, 2] = X[:, 0]
+    return X, rng.normal(size=n) + X[:, 0]
+
+
+class TestExactSplitSearch:
+    @pytest.mark.parametrize("max_depth", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 500])
+    @pytest.mark.parametrize("kind", ["normal", "duplicates", "constant-column", "mirrored"])
+    def test_same_trees_as_reference(self, kind, n, max_depth):
+        X, y = shaped_rows(kind, n, np.random.default_rng(n * 10 + max_depth))
+        assert_same_ensemble(X, y, n_trees=8, max_depth=max_depth)
+
+    def test_constant_features_grow_no_split(self):
+        X = np.ones((20, 3))
+        y = np.arange(20, dtype=np.float64)
+        assert_same_ensemble(X, y, n_trees=3, max_depth=3)
+        model = GradientBoostedRegressor(n_trees=3, max_depth=3).fit(X, y)
+        assert all(tree.feature == [-1] for tree in model.trees)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_same_trees_on_random_rows(self, n, d, max_depth, data):
+        # a coarse grid of values makes ties between rows and features common
+        grid = st.sampled_from([-1.5, -0.5, 0.0, 0.25, 1.0, 3.0])
+        values = st.one_of(grid, st.floats(-1e3, 1e3))
+        X = np.array(data.draw(st.lists(values, min_size=n * d, max_size=n * d)),
+                     dtype=np.float64).reshape(n, d)
+        y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+        assert_same_ensemble(X, y, n_trees=4, max_depth=max_depth)
+
+
 class TestRankIc:
     def test_identical(self):
         assert rank_ic([1, 5, 9], [1, 5, 9]) == pytest.approx(1.0)
