@@ -13,8 +13,11 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import os
+import selectors
 import shlex
 import subprocess
+import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -29,6 +32,9 @@ ACTIONS = ("buy", "hold", "sell")
 CASH_SYMBOL = "CASH"
 
 MOMENTUM_WINDOW = 5
+
+MAX_REPLY_BYTES = 1 << 20  # longest reply body an external agent may send
+_STDERR_KEEP = 1024  # bytes of an agent's stderr kept for the error message
 
 
 @dataclass(frozen=True)
@@ -327,21 +333,101 @@ def parse_signal_response(payload) -> TradingSignal:
         raise ProtocolError(str(exc)) from exc
 
 
-def _call_subprocess(command: str, line: str, timeout: float) -> str:
+def parse_endpoint(endpoint: str) -> str | tuple[str, ...]:
+    """An http(s) URL as given, or a command line split into the child's
+    argv; ValueError if the command is blank or cannot be split."""
+    if endpoint.startswith(("http://", "https://")):
+        return endpoint
+    argv = tuple(shlex.split(endpoint))
+    if not argv:
+        raise ValueError("blank command")
+    return argv
+
+
+def _exchange(proc: subprocess.Popen, line: bytes, deadline: float):
+    """Write ``line`` to the child's stdin while draining its stdout and
+    stderr, in one poll loop that runs until the three pipes are closed and
+    the child has exited. Returns (stdout, the head of stderr), or None
+    once ``deadline`` passes. A child that exits without reading its
+    request is not itself an error."""
+    out, err = bytearray(), bytearray()
+    pending = memoryview(line)
+    os.set_blocking(proc.stdin.fileno(), False)
+    try:  # readable once the child exits; without one, wait() after the pipes close
+        pidfd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        pidfd = None
+    with selectors.PollSelector() as sel:
+        sel.register(proc.stdin, selectors.EVENT_WRITE)
+        sel.register(proc.stdout, selectors.EVENT_READ, out)
+        sel.register(proc.stderr, selectors.EVENT_READ, err)
+        if pidfd is not None:
+            sel.register(pidfd, selectors.EVENT_READ)
+        try:
+            while sel.get_map():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                for key, _ in sel.select(remaining):
+                    if key.fileobj is proc.stdin:
+                        try:
+                            pending = pending[os.write(key.fd, pending):]
+                        except BlockingIOError:
+                            continue
+                        except BrokenPipeError:
+                            pending = pending[:0]
+                        if not pending:
+                            sel.unregister(proc.stdin)
+                            proc.stdin.close()
+                    elif key.fd == pidfd:
+                        sel.unregister(pidfd)
+                        proc.wait()  # the child has exited: this only reaps it
+                    elif chunk := os.read(key.fd, 1 << 16):
+                        if key.data is out:
+                            out += chunk
+                            if len(out) > MAX_REPLY_BYTES:
+                                raise ProtocolError(
+                                    f"agent reply exceeds {MAX_REPLY_BYTES} bytes")
+                        else:
+                            err += chunk[:_STDERR_KEEP - len(err)]
+                    else:
+                        sel.unregister(key.fileobj)
+        finally:
+            if pidfd is not None:
+                os.close(pidfd)
+    if pidfd is None:
+        try:
+            proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
+        except subprocess.TimeoutExpired:
+            return None
+    return bytes(out), bytes(err)
+
+
+def _call_subprocess(command: tuple[str, ...], line: str, timeout: float) -> str:
+    """Run ``command`` (an argv), send ``line`` on its stdin and return the
+    first line it prints; the whole call is bounded by ``timeout`` seconds
+    and the reply by MAX_REPLY_BYTES."""
+    deadline = time.monotonic() + timeout
     try:
-        proc = subprocess.run(
-            shlex.split(command), input=line.encode(), capture_output=True,
-            timeout=timeout,
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise AgentUnavailableError(f"agent process timed out after {timeout}s") from exc
+        proc = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
     except OSError as exc:
         raise AgentUnavailableError(f"agent process failed to start: {exc}") from exc
+    with proc:
+        try:
+            result = _exchange(proc, line.encode(), deadline)
+        finally:
+            if proc.returncode is None:  # timed out, over the size bound, or interrupted
+                proc.kill()
+                proc.wait()
+    if result is None:
+        raise AgentUnavailableError(f"agent process timed out after {timeout}s")
+    out, err = result
     if proc.returncode != 0:
         raise AgentUnavailableError(
-            f"agent process exited {proc.returncode}: {proc.stderr.decode(errors='replace')[:200]}"
+            f"agent process exited {proc.returncode}: {err.decode(errors='replace')[:200]}"
         )
-    out = proc.stdout.decode(errors="replace").strip()
+    out = out.decode(errors="replace").strip()
     if not out:
         raise AgentUnavailableError("agent process produced no response line")
     return out.splitlines()[0]
@@ -353,22 +439,28 @@ def _call_http(url: str, line: str, timeout: float) -> str:
     )
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
-            body = resp.read().decode(errors="replace").strip()
+            body = resp.read(MAX_REPLY_BYTES + 1)
     except (urllib.error.URLError, TimeoutError, OSError) as exc:
         raise AgentUnavailableError(f"agent endpoint unreachable: {exc}") from exc
+    if len(body) > MAX_REPLY_BYTES:
+        raise ProtocolError(f"agent reply exceeds {MAX_REPLY_BYTES} bytes")
+    body = body.decode(errors="replace").strip()
     if not body:
         raise AgentUnavailableError("agent endpoint returned an empty body")
     return body.splitlines()[0]
 
 
-def external_agent_call(endpoint: str, request: AgentRequest, timeout: float = 60.0):
+def external_agent_call(endpoint, request: AgentRequest, timeout: float = 60.0):
     """Send one request line, read one response line, validate, return.
 
     ``endpoint`` is either an http(s) URL (POST) or a command line to run
-    as a child process reading stdin and writing stdout.
+    as a child process reading stdin and writing stdout, given as a string
+    or already split by ``parse_endpoint``.
     """
+    if isinstance(endpoint, str):
+        endpoint = parse_endpoint(endpoint)
     line = request.to_json() + "\n"
-    if endpoint.startswith(("http://", "https://")):
+    if isinstance(endpoint, str):
         raw = _call_http(endpoint, line, timeout)
     else:
         raw = _call_subprocess(endpoint, line, timeout)
@@ -405,27 +497,26 @@ class SyntheticResearchAgent:
 
 
 @dataclass
-class ExternalDataAgent:
+class _ExternalAgent:
     agent_id: str
     endpoint: str
     timeout: float = 60.0
     lookback: int = 30
 
+    def __post_init__(self):
+        self._target = parse_endpoint(self.endpoint)  # split once, not per call
+
+
+class ExternalDataAgent(_ExternalAgent):
     def produce(self, view: MarketView, t: dt.date) -> TextualFactor:
         req = build_request("data", self.agent_id, view, t, lookback=self.lookback)
-        factor = external_agent_call(self.endpoint, req, timeout=self.timeout)
+        factor = external_agent_call(self._target, req, timeout=self.timeout)
         if not isinstance(factor, TextualFactor):
             raise ProtocolError("data agent returned a trading signal")
         return factor
 
 
-@dataclass
-class ExternalResearchAgent:
-    agent_id: str
-    endpoint: str
-    timeout: float = 60.0
-    lookback: int = 30
-
+class ExternalResearchAgent(_ExternalAgent):
     def produce(self, portfolio, view: MarketView | None, t: dt.date) -> TradingSignal:
         text = render_portfolio_text(portfolio)
         if view is not None:
@@ -434,7 +525,7 @@ class ExternalResearchAgent:
         else:
             req = AgentRequest(kind="research", date=t, agent_id=self.agent_id,
                                universe=(), factor_portfolio=text)
-        signal = external_agent_call(self.endpoint, req, timeout=self.timeout)
+        signal = external_agent_call(self._target, req, timeout=self.timeout)
         if not isinstance(signal, TradingSignal):
             raise ProtocolError("research agent returned a textual factor")
         return signal

@@ -14,6 +14,7 @@ named as in the file, with its type and default. ``from_dict`` and
 # type from ``dataclasses.fields`` as a live type, not as a string to evaluate
 import dataclasses
 import datetime as dt
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from .agents import (
     SyntheticAgentSpec,
     SyntheticDataAgent,
     SyntheticResearchAgent,
+    parse_endpoint,
 )
 from .backtest import DEFAULT_FEE, DEFAULT_LIMIT_PCT, BacktestRules
 from .engine import ContestConfig
@@ -117,8 +119,16 @@ class AgentEntry:
     def validate(self, where: str):
         if self.kind not in _ENTRY_KEYS:
             raise ConfigurationError(f"{where}.kind: must be synthetic or external")
-        if self.kind == "external" and not self.endpoint:
-            raise ConfigurationError(f"{where}.endpoint: required for external agents")
+        if self.kind == "external":
+            if not self.endpoint:
+                raise ConfigurationError(f"{where}.endpoint: required for external agents")
+            try:
+                parse_endpoint(self.endpoint)
+            except ValueError as exc:
+                raise ConfigurationError(f"{where}.endpoint: {exc}") from None
+            if not 0 < self.timeout < math.inf:
+                raise ConfigurationError(f"{where}.timeout: must be a positive number of "
+                                         f"seconds, got {self.timeout!r}")
         if self.lookback < 1:
             raise ConfigurationError(f"{where}.lookback: must be >= 1")
 

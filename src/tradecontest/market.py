@@ -101,6 +101,9 @@ class MarketStore:
         self._calendar: tuple[dt.date, ...] = tuple(sorted(dates))
         self._index = {d: i for i, d in enumerate(self._calendar)}
         self._symbols: tuple[str, ...] = tuple(sorted(by_symbol))
+        # day_json texts, oldest first, held for the longest lookback asked
+        self._day_json: dict[dt.date, str] = {}
+        self._json_days = 0
 
     @property
     def calendar(self) -> tuple[dt.date, ...]:
@@ -126,6 +129,22 @@ class MarketStore:
 
     def close(self, symbol: str, t: dt.date) -> float:
         return self.get_bar(symbol, t).close
+
+    def day_json(self, t: dt.date) -> str:
+        """The bars of day ``t`` in symbol order, as ``json.dumps(bars,
+        sort_keys=True)`` writes the items of a list: ", "-joined objects.
+        Encoded once per store; once more days are held than the longest
+        lookback a view has asked for, the oldest text is dropped."""
+        text = self._day_json.get(t)
+        if text is None:
+            # a literal per bar: vars(b) would attach a __dict__ to every Bar read
+            text = self._day_json[t] = json.dumps([
+                {"date": t.isoformat(), "symbol": s, "open": b.open, "high": b.high,
+                 "low": b.low, "close": b.close, "volume": b.volume}
+                for s in self._symbols if (b := self._bars[s].get(t))], sort_keys=True)[1:-1]
+            if len(self._day_json) > self._json_days:
+                del self._day_json[next(iter(self._day_json))]
+        return text
 
     def iter_bars(self):
         for symbol in self._symbols:
@@ -193,14 +212,13 @@ class MarketView:
 
     def bars_json(self, lookback: int) -> str:
         """JSON array of the bars of the last ``lookback`` days, day-major in
-        symbol order; encoded once per view and shared by every reader."""
+        symbol order, as ``json.dumps(bars, sort_keys=True)`` writes it; built
+        once per view from the store's day texts and shared by every reader."""
         if lookback not in self._bars_json_cache:
-            # a literal per bar: vars(b) would attach a __dict__ to every Bar read
-            self._bars_json_cache[lookback] = json.dumps([
-                {"date": d.isoformat(), "symbol": s, "open": b.open, "high": b.high,
-                 "low": b.low, "close": b.close, "volume": b.volume}
-                for d in self._calendar[-lookback:] for s in self.symbols
-                if (b := self._store._bars[s].get(d))], sort_keys=True)
+            days = self._calendar[-lookback:]  # every calendar day has a bar
+            store = self._store
+            store._json_days = max(store._json_days, lookback)
+            self._bars_json_cache[lookback] = "[" + ", ".join(map(store.day_json, days)) + "]"
         return self._bars_json_cache[lookback]
 
 

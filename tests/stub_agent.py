@@ -6,8 +6,11 @@ the rest simulate specific misbehaviors.
 """
 
 import json
+import os
 import sys
 import time
+
+FLOOD_BYTES = 3 << 20  # more than the engine's reply bound
 
 
 def main():
@@ -24,7 +27,11 @@ def main():
     if mode == "empty":
         return
     if mode == "crash":
+        sys.stderr.write("stub agent: simulated crash\n")
         sys.exit(3)
+    if mode == "flood":
+        sys.stdout.write("x" * FLOOD_BYTES + "\n")
+        return
 
     if req["kind"] == "data":
         payload = {
@@ -56,7 +63,11 @@ def main():
             payload["evidence"] = []
     if mode == "wrong-id":
         payload["agent_id"] = req["agent_id"] + "-impostor"
-    print(json.dumps(payload))
+    print(json.dumps(payload), flush=True)
+    if mode == "linger":  # a valid reply, then the pipes closed and no exit
+        os.close(1)
+        os.close(2)
+        time.sleep(30)
 
 
 if __name__ == "__main__":

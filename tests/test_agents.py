@@ -5,6 +5,8 @@ import hashlib
 import json
 import sys
 import threading
+import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from tradecontest import agents as agents_mod
 from tradecontest.agents import (
+    MAX_REPLY_BYTES,
     AgentRequest,
     ExternalDataAgent,
     ExternalResearchAgent,
@@ -268,8 +271,56 @@ class TestExternalProtocol:
             external_agent_call(f"{STUB} empty", self._request("data"), timeout=20)
 
     def test_crash(self):
-        with pytest.raises(AgentUnavailableError, match="exited"):
+        with pytest.raises(AgentUnavailableError, match="exited 3: stub agent: simulated crash"):
             external_agent_call(f"{STUB} crash", self._request("data"), timeout=20)
+
+    def test_lingering_child_times_out(self):
+        # a valid reply, then stdout and stderr closed but no exit: the
+        # call waits for the exit, and only until the deadline
+        start = time.monotonic()
+        with pytest.raises(AgentUnavailableError, match="timed out"):
+            external_agent_call(f"{STUB} linger", self._request("data"), timeout=1.0)
+        assert time.monotonic() - start < 5
+
+    def test_reply_over_the_size_bound(self):
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match=f"exceeds {MAX_REPLY_BYTES} bytes"):
+            external_agent_call(f"{STUB} flood", self._request("data"), timeout=20)
+        assert time.monotonic() - start < 10
+
+    def test_request_longer_than_a_pipe_buffer(self):
+        # the child reads its whole request before it writes, so the
+        # request has to go through the pipe in several writes
+        text = "d0: a long factor portfolio [AAA:+1]\n" * 2000
+        req = AgentRequest(kind="research", date=D(2025, 1, 2), agent_id="x0",
+                           universe=("AAA", "BBB"), factor_portfolio=text)
+        assert len(req.to_json()) > 64 * 1024
+        signal = external_agent_call(f"{STUB} ok", req, timeout=20)
+        assert signal.symbol == "AAA" and signal.action == "buy"
+
+    def test_child_that_reads_nothing(self):
+        # `true` exits at once; writing the long request then meets a closed
+        # pipe, which is not itself the failure: the missing reply is
+        req = AgentRequest(kind="research", date=D(2025, 1, 2), agent_id="x0",
+                           universe=("AAA",), factor_portfolio="x" * (1 << 18))
+        with pytest.raises(AgentUnavailableError, match="no response line"):
+            external_agent_call("true", req, timeout=20)
+
+    @pytest.mark.parametrize("mode, error, match", [
+        ("ok", None, None),
+        ("hang", AgentUnavailableError, "timed out"),
+        ("crash", AgentUnavailableError, "exited 3: stub agent: simulated crash"),
+    ])
+    def test_without_pidfd(self, monkeypatch, mode, error, match):
+        def no_pidfd(pid):
+            raise OSError("pidfd_open unavailable")
+        monkeypatch.setattr(agents_mod.os, "pidfd_open", no_pidfd)
+        if error is None:
+            factor = external_agent_call(f"{STUB} {mode}", self._request("data"), timeout=20)
+            assert factor.observations[0].rated_symbols == (("AAA", 1),)
+        else:
+            with pytest.raises(error, match=match):
+                external_agent_call(f"{STUB} {mode}", self._request("data"), timeout=1.0)
 
     def test_bool_rating(self):
         with pytest.raises(ProtocolError, match="rating out of range"):
@@ -298,33 +349,49 @@ class TestExternalProtocol:
         assert dates == {d.isoformat() for d in tiny_store.calendar[2:5]}
 
     def test_http_endpoint(self):
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                body = self.rfile.read(int(self.headers["Content-Length"]))
-                req = json.loads(body)
-                resp = {
-                    "agent_id": req["agent_id"], "date": req["date"],
-                    "observations": [], "token_length": 0,
-                }
-                out = json.dumps(resp).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(out)))
-                self.end_headers()
-                self.wfile.write(out)
+        def reply(req):
+            return json.dumps({"agent_id": req["agent_id"], "date": req["date"],
+                               "observations": [], "token_length": 0}).encode()
 
-            def log_message(self, *args):
+        with serve(reply) as url:
+            factor = external_agent_call(url, self._request("data"), timeout=10)
+        assert isinstance(factor, TextualFactor)
+        assert factor.token_length == 0
+
+    def test_http_reply_over_the_size_bound(self):
+        start = time.monotonic()
+        with serve(lambda req: b"x" * (MAX_REPLY_BYTES + 2)) as url:
+            with pytest.raises(ProtocolError, match=f"exceeds {MAX_REPLY_BYTES} bytes"):
+                external_agent_call(url, self._request("data"), timeout=20)
+        assert time.monotonic() - start < 10
+
+
+@contextmanager
+def serve(reply):
+    """An HTTP agent on localhost answering each POST with ``reply(request)``."""
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            out = reply(json.loads(body))
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(out)))
+            self.end_headers()
+            try:
+                self.wfile.write(out)
+            except ConnectionError:  # the client stopped reading
                 pass
 
-        server = HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            url = f"http://127.0.0.1:{server.server_port}/agent"
-            factor = external_agent_call(url, self._request("data"), timeout=10)
-            assert isinstance(factor, TextualFactor)
-            assert factor.token_length == 0
-        finally:
-            server.shutdown()
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/agent"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 FACTOR = {"agent_id": "x0", "date": "2025-01-02", "token_length": 6,

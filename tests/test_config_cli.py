@@ -164,10 +164,21 @@ EXTERNAL = {"kind": "external", "agent_id": "x0", "endpoint": "true"}
     ({"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "skil": 0.5}]}},
      "agents.data[0].skil: unknown key"),
     ({"validate_ric": {"panel": {"phi": 0.5, "day": 10}}}, "validate_ric.panel.day: unknown key"),
+    ({"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "endpoint": "   "}]}},
+     "agents.data[0].endpoint: blank command"),
+    ({"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "endpoint": 'awk "'}]}},
+     "agents.research[0].endpoint: No closing quotation"),
+    ({"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "timeout": 0}]}},
+     "agents.data[0].timeout: must be a positive number of seconds, got 0.0"),
+    ({"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "timeout": -1.5}]}},
+     "agents.research[0].timeout: must be a positive number of seconds, got -1.5"),
+    ({"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "timeout": float("inf")}]}},
+     "agents.data[0].timeout: must be a positive number of seconds, got inf"),
 ], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
         "planted-no-drift", "lookback-0", "lookback-negative", "bool-as-string",
         "int-with-fraction", "int-as-bool", "float-as-bool", "unknown-contest-key",
-        "unknown-root-key", "unknown-agent-key", "unknown-nested-key"])
+        "unknown-root-key", "unknown-agent-key", "unknown-nested-key", "endpoint-blank",
+        "endpoint-unclosed-quote", "timeout-0", "timeout-negative", "timeout-inf"])
 def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
     cfg_path = write_config(tmp_path / "run.yaml", **overrides)
     assert main(["backtest", str(cfg_path)]) == 2

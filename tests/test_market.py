@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
 
+from tradecontest import market as market_mod
 from tradecontest.errors import (
     CsvFormatError,
     DuplicateBarError,
@@ -298,6 +300,47 @@ class TestMomentumTable:
         assert view.momentum(3) is not table
         with pytest.raises(TypeError):
             table[0]["AAA"] = 0.0
+
+
+class TestDayJson:
+    @pytest.mark.parametrize("day", [0, 4, 11])
+    @pytest.mark.parametrize("lookback", [1, 3, 30])
+    def test_no_text_past_the_cutoff(self, tiny_store, day, lookback):
+        t = tiny_store.calendar[day]
+        view_until(tiny_store, t).bars_json(lookback)
+        assert tiny_store._day_json and max(tiny_store._day_json) == t
+
+    def test_window_joins_the_day_texts(self, tiny_store):
+        t = tiny_store.calendar[6]
+        text = view_until(tiny_store, t).bars_json(3)
+        days = tiny_store.calendar[4:7]
+        assert text == "[" + ", ".join(tiny_store.day_json(d) for d in days) + "]"
+        assert [b["date"] for b in json.loads(text)] == [d.isoformat() for d in days
+                                                         for _ in tiny_store.symbols]
+
+    def test_each_day_encoded_once(self, tiny_store, monkeypatch):
+        encoded = []
+        dumps = json.dumps
+
+        def counting_dumps(bars, **kw):
+            encoded.append(bars[0]["date"])
+            return dumps(bars, **kw)
+
+        monkeypatch.setattr(market_mod.json, "dumps", counting_dumps)
+        for t in tiny_store.calendar:
+            view = view_until(tiny_store, t)
+            for lookback in (2, 5, 2):
+                view.bars_json(lookback)
+            assert tiny_store.day_json(t) is tiny_store.day_json(t)
+        assert encoded == [d.isoformat() for d in tiny_store.calendar]
+
+    def test_held_days_bounded_by_the_longest_lookback(self, tiny_store):
+        longest = 0
+        for i, t in enumerate(tiny_store.calendar):
+            lookback = (1, 4, 2)[i % 3]
+            longest = max(longest, lookback)
+            view_until(tiny_store, t).bars_json(lookback)
+            assert len(tiny_store._day_json) == min(i + 1, longest)
 
 
 class TestPerturbAfter:
