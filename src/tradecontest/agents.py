@@ -34,6 +34,7 @@ CASH_SYMBOL = "CASH"
 MOMENTUM_WINDOW = 5
 
 MAX_REPLY_BYTES = 1 << 20  # longest reply body an external agent may send
+MAX_TIMEOUT_S = 2_147_483  # poll waits at most 2**31 - 1 ms
 _STDERR_KEEP = 1024  # bytes of an agent's stderr kept for the error message
 
 

@@ -251,6 +251,31 @@ def max_drawdown(navs) -> float:
     return worst
 
 
+def rank_ic_summary(predicted_ranks_by_day, realized_ranks_by_day):
+    """Per-day rank ICs of aligned prediction/realization cross-sections,
+    their mean and ICIR, and flags for the days and figures left undefined."""
+    flags: list[str] = []
+    ics: list[float] = []
+    skipped = 0
+    for xs, ys in zip(predicted_ranks_by_day, realized_ranks_by_day):
+        try:
+            ics.append(rank_ic(xs, ys))
+        except (UndefinedCorrelationError, ValueError):
+            skipped += 1
+    if skipped:
+        flags.append(f"rank_ic_skipped_{skipped}_days")
+    mean_ic = icir = 0.0
+    if not ics:
+        flags.append("no_rank_ic_days")
+    else:
+        mean_ic, ic_std = float(np.mean(ics)), float(np.std(ics))
+        if ic_std == 0.0:
+            flags.append("icir_undefined_constant_ic")
+        else:
+            icir = mean_ic / ic_std
+    return tuple(ics), mean_ic, icir, flags
+
+
 def compute_metrics(nav_history, predicted_ranks_by_day=(), realized_ranks_by_day=()) -> MetricsReport:
     """Strategy metrics from the nav path plus contest-effectiveness rank
     ICs from aligned per-day prediction/realization cross-sections."""
@@ -269,30 +294,9 @@ def compute_metrics(nav_history, predicted_ranks_by_day=(), realized_ranks_by_da
     else:
         sharpe = float(returns.mean() / std) * ANNUALIZATION
     mdd = float(max_drawdown(navs_arr))
-
-    ics: list[float] = []
-    skipped = 0
-    for xs, ys in zip(predicted_ranks_by_day, realized_ranks_by_day):
-        try:
-            ics.append(rank_ic(xs, ys))
-        except (UndefinedCorrelationError, ValueError):
-            skipped += 1
-    if skipped:
-        flags.append(f"rank_ic_skipped_{skipped}_days")
-    if ics:
-        mean_ic = float(np.mean(ics))
-        ic_std = float(np.std(ics))
-        if ic_std == 0.0:
-            icir = 0.0
-            flags.append("icir_undefined_constant_ic")
-        else:
-            icir = mean_ic / ic_std
-    else:
-        mean_ic = 0.0
-        icir = 0.0
-        flags.append("no_rank_ic_days")
+    ics, mean_ic, icir, ic_flags = rank_ic_summary(predicted_ranks_by_day, realized_ranks_by_day)
     return MetricsReport(
         cumulative_return=cr, sharpe=sharpe, max_drawdown=mdd,
-        rank_ic_series=tuple(ics), mean_rank_ic=mean_ic, icir=icir,
-        flags=tuple(flags),
+        rank_ic_series=ics, mean_rank_ic=mean_ic, icir=icir,
+        flags=tuple(flags + ic_flags),
     )

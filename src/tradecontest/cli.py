@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from .backtest import apply_day, compute_metrics, new_state
+from .backtest import apply_day, compute_metrics, new_state, rank_ic_summary
 from .engine import contest_ic_pairs, run_full
 from .errors import ConfigurationError, TradeContestError
 from .market import write_csv
@@ -79,18 +79,18 @@ def _metrics_dict(config, nav_history, record_dicts) -> dict:
     data_pred, data_real = contest_ic_pairs(record_dicts, config.contest.n_data, "data")
     res_pred, res_real = contest_ic_pairs(record_dicts, config.contest.n_research, "research")
     base = compute_metrics(nav_history, data_pred, data_real)
-    research = compute_metrics(nav_history, res_pred, res_real)
+    res_ics, res_mean_ic, res_icir, res_flags = rank_ic_summary(res_pred, res_real)
     return {
         "CR": base.cumulative_return,
         "SR": base.sharpe,
         "MDD": base.max_drawdown,
         "RankIC": base.mean_rank_ic,
         "ICIR": base.icir,
-        "RankIC_research": research.mean_rank_ic,
-        "ICIR_research": research.icir,
+        "RankIC_research": res_mean_ic,
+        "ICIR_research": res_icir,
         "rank_ic_series": list(base.rank_ic_series),
-        "rank_ic_series_research": list(research.rank_ic_series),
-        "flags": sorted(set(base.flags) | set(research.flags)),
+        "rank_ic_series_research": list(res_ics),
+        "flags": sorted(set(base.flags) | set(res_flags)),
         "eval_start": nav_history[0][0].isoformat(),
         "eval_end": nav_history[-1][0].isoformat(),
         "n_days": len(nav_history),

@@ -14,7 +14,6 @@ named as in the file, with its type and default. ``from_dict`` and
 # type from ``dataclasses.fields`` as a live type, not as a string to evaluate
 import dataclasses
 import datetime as dt
-import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .agents import (
+    MAX_TIMEOUT_S,
     ExternalDataAgent,
     ExternalResearchAgent,
     SyntheticAgentSpec,
@@ -126,9 +126,9 @@ class AgentEntry:
                 parse_endpoint(self.endpoint)
             except ValueError as exc:
                 raise ConfigurationError(f"{where}.endpoint: {exc}") from None
-            if not 0 < self.timeout < math.inf:
+            if not 0 < self.timeout <= MAX_TIMEOUT_S:
                 raise ConfigurationError(f"{where}.timeout: must be a positive number of "
-                                         f"seconds, got {self.timeout!r}")
+                                         f"seconds, got {self.timeout!r} (at most {MAX_TIMEOUT_S})")
         if self.lookback < 1:
             raise ConfigurationError(f"{where}.lookback: must be >= 1")
 

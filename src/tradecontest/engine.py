@@ -159,19 +159,6 @@ def _signal_dict(s: TradingSignal) -> dict:
     }
 
 
-def _window_matrix(values: np.ndarray, m: int) -> np.ndarray:
-    """(count, 4) feature matrix for every m-window of ``values``."""
-    W = np.lib.stride_tricks.sliding_window_view(values, m)
-    x = np.arange(m, dtype=np.float64)
-    xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
-    means = W.mean(axis=1)
-    stds = W.std(axis=1)
-    lasts = W[:, -1]
-    slopes = (W - means[:, None]) @ xc / denom
-    return np.column_stack([means, stds, lasts, slopes])
-
-
 @dataclass
 class _TrainingRows:
     """One agent's training rows, end to end in flat arrays. The row anchored
@@ -191,11 +178,7 @@ class _TrainingRows:
         i = len(values) - 1 - self.n
         if i < self.m - 1:
             return
-        # two windows, not one: numpy computes a one-row product with another
-        # kernel, whose rounding differs; for m < 8 every larger batch rounds
-        # each row alike, so the row matches one built over the whole series
-        window = np.asarray(values[i - self.m + 1: i + 2], dtype=np.float64)
-        self.features.extend(_window_matrix(window, self.m)[0])
+        self.features.extend(features_from_window(values[i - self.m + 1: i + 1]))
         self.features.extend(self.extras[i] or ())
         future = np.asarray(values[i + 1:], dtype=np.float64)
         self.targets.extend((future.mean(), future.std()))
@@ -205,10 +188,7 @@ def _current_features(series: ScoreSeries, extras_vec, m: int, cutoff: dt.date):
     values = series.values_until(cutoff)
     if len(values) < m:
         return None
-    x = features_from_window(np.asarray(values[-m:], dtype=np.float64))
-    if extras_vec is not None:
-        x = np.concatenate([x, np.asarray(extras_vec, dtype=np.float64)])
-    return x
+    return features_from_window(values[-m:]) + tuple(extras_vec or ())
 
 
 def _fit_or_baseline(config: ContestConfig, rows: dict[str, _TrainingRows]) -> PredictorModel:
@@ -243,6 +223,7 @@ class ContestEngine:
         self.data_agents = sorted(data_agents, key=lambda a: a.agent_id)
         self.research_agents = sorted(research_agents, key=lambda a: a.agent_id)
 
+        # a day's outputs, kept until the next day's close scores them
         self.factors: dict[dt.date, dict[str, TextualFactor]] = {}
         self.signals: dict[dt.date, dict[str, TradingSignal]] = {}
         self.data_scores: dict[str, ScoreSeries] = {
@@ -291,7 +272,7 @@ class ContestEngine:
         if i == 0:
             return factor_scores, researcher_scores
         t_prev = self.store.calendar[i - 1]
-        for agent_id, factor in sorted(self.factors.get(t_prev, {}).items()):
+        for agent_id, factor in sorted(self.factors.pop(t_prev, {}).items()):
             try:
                 q = factor_score(factor, self.store)
             except MissingDataError:
@@ -303,7 +284,7 @@ class ContestEngine:
             factor_scores[agent_id] = q
 
         m = self.config.m
-        for agent_id, signal in sorted(self.signals.get(t_prev, {}).items()):
+        for agent_id, signal in sorted(self.signals.pop(t_prev, {}).items()):
             if signal.action == "buy" and signal.symbol != CASH_SYMBOL:
                 try:
                     ret = price_change(self.store, signal.symbol, t_prev)
@@ -338,7 +319,7 @@ class ContestEngine:
     def _predict_utilities(self, series_map, rows, extras: dict, cutoff: dt.date):
         model = _fit_or_baseline(self.config, rows)
         agents: list[str] = []
-        feature_rows: list[np.ndarray] = []
+        feature_rows: list[tuple[float, ...]] = []
         for agent_id in sorted(series_map):
             x = _current_features(series_map[agent_id], extras.get(agent_id),
                                   self.config.m, cutoff)
@@ -348,7 +329,7 @@ class ContestEngine:
             feature_rows.append(x)
         if not agents:
             return {}, model.kind
-        mu, sigma = model.predict_batch(np.vstack(feature_rows))
+        mu, sigma = model.predict_batch(np.array(feature_rows))
         utilities = {
             a: clipped_utility(float(mu[i]), float(sigma[i]))
             for i, a in enumerate(agents)

@@ -36,14 +36,22 @@ def clipped_utility(mu_hat: float, sigma_hat: float) -> float:
     return max(-UTILITY_CLIP, min(UTILITY_CLIP, mu_hat / max(sigma_hat, SIGMA_FLOOR)))
 
 
-def features_from_window(window: np.ndarray) -> np.ndarray:
-    """Mean, population std, last value and least-squares slope of a
-    score window."""
-    m = window.size
-    x = np.arange(m, dtype=np.float64)
-    xc = x - x.mean()
-    slope = float(np.dot(xc, window - window.mean()) / np.dot(xc, xc))
-    return np.array([float(window.mean()), float(window.std()), float(window[-1]), slope])
+def features_from_window(window) -> tuple[float, float, float, float]:
+    """Mean, population std, last value and least-squares slope of a score
+    window, from plain float sums taken in window order. Training rows and
+    serving both call it, so no batch size or BLAS build can change a bit."""
+    m = len(window)
+    mean = 0.0
+    for v in window:  # not sum(): from Python 3.12 it compensates rounding
+        mean += v
+    mean /= m
+    ss = sxy = sxx = 0.0
+    for k, v in enumerate(window):
+        d, x = v - mean, k - (m - 1) / 2
+        ss += d * d
+        sxy += x * d
+        sxx += x * x
+    return mean, math.sqrt(ss / m), window[-1], sxy / sxx
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from tradecontest import agents as agents_mod
 from tradecontest.agents import (
     MAX_REPLY_BYTES,
+    MAX_TIMEOUT_S,
     AgentRequest,
     ExternalDataAgent,
     ExternalResearchAgent,
@@ -305,6 +306,12 @@ class TestExternalProtocol:
                            universe=("AAA",), factor_portfolio="x" * (1 << 18))
         with pytest.raises(AgentUnavailableError, match="no response line"):
             external_agent_call("true", req, timeout=20)
+
+    def test_longest_allowed_timeout_fits_the_poll_wait(self):
+        # one second more and poll's int-millisecond wait overflows
+        req = AgentRequest(kind="data", date=D(2025, 1, 2), agent_id="x0", universe=("AAA",))
+        with pytest.raises(AgentUnavailableError, match="no response line"):
+            external_agent_call("true", req, timeout=MAX_TIMEOUT_S)
 
     @pytest.mark.parametrize("mode, error, match", [
         ("ok", None, None),

@@ -174,11 +174,15 @@ EXTERNAL = {"kind": "external", "agent_id": "x0", "endpoint": "true"}
      "agents.research[0].timeout: must be a positive number of seconds, got -1.5"),
     ({"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "timeout": float("inf")}]}},
      "agents.data[0].timeout: must be a positive number of seconds, got inf"),
+    ({"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "timeout": 1e7}]}},
+     "agents.research[0].timeout: must be a positive number of seconds, got 10000000.0 "
+     "(at most 2147483)"),
 ], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
         "planted-no-drift", "lookback-0", "lookback-negative", "bool-as-string",
         "int-with-fraction", "int-as-bool", "float-as-bool", "unknown-contest-key",
         "unknown-root-key", "unknown-agent-key", "unknown-nested-key", "endpoint-blank",
-        "endpoint-unclosed-quote", "timeout-0", "timeout-negative", "timeout-inf"])
+        "endpoint-unclosed-quote", "timeout-0", "timeout-negative", "timeout-inf",
+        "timeout-huge"])
 def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
     cfg_path = write_config(tmp_path / "run.yaml", **overrides)
     assert main(["backtest", str(cfg_path)]) == 2
@@ -279,11 +283,9 @@ class TestCmdBacktest:
 
 
 # A small gbdt run with the judger on and a training window of 15 days. Its
-# ledger's sha256 was recorded before the engine kept training rows
-# incrementally, on numpy 2.4.6 with its bundled OpenBLAS 0.3.31 (x86-64):
-# a change that alters one bit of any fitted model, utility or weight
-# changes the hash. The slope feature goes through a BLAS kernel, so other
-# numpy or BLAS builds may round it differently and need their own hash.
+# ledger's sha256 pins every bit of every fitted model, utility and weight.
+# No BLAS call feeds the ledger, so the hash does not depend on the BLAS
+# build; it was recorded with numpy 2.4.6 on x86-64.
 GOLDEN_CONFIG = {
     "seed": 23,
     "data": {"kind": "synthetic", "n_symbols": 8, "n_days": 90, "daily_vol": 0.015,
@@ -300,7 +302,7 @@ GOLDEN_CONFIG = {
     "contest": {"m": 5, "n_data": 3, "n_research": 5, "budget": 256,
                 "predictor": "gbdt", "n_trees": 20},
 }
-GOLDEN_LEDGER_SHA256 = "84efa5b268b6f664f0b8f522e210db4d8ef6b31a9a966f9ccee14d27d7fd67b0"
+GOLDEN_LEDGER_SHA256 = "49dcdde510bb34ced97843a4f19e603c3504590a3ebaf8da898b727f7a577ef6"
 
 
 def test_golden_ledger_sha256(tmp_path):
@@ -316,9 +318,9 @@ def test_golden_ledger_sha256(tmp_path):
 
 
 # The same run's metrics.json, which embeds the config as ``to_dict`` writes
-# it. Recorded before ``to_dict`` was derived from the config schema; like
-# the ledger's hash, it holds for the numpy and BLAS build named above.
-GOLDEN_METRICS_SHA256 = "a9f276a249e68927e9a258d38bf718ea41db71c3a7762e43bb74a811de33bf6e"
+# it. Its rank ICs go through ``np.dot``, so unlike the ledger's hash this one
+# holds for the BLAS build it was recorded with (numpy 2.4.6's OpenBLAS 0.3.31).
+GOLDEN_METRICS_SHA256 = "be538c3a58bc38ebc5485c2d2cc7230b086ee02d2dcab95a7dd1792fc357e25f"
 
 
 def test_golden_metrics_sha256(tmp_path):
@@ -328,6 +330,23 @@ def test_golden_metrics_sha256(tmp_path):
     assert main(["backtest", str(cfg_path), "--output-dir", str(out)]) == 0
     metrics = (out / "metrics.json").read_bytes()
     assert hashlib.sha256(metrics).hexdigest() == GOLDEN_METRICS_SHA256
+
+
+# The golden run under the baseline predictor, which reads only each
+# window's mean and std: a change to the gbdt path or to the slope feature
+# must leave this hash as it is.
+GOLDEN_BASELINE_CONFIG = {**GOLDEN_CONFIG, "contest": {"m": 5, "n_data": 3, "n_research": 5,
+                                                      "budget": 256, "predictor": "baseline"}}
+GOLDEN_BASELINE_LEDGER_SHA256 = "3a80ba19beb6ad2b6c9395d11c6b8c4075f1da914381984e785d302395a39840"
+
+
+def test_golden_baseline_ledger_sha256(tmp_path):
+    cfg_path = tmp_path / "golden-baseline.yaml"
+    cfg_path.write_text(yaml.safe_dump(GOLDEN_BASELINE_CONFIG))
+    out = tmp_path / "out"
+    assert main(["backtest", str(cfg_path), "--output-dir", str(out)]) == 0
+    ledger = (out / "ledger.jsonl").read_bytes()
+    assert hashlib.sha256(ledger).hexdigest() == GOLDEN_BASELINE_LEDGER_SHA256
 
 
 class TestCmdAblate:

@@ -12,7 +12,7 @@ from tradecontest import engine as eng
 from tradecontest.engine import (
     ContestConfig,
     ContestEngine,
-    _window_matrix,
+    _TrainingRows,
     contest_ic_pairs,
     run_full,
 )
@@ -23,7 +23,7 @@ from tradecontest.market import (
     generate_synthetic,
     perturb_after,
 )
-from tradecontest.prediction import PredictorSpec
+from tradecontest.prediction import PredictorSpec, features_from_window
 from tradecontest.scoring import stub_judger
 
 
@@ -235,10 +235,9 @@ class TestIcPairs:
 def reference_rows(series_map, judger_history, m, n, cap):
     """Stacked training rows and targets rebuilt from whole score histories.
 
-    Every row of every agent is recomputed from scratch: one feature matrix
-    over the agent's whole series, forward means and stds from a sliding
-    window, and judger means from a scan of the judger history up to each
-    anchor's date. Every resolved score is dated at or before the cutoff of
+    Every row of every agent is recomputed from scratch: features of each
+    anchor's own window, forward means and stds from a sliding window, and
+    judger means from a scan of the judger history up to each anchor's date. Every resolved score is dated at or before the cutoff of
     the rebalance that reads it, so no cutoff filter is needed.
     """
     X, Y = [], []
@@ -248,14 +247,13 @@ def reference_rows(series_map, judger_history, m, n, cap):
         L = len(values)
         if L < m + n:
             continue
-        feats = _window_matrix(values, m)
         F = np.lib.stride_tricks.sliding_window_view(values, n)
         fut_mu, fut_sigma = F.mean(axis=1), F.std(axis=1)
         anchors = list(range(m - 1, L - n))
         if cap is not None:
             anchors = anchors[-cap:]
         for i in anchors:
-            x = feats[i - (m - 1)]
+            x = np.array(features_from_window(series.values[i - m + 1: i + 1]))
             if judger_history is not None:
                 hist = [v for d, v in judger_history[agent_id] if d <= series.dates[i]][-m:]
                 extra = (sum(v[0] for v in hist) / len(hist), sum(v[1] for v in hist) / len(hist))
@@ -267,11 +265,13 @@ def reference_rows(series_map, judger_history, m, n, cap):
     return np.vstack(X), np.array(Y)
 
 
-def judger_history(engine):
-    """(date, (soundness, quality)) of every judged signal, per research agent."""
+def judger_history(engine, signals):
+    """(date, (soundness, quality)) of every judged signal, per research agent.
+    ``signals`` maps each past day to its signals by agent, as the day
+    records gave them."""
     out = {}
     for agent_id, returns in engine.research_returns.items():
-        judged = [stub_judger(engine.signals[d][agent_id]) for d, _ in returns]
+        judged = [stub_judger(signals[d][agent_id]) for d, _ in returns]
         out[agent_id] = [(d, (j.logical_soundness, j.evidence_quality))
                          for (d, _), j in zip(returns, judged)]
     return out
@@ -295,7 +295,7 @@ def run_checking_rows(monkeypatch, config, store, data, research):
     engine hands to ``train`` equal the reference rebuild. Returns the side
     ("data" or "research") of each checked fit."""
     engine = ContestEngine(config, store, data, research)
-    passed, checked = [], []
+    passed, checked, signals = [], [], {}
     real_train, real_fit = eng.train, eng._fit_or_baseline
 
     def train(spec, X, targets):
@@ -311,7 +311,7 @@ def run_checking_rows(monkeypatch, config, store, data, research):
                                   cfg.train_window_days)
         else:
             side = "research"
-            judged = None if cfg.no_judger else judger_history(engine)
+            judged = None if cfg.no_judger else judger_history(engine, signals)
             X, Y = reference_rows(engine.research_sharpe, judged, cfg.m, cfg.n_research,
                                   cfg.train_window_days)
         if len(X) < 30:
@@ -326,7 +326,8 @@ def run_checking_rows(monkeypatch, config, store, data, research):
     monkeypatch.setattr(eng, "train", train)
     monkeypatch.setattr(eng, "_fit_or_baseline", fit)
     for i, t in enumerate(store.calendar):
-        engine.run_contest_day(i, t, config.warmup_days)
+        record = engine.run_contest_day(i, t, config.warmup_days)
+        signals[t] = {s.agent_id: s for s in record.signals}
     return checked
 
 
@@ -343,13 +344,65 @@ class TestTrainingRows:
         assert checked.count("data") >= 10 and checked.count("research") >= 5
 
     def test_baseline_builds_no_rows(self, monkeypatch):
-        def no_rows(values, m):
+        def no_rows(self, values, extra):
             raise AssertionError("a training row was built under the baseline predictor")
 
-        monkeypatch.setattr(eng, "_window_matrix", no_rows)
+        monkeypatch.setattr(_TrainingRows, "add", no_rows)
         store = small_market()
         data, research = small_rosters()
         engine = ContestEngine(BASELINE, store, data, research)
         for i, t in enumerate(store.calendar):
             engine.run_contest_day(i, t, BASELINE.warmup_days)
         assert engine.data_rows == {} and engine.research_rows == {}
+
+
+class TestOneFeatureFunction:
+    """Training rows and served features come from one function, so an
+    anchor's features have the same bits wherever they are computed."""
+
+    @pytest.mark.parametrize("m", [2, 5, 8, 13])
+    def test_anchor_features_equal_alone_and_inside_a_run(self, monkeypatch, m):
+        served = {}
+        real_current = eng._current_features
+
+        def current(series, extras_vec, m_, cutoff):
+            x = real_current(series, extras_vec, m_, cutoff)
+            if x is not None:
+                served[series.agent_id, len(series.values_until(cutoff)) - 1] = x[:4]
+            return x
+
+        monkeypatch.setattr(eng, "_current_features", current)
+        store = small_market(n_days=80)
+        data, research = small_rosters()
+        cfg = ContestConfig(m=m, predictor=PredictorSpec(kind="gbdt", n_trees=2), seed=9)
+        engine = ContestEngine(cfg, store, data, research)
+        for i, t in enumerate(store.calendar):
+            engine.run_contest_day(i, t, cfg.warmup_days)
+
+        trained_and_served = 0
+        for series_map, rows in ((engine.data_scores, engine.data_rows),
+                                 (engine.research_sharpe, engine.research_rows)):
+            for agent_id, r in rows.items():
+                X = np.array(r.features).reshape(len(r.targets) // 2, -1)
+                values = series_map[agent_id].values
+                for row, i in zip(X, range(m - 1, len(values))):
+                    alone = features_from_window(values[i - m + 1: i + 1])
+                    assert tuple(row[:4]) == alone
+                    if (agent_id, i) in served:
+                        assert served[agent_id, i] == alone
+                        trained_and_served += 1
+        assert trained_and_served >= 10
+
+    def test_training_row_equals_feature_function_on_random_windows(self):
+        rng = np.random.default_rng(5)
+        m, n = 5, 3
+        for _ in range(200):
+            values = []
+            rows = _TrainingRows(m, n)
+            for v in rng.standard_normal(30):
+                values.append(float(v))
+                rows.add(values, None)
+            X = np.array(rows.features).reshape(-1, 4)
+            assert len(X) == len(values) - n - (m - 1)
+            for row, i in zip(X, range(m - 1, len(values))):
+                assert tuple(row) == features_from_window(values[i - m + 1: i + 1])
