@@ -334,6 +334,17 @@ def parse_signal_response(payload) -> TradingSignal:
         raise ProtocolError(str(exc)) from exc
 
 
+def check_call_bounds(timeout: float, lookback: int | None = None) -> None:
+    """ValueError unless ``timeout`` is in (0, MAX_TIMEOUT_S] seconds and
+    ``lookback``, when given, is at least one day. Each message starts with
+    the name of the value it rejects."""
+    if not 0 < timeout <= MAX_TIMEOUT_S:
+        raise ValueError(f"timeout: must be a positive number of seconds, got {timeout!r} "
+                         f"(at most {MAX_TIMEOUT_S})")
+    if lookback is not None and lookback < 1:
+        raise ValueError("lookback: must be >= 1")
+
+
 def parse_endpoint(endpoint: str) -> str | tuple[str, ...]:
     """An http(s) URL as given, or a command line split into the child's
     argv; ValueError if the command is blank or cannot be split."""
@@ -458,6 +469,7 @@ def external_agent_call(endpoint, request: AgentRequest, timeout: float = 60.0):
     as a child process reading stdin and writing stdout, given as a string
     or already split by ``parse_endpoint``.
     """
+    check_call_bounds(timeout)
     if isinstance(endpoint, str):
         endpoint = parse_endpoint(endpoint)
     line = request.to_json() + "\n"
@@ -505,16 +517,14 @@ class _ExternalAgent:
     lookback: int = 30
 
     def __post_init__(self):
+        check_call_bounds(self.timeout, self.lookback)
         self._target = parse_endpoint(self.endpoint)  # split once, not per call
 
 
 class ExternalDataAgent(_ExternalAgent):
     def produce(self, view: MarketView, t: dt.date) -> TextualFactor:
         req = build_request("data", self.agent_id, view, t, lookback=self.lookback)
-        factor = external_agent_call(self._target, req, timeout=self.timeout)
-        if not isinstance(factor, TextualFactor):
-            raise ProtocolError("data agent returned a trading signal")
-        return factor
+        return external_agent_call(self._target, req, timeout=self.timeout)
 
 
 class ExternalResearchAgent(_ExternalAgent):
@@ -526,10 +536,7 @@ class ExternalResearchAgent(_ExternalAgent):
         else:
             req = AgentRequest(kind="research", date=t, agent_id=self.agent_id,
                                universe=(), factor_portfolio=text)
-        signal = external_agent_call(self._target, req, timeout=self.timeout)
-        if not isinstance(signal, TradingSignal):
-            raise ProtocolError("research agent returned a textual factor")
-        return signal
+        return external_agent_call(self._target, req, timeout=self.timeout)
 
 
 def render_portfolio_text(portfolio) -> str:

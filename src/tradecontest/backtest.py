@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UndefinedCorrelationError
-from .market import Bar
 from .prediction import rank_ic
 
 DEFAULT_FEE = 0.001
@@ -75,14 +74,23 @@ class PortfolioState:
 
 @dataclass(frozen=True)
 class BacktestRules:
+    """The ``backtest`` section of a run config: starting cash, the
+    proportional fee on each side, and the daily move limit."""
+
+    initial_cash: float = 1_000_000.0
     fee: float = DEFAULT_FEE
     limit_pct: float = DEFAULT_LIMIT_PCT
-    limit_eps: float = LIMIT_EPS
+
+    def __post_init__(self):
+        if not (math.isfinite(self.fee) and self.fee >= 0):
+            raise ValueError(f"fee must be a finite number >= 0, got {self.fee!r}")
+        if not 0 < self.limit_pct <= 1:
+            raise ValueError(f"limit_pct must be in (0, 1], got {self.limit_pct!r}")
 
 
 def new_state(initial_cash: float) -> PortfolioState:
-    if initial_cash <= 0:
-        raise ValueError("initial cash must be positive")
+    if not (math.isfinite(initial_cash) and initial_cash > 0):
+        raise ValueError(f"initial cash must be positive and finite, got {initial_cash!r}")
     return PortfolioState(cash=float(initial_cash))
 
 
@@ -96,21 +104,21 @@ def _settle(state: PortfolioState, t: dt.date) -> None:
             del state.unsettled[symbol]
 
 
-def _move(state: PortfolioState, symbol: str, bar: Bar | None) -> float | None:
-    """Close-to-close move for the limit check; None when unknowable."""
-    if bar is None:
-        return None
+def _move(state: PortfolioState, symbol: str, close: float) -> float | None:
+    """Move from the symbol's last close on record, for the limit check;
+    None when there is none."""
     prev = state.prev_closes.get(symbol)
     if prev is None or prev <= 0:
         return None
-    return bar.close / prev - 1.0
+    return close / prev - 1.0
 
 
 def apply_day(state: PortfolioState, target_weights: dict[str, float],
-              bars_t: dict[str, Bar], t: dt.date,
+              closes: dict[str, float], t: dt.date,
               rules: BacktestRules = BacktestRules()) -> PortfolioState:
     """Advance the portfolio one day toward ``target_weights``.
 
+    ``closes`` holds day ``t``'s close of every symbol with a bar that day.
     Sequence: settle yesterday's buys, mark positions at today's close
     (held symbols without a bar keep their last mark and are flagged),
     then trade toward the targets subject to T+1, move limits, and cash.
@@ -125,9 +133,9 @@ def apply_day(state: PortfolioState, target_weights: dict[str, float],
     _settle(state, t)
 
     for symbol in set(state.held_symbols()) | set(target_weights):
-        bar = bars_t.get(symbol)
-        if bar is not None:
-            state.marks[symbol] = bar.close
+        close = closes.get(symbol)
+        if close is not None:
+            state.marks[symbol] = close
         elif symbol in state.marks:
             state.flags.append(f"{t}: stale mark for {symbol}")
         # symbols never seen and not in today's bars simply cannot trade
@@ -137,19 +145,18 @@ def apply_day(state: PortfolioState, target_weights: dict[str, float],
 
     # sells first, freeing cash for the buys
     for symbol in sorted(set(state.held_symbols()) | set(target_weights)):
-        bar = bars_t.get(symbol)
+        price = closes.get(symbol)
         target_value = target_weights.get(symbol, 0.0) * nav_pre
         current = state.shares(symbol) * state.marks.get(symbol, 0.0)
         if current - target_value <= 1e-12:
             continue
-        if bar is None:
+        if price is None:
             ledger.rejected.append(f"sell {symbol}: no bar")
             continue
-        move = _move(state, symbol, bar)
-        if move is not None and move <= -(rules.limit_pct - rules.limit_eps):
+        move = _move(state, symbol, price)
+        if move is not None and move <= -(rules.limit_pct - LIMIT_EPS):
             ledger.rejected.append(f"sell {symbol}: limit-down")
             continue
-        price = bar.close
         sellable = state.settled.get(symbol, 0.0)
         want_shares = (current - target_value) / price
         shares = min(want_shares, sellable)
@@ -168,46 +175,45 @@ def apply_day(state: PortfolioState, target_weights: dict[str, float],
                                 price=price, value=value, cost=cost))
 
     # buys, scaled down together if cash cannot cover them all
-    buy_plan: list[tuple[str, float, Bar]] = []
+    buy_plan: list[tuple[str, float, float]] = []
     for symbol in sorted(target_weights):
-        bar = bars_t.get(symbol)
+        price = closes.get(symbol)
         target_value = target_weights[symbol] * nav_pre
         current = state.shares(symbol) * state.marks.get(symbol, 0.0)
         buy_value = target_value - current
         if buy_value <= 1e-12:
             continue
-        if bar is None:
+        if price is None:
             ledger.rejected.append(f"buy {symbol}: no bar")
             continue
-        move = _move(state, symbol, bar)
-        if move is not None and move >= rules.limit_pct - rules.limit_eps:
+        move = _move(state, symbol, price)
+        if move is not None and move >= rules.limit_pct - LIMIT_EPS:
             ledger.rejected.append(f"buy {symbol}: limit-up")
             continue
-        buy_plan.append((symbol, buy_value, bar))
+        buy_plan.append((symbol, buy_value, price))
 
     total_buy = sum(v for _, v, _ in buy_plan)
     if total_buy > 0:
         affordable = state.cash / (1.0 + rules.fee)
         scale = min(1.0, affordable / total_buy)
-        for symbol, buy_value, bar in buy_plan:
+        for symbol, buy_value, price in buy_plan:
             value = buy_value * scale
             if value <= 0:
                 continue
-            shares = value / bar.close
+            shares = value / price
             cost = rules.fee * value
             state.cash -= value + cost
             lots = state.unsettled.setdefault(symbol, {})
             lots[t] = lots.get(t, 0.0) + shares
             ledger.costs += cost
             state.fills.append(Fill(date=t, symbol=symbol, side="buy", shares=shares,
-                                    price=bar.close, value=value, cost=cost))
+                                    price=price, value=value, cost=cost))
         if state.cash < 0:  # float dust from the scale division
             state.cash = 0.0 if state.cash > -1e-9 else state.cash
     if state.cash < 0:
         raise AssertionError(f"cash went negative: {state.cash}")
 
-    for symbol, bar in bars_t.items():
-        state.prev_closes[symbol] = bar.close
+    state.prev_closes.update(closes)
 
     nav_post = state.nav()
     ledger.nav_post = nav_post
@@ -279,8 +285,7 @@ def rank_ic_summary(predicted_ranks_by_day, realized_ranks_by_day):
 def compute_metrics(nav_history, predicted_ranks_by_day=(), realized_ranks_by_day=()) -> MetricsReport:
     """Strategy metrics from the nav path plus contest-effectiveness rank
     ICs from aligned per-day prediction/realization cross-sections."""
-    navs = [v for _, v in nav_history] if nav_history and isinstance(nav_history[0], tuple) \
-        else list(nav_history)
+    navs = [v for _, v in nav_history]
     if len(navs) < 2:
         raise ValueError("need at least 2 nav points")
     flags: list[str] = []

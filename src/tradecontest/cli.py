@@ -58,17 +58,13 @@ def run_contest_backtest(config: cfgmod.RunConfig, **contest_overrides):
         ccfg, store, data_agents, research_agents,
         eval_start=config.period.test_start, eval_end=config.period.test_end,
     )
-    # the day before the first evaluation day gives its move-limit reference
-    prev_day = store.calendar[store.day_index(records[0].date) - 1]
-    state.prev_closes = {s: store.close(s, prev_day)
-                         for s in store.symbols if store.has_bar(s, prev_day)}
-    rules = cfgmod.backtest_rules(config)
+    # the move limit of the first evaluation day is measured, as on every
+    # later day, from each symbol's last close before it
+    for t in store.calendar[:store.day_index(records[0].date)]:
+        state.prev_closes.update(store.closes(t))
     for record in records:
-        bars_t = {
-            s: store.get_bar(s, record.date)
-            for s in store.symbols if store.has_bar(s, record.date)
-        }
-        apply_day(state, record.target_weights, bars_t, record.date, rules)
+        apply_day(state, record.target_weights, store.closes(record.date), record.date,
+                  config.backtest)
     record_dicts = [r.to_dict() for r in records]
     metrics = _metrics_dict(config, state.nav_history, record_dicts)
     return record_dicts, state, metrics

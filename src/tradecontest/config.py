@@ -5,13 +5,13 @@ roster, contest parameters, and backtest rules. Everything random in a
 run derives from the single root seed, so rerunning a config reproduces
 outputs byte for byte and ablation variants stay paired.
 
-The section dataclasses below are the schema: each field is one YAML key,
+The section dataclasses are the schema: each field is one YAML key,
 named as in the file, with its type and default. ``from_dict`` and
 ``to_dict`` walk those fields, so a key is declared in exactly one place.
+Where the program already has a type for a section (``BacktestRules``,
+``PlantedEffect``), that type is the section.
 """
 
-# no ``from __future__ import annotations``: the loader reads each field's
-# type from ``dataclasses.fields`` as a live type, not as a string to evaluate
 import dataclasses
 import datetime as dt
 import types
@@ -21,15 +21,15 @@ from dataclasses import dataclass, field
 import yaml
 
 from .agents import (
-    MAX_TIMEOUT_S,
     ExternalDataAgent,
     ExternalResearchAgent,
     SyntheticAgentSpec,
     SyntheticDataAgent,
     SyntheticResearchAgent,
+    check_call_bounds,
     parse_endpoint,
 )
-from .backtest import DEFAULT_FEE, DEFAULT_LIMIT_PCT, BacktestRules
+from .backtest import BacktestRules
 from .engine import ContestConfig
 from .errors import ConfigurationError
 from .market import MarketStore, PlantedEffect, SyntheticSpec, generate_synthetic, ingest_csv
@@ -50,13 +50,6 @@ def _date(value, where: str) -> dt.date:
 
 
 @dataclass(frozen=True)
-class PlantedEntry:
-    symbol: str
-    drift: float
-    start_day: int = 0
-
-
-@dataclass(frozen=True)
 class DataSection:
     kind: str = "synthetic"  # synthetic | csv
     csv_path: str | None = None
@@ -66,7 +59,7 @@ class DataSection:
     limit_pct: float = 0.10
     start: dt.date = dt.date(2024, 1, 2)
     start_price: float = 100.0
-    planted: tuple[PlantedEntry, ...] = ()
+    planted: tuple[PlantedEffect, ...] = ()
 
     def validate(self, where: str):
         if self.kind not in ("synthetic", "csv"):
@@ -126,11 +119,10 @@ class AgentEntry:
                 parse_endpoint(self.endpoint)
             except ValueError as exc:
                 raise ConfigurationError(f"{where}.endpoint: {exc}") from None
-            if not 0 < self.timeout <= MAX_TIMEOUT_S:
-                raise ConfigurationError(f"{where}.timeout: must be a positive number of "
-                                         f"seconds, got {self.timeout!r} (at most {MAX_TIMEOUT_S})")
-        if self.lookback < 1:
-            raise ConfigurationError(f"{where}.lookback: must be >= 1")
+        try:
+            check_call_bounds(self.timeout, self.lookback)
+        except ValueError as exc:
+            raise ConfigurationError(f"{where}.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -155,13 +147,6 @@ class ContestSection:
         if self.predictor not in ("baseline", "gbdt"):
             raise ConfigurationError(
                 f"{where}.predictor: must be baseline or gbdt, got {self.predictor!r}")
-
-
-@dataclass(frozen=True)
-class BacktestSection:
-    initial_cash: float = 1_000_000.0
-    fee: float = DEFAULT_FEE
-    limit_pct: float = DEFAULT_LIMIT_PCT
 
 
 @dataclass(frozen=True)
@@ -196,7 +181,7 @@ class RunConfig:
     period: PeriodSection = field(default_factory=PeriodSection)
     agents: AgentsSection = field(default_factory=AgentsSection)
     contest: ContestSection = field(default_factory=ContestSection)
-    backtest: BacktestSection = field(default_factory=BacktestSection)
+    backtest: BacktestRules = field(default_factory=BacktestRules)
     validate_ric: ValidateRicSection = field(default_factory=ValidateRicSection)
 
 
@@ -221,7 +206,8 @@ def _path(where: str, key) -> str:
 
 def _load(cls, raw, where: str):
     """Build section ``cls`` from its YAML mapping; a missing or null key
-    takes the field's default, and a key the section lacks is an error."""
+    takes the field's default, and a key the section lacks is an error.
+    A ValueError from the section's own checks is reported at its path."""
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{where or 'config root'}: must be a mapping")
     fields = dataclasses.fields(cls)
@@ -229,14 +215,18 @@ def _load(cls, raw, where: str):
     for key in raw:
         if key not in names:
             raise ConfigurationError(f"{_path(where, key)}: unknown key")
+    hints = typing.get_type_hints(cls)  # resolves postponed (string) annotations
     values = {}
     for f in fields:
         path = _path(where, f.name)
         if raw.get(f.name) is not None:
-            values[f.name] = _convert(f.type, raw[f.name], path)
+            values[f.name] = _convert(hints[f.name], raw[f.name], path)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigurationError(f"{path}: required")
-    section = cls(**values)
+    try:
+        section = cls(**values)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where or 'config root'}: {exc}") from None
     if hasattr(section, "validate"):
         section.validate(where)
     return section
@@ -317,8 +307,7 @@ def build_store(config: RunConfig) -> MarketStore:
             limit_pct=data.limit_pct,
             start=data.start,
             start_price=data.start_price,
-            planted_effects=tuple(PlantedEffect(p.symbol, p.start_day, p.drift)
-                                  for p in data.planted),
+            planted_effects=data.planted,
         )
         return generate_synthetic(spec)
     except ValueError as exc:
@@ -364,21 +353,17 @@ def contest_config(config: RunConfig, store: MarketStore, **overrides) -> Contes
             kind=contest.predictor, n_trees=contest.n_trees,
             max_depth=contest.max_depth, learning_rate=contest.learning_rate,
         )
+        params = dict(
+            m=contest.m,
+            n_data=contest.n_data,
+            n_research=contest.n_research,
+            budget=contest.budget,
+            predictor=predictor,
+            seed=config.seed,
+            research_rebalance_daily=contest.research_rebalance_daily,
+            train_window_days=train_window,
+        )
+        params.update(overrides)
+        return ContestConfig(**params)
     except ValueError as exc:
         raise ConfigurationError(f"contest: {exc}") from exc
-    params = dict(
-        m=contest.m,
-        n_data=contest.n_data,
-        n_research=contest.n_research,
-        budget=contest.budget,
-        predictor=predictor,
-        seed=config.seed,
-        research_rebalance_daily=contest.research_rebalance_daily,
-        train_window_days=train_window,
-    )
-    params.update(overrides)
-    return ContestConfig(**params)
-
-
-def backtest_rules(config: RunConfig) -> BacktestRules:
-    return BacktestRules(fee=config.backtest.fee, limit_pct=config.backtest.limit_pct)

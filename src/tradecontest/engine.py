@@ -12,7 +12,6 @@ or stay silent simply score as absent; the run never crashes on them.
 from __future__ import annotations
 
 import datetime as dt
-import json
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -74,11 +73,11 @@ class ContestConfig:
 
     def __post_init__(self):
         if self.m < 2:
-            raise ConfigurationError("m must be >= 2")
+            raise ValueError("m must be >= 2")
         if self.n_data < 1 or self.n_research < 1:
-            raise ConfigurationError("rebalance horizons must be >= 1")
+            raise ValueError("rebalance horizons must be >= 1")
         if self.budget < 0:
-            raise ConfigurationError("budget must be >= 0")
+            raise ValueError("budget must be >= 0")
 
     @property
     def warmup_days(self) -> int:
@@ -105,27 +104,23 @@ class DailyRecord:
     absent: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        """The ledger line's fields; dicts are left unsorted, as the ledger
+        is written with ``sort_keys=True``."""
         return {
             "date": self.date.isoformat(),
-            "factor_scores": dict(sorted(self.factor_scores.items())),
-            "researcher_scores": {
-                a: dict(sorted(v.items()))
-                for a, v in sorted(self.researcher_scores.items())
-            },
-            "data_utilities": dict(sorted(self.data_utilities.items())),
-            "research_utilities": dict(sorted(self.research_utilities.items())),
+            "factor_scores": self.factor_scores,
+            "researcher_scores": self.researcher_scores,
+            "data_utilities": self.data_utilities,
+            "research_utilities": self.research_utilities,
             "portfolio": _portfolio_dict(self.portfolio),
-            "weights": None if self.weights is None else dict(sorted(self.weights.weights.items())),
+            "weights": None if self.weights is None else self.weights.weights,
             "signals": [_signal_dict(s) for s in self.signals],
-            "target_weights": dict(sorted(self.target_weights.items())),
+            "target_weights": self.target_weights,
             "data_rebalance": self.data_rebalance,
             "research_rebalance": self.research_rebalance,
-            "model_kinds": dict(sorted(self.model_kinds.items())),
+            "model_kinds": self.model_kinds,
             "absent": sorted(set(self.absent)),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _portfolio_dict(portfolio: FactorPortfolio | None):

@@ -13,7 +13,7 @@ import csv
 import datetime as dt
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from types import MappingProxyType
 
@@ -54,11 +54,12 @@ class Bar:
 
 @dataclass(frozen=True)
 class PlantedEffect:
-    """A drift injected into one symbol from a given calendar index onward."""
+    """A drift injected into one symbol from a given calendar index onward;
+    one entry of a config's ``data.planted`` list."""
 
     symbol: str
-    start_day: int
     drift: float
+    start_day: int = field(default=0, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,12 @@ class SyntheticSpec:
             raise ValueError("n_symbols must be >= 1")
         if self.n_days < 1:
             raise ValueError("n_days must be >= 1")
-        if self.daily_vol < 0:
-            raise ValueError("daily_vol must be >= 0")
+        if not (math.isfinite(self.daily_vol) and self.daily_vol >= 0):
+            raise ValueError(f"daily_vol must be a finite number >= 0, got {self.daily_vol!r}")
         if not (0 < self.limit_pct <= 1):
             raise ValueError("limit_pct must be in (0, 1]")
+        if not (math.isfinite(self.start_price) and self.start_price > 0):
+            raise ValueError(f"start_price must be a finite number > 0, got {self.start_price!r}")
 
 
 class MarketStore:
@@ -129,6 +132,10 @@ class MarketStore:
 
     def close(self, symbol: str, t: dt.date) -> float:
         return self.get_bar(symbol, t).close
+
+    def closes(self, t: dt.date) -> dict[str, float]:
+        """The close of every symbol with a bar on day ``t``."""
+        return {s: b.close for s, bars in self._bars.items() if (b := bars.get(t)) is not None}
 
     def day_json(self, t: dt.date) -> str:
         """The bars of day ``t`` in symbol order, as ``json.dumps(bars,

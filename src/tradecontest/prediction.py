@@ -68,6 +68,9 @@ class PredictorSpec:
             raise ValueError("n_trees must be in [1, 50]")
         if self.max_depth > 3 or self.max_depth < 1:
             raise ValueError("max_depth must be in [1, 3]")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, "
+                             f"got {self.learning_rate!r}")
 
 
 @dataclass

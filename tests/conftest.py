@@ -36,7 +36,7 @@ def drift_store() -> MarketStore:
     """Small market with one strongly drifting symbol."""
     spec = SyntheticSpec(
         n_symbols=5, n_days=80, seed=1234, daily_vol=0.004,
-        planted_effects=(PlantedEffect("SYM000", 0, 0.02),),
+        planted_effects=(PlantedEffect("SYM000", 0.02),),
     )
     return generate_synthetic(spec)
 

@@ -28,6 +28,7 @@ from tradecontest.agents import (
 )
 from tradecontest.allocation import KnapsackItem, knapsack_select, sharpe_weights
 from tradecontest.backtest import (
+    LIMIT_EPS,
     BacktestRules,
     apply_day,
     compute_metrics,
@@ -273,9 +274,9 @@ def test_criterion_6_data_contest_finds_skill():
     with criterion("6. data contest selects planted skill") as d:
         store = generate_synthetic(SyntheticSpec(
             n_symbols=10, n_days=250, seed=606, daily_vol=0.01,
-            planted_effects=(PlantedEffect("SYM000", 0, 0.012),
-                             PlantedEffect("SYM001", 0, -0.012),
-                             PlantedEffect("SYM002", 120, 0.015)),
+            planted_effects=(PlantedEffect("SYM000", 0.012),
+                             PlantedEffect("SYM001", -0.012),
+                             PlantedEffect("SYM002", 0.015, start_day=120)),
         ))
         data = [SyntheticDataAgent(SyntheticAgentSpec(
             agent_id=f"d{i:02d}", kind="data", noise_seed=1000 + i,
@@ -309,7 +310,7 @@ def test_criterion_7_researcher_contest_weights_skill():
     with criterion("7. researcher contest rewards the skilled agent") as d:
         store = generate_synthetic(SyntheticSpec(
             n_symbols=8, n_days=200, seed=707, daily_vol=0.008,
-            planted_effects=(PlantedEffect("SYM000", 0, 0.01),),
+            planted_effects=(PlantedEffect("SYM000", 0.01),),
         ))
         data = [SyntheticDataAgent(SyntheticAgentSpec(
             agent_id=f"d{i}", kind="data", noise_seed=3000 + i, skill=1.0,
@@ -327,8 +328,7 @@ def test_criterion_7_researcher_contest_weights_skill():
             records = run_full(config, store, data, research)
             state = new_state(1_000_000.0)
             for rec in records:
-                bars = {s: store.get_bar(s, rec.date) for s in store.symbols}
-                apply_day(state, rec.target_weights, bars, rec.date)
+                apply_day(state, rec.target_weights, store.closes(rec.date), rec.date)
             return records, compute_metrics(state.nav_history).cumulative_return
 
         records, cr_full = run_cr()
@@ -363,7 +363,7 @@ def test_criterion_8_backtest_rule_compliance():
             prev_closes = {}
             for t in store.calendar:
                 steps += 1
-                bars = {s: store.get_bar(s, t) for s in store.symbols}
+                closes = store.closes(t)
                 # rapid flips between all-in and all-out to attack T+1
                 style = int(rng.integers(3))
                 if style == 0:
@@ -377,7 +377,7 @@ def test_criterion_8_backtest_rule_compliance():
                              rng.choice(len(store.symbols), 4, replace=False)]
                     scalesum = raw.sum() / float(rng.uniform(0.3, 1.0))
                     targets = {s: float(v / scalesum) for s, v in zip(picks, raw)}
-                apply_day(state, targets, bars, t, rules)
+                apply_day(state, targets, closes, t, rules)
 
                 # settle the oracle book: buys from earlier days become sellable
                 for s in store.symbols:
@@ -386,12 +386,12 @@ def test_criterion_8_backtest_rule_compliance():
                 for fill in state.fills[fills_seen:]:
                     move = None
                     if fill.symbol in prev_closes:
-                        move = bars[fill.symbol].close / prev_closes[fill.symbol] - 1.0
+                        move = closes[fill.symbol] / prev_closes[fill.symbol] - 1.0
                     if fill.side == "buy":
-                        assert move is None or move < rules.limit_pct - rules.limit_eps
+                        assert move is None or move < rules.limit_pct - LIMIT_EPS
                         oracle_pending[fill.symbol] += fill.shares
                     else:
-                        assert move is None or move > -(rules.limit_pct - rules.limit_eps)
+                        assert move is None or move > -(rules.limit_pct - LIMIT_EPS)
                         assert fill.shares <= oracle_settled[fill.symbol] + 1e-9
                         oracle_settled[fill.symbol] -= fill.shares
                 fills_seen = len(state.fills)
@@ -403,7 +403,7 @@ def test_criterion_8_backtest_rule_compliance():
                 err = abs(ledger.nav_post - (ledger.nav_pre - ledger.costs))
                 recon_worst = max(recon_worst, err / max(ledger.nav_post, 1.0))
                 assert err <= 1e-9 * max(ledger.nav_post, 1.0)
-                prev_closes = {s: bars[s].close for s in bars}
+                prev_closes = closes
         assert steps == 10_000
         d["note"] = f"{steps} steps clean, worst recon {recon_worst:.1e}"
 
@@ -470,9 +470,9 @@ def test_criterion_10_temporal_safety_fuzz():
         for config, n_trials in configs:
             store = generate_synthetic(SyntheticSpec(
                 n_symbols=6, n_days=70, seed=88, daily_vol=0.01,
-                planted_effects=(PlantedEffect("SYM000", 0, 0.012),)))
+                planted_effects=(PlantedEffect("SYM000", 0.012),)))
             base = run_full(config, store, data, research)
-            base_json = [r.to_json() for r in base]
+            base_json = [json.dumps(r.to_dict(), sort_keys=True) for r in base]
             for _ in range(n_trials):
                 trials += 1
                 cut_idx = int(rng.integers(0, len(base) - 2))
@@ -483,6 +483,6 @@ def test_criterion_10_temporal_safety_fuzz():
                 for k, record in enumerate(perturbed):
                     if record.date > cutoff:
                         break
-                    assert record.to_json() == base_json[k]
+                    assert json.dumps(record.to_dict(), sort_keys=True) == base_json[k]
         assert trials == 50
         d["note"] = "50 perturbation trials, all prefixes identical"

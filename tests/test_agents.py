@@ -111,7 +111,7 @@ class TestSyntheticDataAgent:
         # direction the price actually moves next day
         spec_market = SyntheticSpec(
             n_symbols=4, n_days=60, seed=88, daily_vol=0.002,
-            planted_effects=(PlantedEffect("SYM000", 0, 0.02),),
+            planted_effects=(PlantedEffect("SYM000", 0.02),),
         )
         store = generate_synthetic(spec_market)
         agent = SyntheticAgentSpec(agent_id="d0", kind="data", noise_seed=7,
@@ -312,6 +312,22 @@ class TestExternalProtocol:
         req = AgentRequest(kind="data", date=D(2025, 1, 2), agent_id="x0", universe=("AAA",))
         with pytest.raises(AgentUnavailableError, match="no response line"):
             external_agent_call("true", req, timeout=MAX_TIMEOUT_S)
+
+    def test_timeout_past_the_poll_wait_is_refused_before_the_call(self):
+        req = AgentRequest(kind="data", date=D(2025, 1, 2), agent_id="x0", universe=("AAA",))
+        with pytest.raises(ValueError, match=r"timeout: .* got 2147484 \(at most 2147483\)"):
+            external_agent_call("true", req, timeout=MAX_TIMEOUT_S + 1)
+
+    @pytest.mark.parametrize("cls", [ExternalDataAgent, ExternalResearchAgent])
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"timeout": MAX_TIMEOUT_S + 1}, "timeout: must be a positive number of seconds"),
+        ({"timeout": 0}, "timeout: must be a positive number of seconds"),
+        ({"lookback": 0}, "lookback: must be >= 1"),
+    ], ids=["timeout-huge", "timeout-0", "lookback-0"])
+    def test_agent_refuses_bounds_outside_the_protocol(self, cls, kwargs, match):
+        # lookback 0 would send every bar: calendar[-0:] is the whole calendar
+        with pytest.raises(ValueError, match=match):
+            cls(agent_id="x0", endpoint="true", **kwargs)
 
     @pytest.mark.parametrize("mode, error, match", [
         ("ok", None, None),
@@ -551,10 +567,8 @@ class TestRequestBytes:
         t = tiny_store.calendar[7]
         view = view_until(tiny_store, t)
         for agent_id in ("x0", "x1"):
-            with pytest.raises(ProtocolError):  # the stand-in returns no factor
-                ExternalDataAgent(agent_id, "agent", lookback=5).produce(view, t)
-        with pytest.raises(ProtocolError):
-            ExternalResearchAgent("r0", "agent", lookback=5).produce(None, view, t)
+            ExternalDataAgent(agent_id, "agent", lookback=5).produce(view, t)
+        ExternalResearchAgent("r0", "agent", lookback=5).produce(None, view, t)
         assert len(sent) == 3 and len(json.loads(sent[0].bars)) == 5 * 3
         assert sent[0].bars is sent[1].bars is sent[2].bars
         assert view.bars_json(3) is not sent[0].bars

@@ -16,22 +16,15 @@ from tradecontest.backtest import (
 )
 from tradecontest.cli import _metrics_dict
 from tradecontest.config import RunConfig
-from tradecontest.market import Bar
 
 D = dt.date
 DAYS = [D(2025, 1, 2), D(2025, 1, 3), D(2025, 1, 6), D(2025, 1, 7)]
 
 
-def bar(date, symbol, close, prev=None):
-    op = prev if prev is not None else close
-    return Bar(date=date, symbol=symbol, open=op, high=max(op, close) * 1.001,
-               low=min(op, close) * 0.999, close=close, volume=1000)
-
-
 class TestApplyDay:
     def test_buy_fills_and_charges_cost(self):
         state = new_state(10_000.0)
-        apply_day(state, {"AAA": 1.0}, {"AAA": bar(DAYS[0], "AAA", 10.0)}, DAYS[0])
+        apply_day(state, {"AAA": 1.0}, {"AAA": 10.0}, DAYS[0])
         fill = state.fills[0]
         assert fill.side == "buy"
         assert fill.cost == pytest.approx(0.001 * fill.value)
@@ -43,55 +36,52 @@ class TestApplyDay:
         state = new_state(1_000_000.0)
         # target exactly 10k of trade value: weight = 10_000 / nav... buy to
         # a fixed value by weight on known nav
-        apply_day(state, {"AAA": 0.01}, {"AAA": bar(DAYS[0], "AAA", 100.0)}, DAYS[0])
+        apply_day(state, {"AAA": 0.01}, {"AAA": 100.0}, DAYS[0])
         fill = state.fills[0]
         assert fill.value == pytest.approx(10_000.0)
         assert fill.cost == pytest.approx(10.0)
 
     def test_same_day_sell_rejected_t_plus_1(self):
         state = new_state(10_000.0)
-        bars = {"AAA": bar(DAYS[0], "AAA", 10.0)}
-        apply_day(state, {"AAA": 1.0}, bars, DAYS[0])
+        closes = {"AAA": 10.0}
+        apply_day(state, {"AAA": 1.0}, closes, DAYS[0])
         shares_before = state.shares("AAA")
         assert shares_before > 0
-        apply_day(state, {}, bars, DAYS[0])
+        apply_day(state, {}, closes, DAYS[0])
         assert state.shares("AAA") == shares_before  # position intact
         assert any("T+1" in r for r in state.days[-1].rejected)
 
     def test_next_day_sell_allowed(self):
         state = new_state(10_000.0)
-        apply_day(state, {"AAA": 1.0}, {"AAA": bar(DAYS[0], "AAA", 10.0)}, DAYS[0])
-        apply_day(state, {}, {"AAA": bar(DAYS[1], "AAA", 10.1, prev=10.0)}, DAYS[1])
+        apply_day(state, {"AAA": 1.0}, {"AAA": 10.0}, DAYS[0])
+        apply_day(state, {}, {"AAA": 10.1}, DAYS[1])
         assert state.shares("AAA") == 0.0
         assert state.fills[-1].side == "sell"
 
     def test_buy_rejected_at_limit_up(self):
         state = new_state(10_000.0)
-        apply_day(state, {}, {"AAA": bar(DAYS[0], "AAA", 10.0)}, DAYS[0])
-        limit_bar = bar(DAYS[1], "AAA", 11.0, prev=10.0)  # exactly +10%
-        apply_day(state, {"AAA": 1.0}, {"AAA": limit_bar}, DAYS[1])
+        apply_day(state, {}, {"AAA": 10.0}, DAYS[0])
+        apply_day(state, {"AAA": 1.0}, {"AAA": 11.0}, DAYS[1])  # exactly +10%
         assert state.shares("AAA") == 0.0
         assert any("limit-up" in r for r in state.days[-1].rejected)
 
     def test_sell_rejected_at_limit_down(self):
         state = new_state(10_000.0)
-        apply_day(state, {"AAA": 1.0}, {"AAA": bar(DAYS[0], "AAA", 10.0)}, DAYS[0])
-        apply_day(state, {"AAA": 1.0}, {"AAA": bar(DAYS[1], "AAA", 10.0)}, DAYS[1])
-        crash = bar(DAYS[2], "AAA", 9.0, prev=10.0)  # exactly -10%
-        apply_day(state, {}, {"AAA": crash}, DAYS[2])
+        apply_day(state, {"AAA": 1.0}, {"AAA": 10.0}, DAYS[0])
+        apply_day(state, {"AAA": 1.0}, {"AAA": 10.0}, DAYS[1])
+        apply_day(state, {}, {"AAA": 9.0}, DAYS[2])  # exactly -10%
         assert state.shares("AAA") > 0
         assert any("limit-down" in r for r in state.days[-1].rejected)
 
     def test_near_limit_fill_allowed(self):
         state = new_state(10_000.0)
-        apply_day(state, {}, {"AAA": bar(DAYS[0], "AAA", 10.0)}, DAYS[0])
-        near = bar(DAYS[1], "AAA", 10.9, prev=10.0)  # +9%, below limit
-        apply_day(state, {"AAA": 0.5}, {"AAA": near}, DAYS[1])
+        apply_day(state, {}, {"AAA": 10.0}, DAYS[0])
+        apply_day(state, {"AAA": 0.5}, {"AAA": 10.9}, DAYS[1])  # +9%, below limit
         assert state.shares("AAA") > 0
 
     def test_stale_mark_flagged(self):
         state = new_state(10_000.0)
-        apply_day(state, {"AAA": 1.0}, {"AAA": bar(DAYS[0], "AAA", 10.0)}, DAYS[0])
+        apply_day(state, {"AAA": 1.0}, {"AAA": 10.0}, DAYS[0])
         apply_day(state, {"AAA": 1.0}, {}, DAYS[1])  # no bar for held symbol
         assert any("stale mark" in f for f in state.flags)
         assert state.nav_history[-1][1] == pytest.approx(state.nav_history[-2][1])
@@ -99,8 +89,7 @@ class TestApplyDay:
     def test_weights_must_be_substochastic(self):
         state = new_state(1000.0)
         with pytest.raises(ValueError):
-            apply_day(state, {"AAA": 0.7, "BBB": 0.5},
-                      {"AAA": bar(DAYS[0], "AAA", 1.0)}, DAYS[0])
+            apply_day(state, {"AAA": 0.7, "BBB": 0.5}, {"AAA": 1.0}, DAYS[0])
 
     def test_no_shorting_under_random_streams(self):
         rng = np.random.default_rng(2)
@@ -109,15 +98,12 @@ class TestApplyDay:
         closes = {s: 10.0 for s in symbols}
         for i in range(120):
             date = D(2025, 1, 2) + dt.timedelta(days=i)
-            bars = {}
             for s in symbols:
-                prev = closes[s]
-                closes[s] = prev * float(1 + rng.uniform(-0.09, 0.09))
-                bars[s] = bar(date, s, closes[s], prev=prev)
+                closes[s] *= float(1 + rng.uniform(-0.09, 0.09))
             raw = rng.uniform(0, 1, len(symbols))
             raw = raw / raw.sum() * float(rng.uniform(0, 1))
             targets = {s: float(w) for s, w in zip(symbols, raw)}
-            apply_day(state, targets, bars, date)
+            apply_day(state, targets, dict(closes), date)
             assert all(v >= 0 for v in state.settled.values())
             assert state.cash >= -1e-9
             ledger = state.days[-1]

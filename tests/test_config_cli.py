@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -9,10 +10,26 @@ import pytest
 import yaml
 
 from tradecontest import config as cfgmod
-from tradecontest.cli import main, run_contest_backtest
+from tradecontest.cli import _write_run_outputs, main, run_contest_backtest
 from tradecontest.errors import ConfigurationError
+from tradecontest.market import (
+    MarketStore,
+    PlantedEffect,
+    SyntheticSpec,
+    generate_synthetic,
+    write_csv,
+)
 
 STUB = f"{sys.executable} {Path(__file__).parent / 'stub_agent.py'}"
+
+
+def perfbench_checks():
+    """The benchmark's independent run checker, loaded from its file as is."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_config(path, **overrides):
@@ -139,6 +156,7 @@ PLANTED_NO_DRIFT = {"kind": "synthetic", "n_symbols": 6, "n_days": 70,
                     "planted": [{"symbol": "SYM000"}]}
 TWO_AGENTS = {"data": [{"agent_id": "d0"}], "research": [{"agent_id": "r0"}]}
 EXTERNAL = {"kind": "external", "agent_id": "x0", "endpoint": "true"}
+NAN = float("nan")  # written by yaml.safe_dump as .nan
 
 
 @pytest.mark.parametrize("overrides, where", [
@@ -177,12 +195,37 @@ EXTERNAL = {"kind": "external", "agent_id": "x0", "endpoint": "true"}
     ({"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "timeout": 1e7}]}},
      "agents.research[0].timeout: must be a positive number of seconds, got 10000000.0 "
      "(at most 2147483)"),
+    ({"backtest": {"fee": -0.5}}, "backtest: fee must be a finite number >= 0, got -0.5"),
+    ({"backtest": {"fee": NAN}}, "backtest: fee must be a finite number >= 0, got nan"),
+    ({"backtest": {"initial_cash": NAN}},
+     "backtest: initial cash must be positive and finite, got nan"),
+    ({"backtest": {"initial_cash": float("inf")}},
+     "backtest: initial cash must be positive and finite, got inf"),
+    ({"backtest": {"limit_pct": 0}}, "backtest: limit_pct must be in (0, 1], got 0.0"),
+    ({"backtest": {"limit_pct": NAN}}, "backtest: limit_pct must be in (0, 1], got nan"),
+    ({"contest": {"predictor": "baseline", "m": 1}}, "contest: m must be >= 2"),
+    ({"contest": {"predictor": "baseline", "n_data": 0}},
+     "contest: rebalance horizons must be >= 1"),
+    ({"contest": {"predictor": "baseline", "budget": -1}}, "contest: budget must be >= 0"),
+    ({"contest": {"predictor": "baseline", "learning_rate": NAN}},
+     "contest: learning_rate must be a finite number > 0, got nan"),
+    ({"contest": {"predictor": "baseline", "learning_rate": 0}},
+     "contest: learning_rate must be a finite number > 0, got 0.0"),
+    ({"contest": {"predictor": "baseline", "learning_rate": -0.1}},
+     "contest: learning_rate must be a finite number > 0, got -0.1"),
+    ({"data": {"kind": "synthetic", "daily_vol": NAN}},
+     "data: daily_vol must be a finite number >= 0, got nan"),
+    ({"data": {"kind": "synthetic", "start_price": float("inf")}},
+     "data: start_price must be a finite number > 0, got inf"),
 ], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
         "planted-no-drift", "lookback-0", "lookback-negative", "bool-as-string",
         "int-with-fraction", "int-as-bool", "float-as-bool", "unknown-contest-key",
         "unknown-root-key", "unknown-agent-key", "unknown-nested-key", "endpoint-blank",
         "endpoint-unclosed-quote", "timeout-0", "timeout-negative", "timeout-inf",
-        "timeout-huge"])
+        "timeout-huge", "fee-negative", "fee-nan", "initial_cash-nan", "initial_cash-inf",
+        "limit_pct-0", "limit_pct-nan", "m-1", "n_data-0", "budget-negative",
+        "learning_rate-nan", "learning_rate-0", "learning_rate-negative", "daily_vol-nan",
+        "start_price-inf"])
 def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
     cfg_path = write_config(tmp_path / "run.yaml", **overrides)
     assert main(["backtest", str(cfg_path)]) == 2
@@ -280,6 +323,41 @@ class TestCmdBacktest:
         assert records[0]["target_weights"].get("SYM000", 0.0) > 0
         assert "buy SYM000: limit-up" in first.rejected
         assert not [f for f in state.fills if f.date == first.date]
+
+    def test_move_limit_holds_on_first_evaluation_day_after_a_gap(self, tmp_path):
+        # as above, but SYM000 has no bar on the day before test_start: its
+        # first-day move is measured from its last close before, as on later days
+        store = generate_synthetic(SyntheticSpec(
+            n_symbols=2, n_days=40, seed=5, daily_vol=0.01,
+            planted_effects=(PlantedEffect("SYM000", 0.5),)))
+        gap, test_start = store.calendar[19], store.calendar[20]
+        bars_path = tmp_path / "bars.csv"
+        write_csv(MarketStore([b for b in store.iter_bars()
+                               if (b.symbol, b.date) != ("SYM000", gap)]), bars_path)
+        cfg_path = write_config(
+            tmp_path / "run.yaml",
+            data={"kind": "csv", "csv_path": str(bars_path)},
+            period={"test_start": test_start.isoformat()},
+            agents={"data": [{"agent_id": f"d{i}", "skill": 1.0} for i in range(3)],
+                    "research": [{"agent_id": "r0", "belief": "momentum"}]},
+        )
+        config = cfgmod.load_config(cfg_path)
+        records, state, metrics = run_contest_backtest(config)
+        first = state.days[0]
+        assert first.date == test_start
+        assert records[0]["target_weights"].get("SYM000", 0.0) > 0
+        assert "buy SYM000: limit-up" in first.rejected
+        assert not [f for f in state.fills if f.date == first.date]
+
+        out = tmp_path / "out"
+        out.mkdir()
+        _write_run_outputs(out, records, state, metrics)
+        checks = perfbench_checks()
+        rules = checks.Rules(initial_cash=config.backtest.initial_cash, fee=config.backtest.fee,
+                             limit_pct=config.backtest.limit_pct, budget=config.contest.budget)
+        report = checks.check_run(out, bars_path, rules)
+        assert report.problems == []
+        assert report.counts["nav_days_rebuilt"] == len(records)
 
 
 # A small gbdt run with the judger on and a training window of 15 days. Its

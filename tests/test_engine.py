@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -41,10 +43,14 @@ def research_agent(agent_id, belief="momentum", seed=None):
         belief_bias=belief))
 
 
+def ledger_line(record) -> str:
+    return json.dumps(record.to_dict(), sort_keys=True)
+
+
 def small_market(seed=33, n_days=70):
     return generate_synthetic(SyntheticSpec(
         n_symbols=6, n_days=n_days, seed=seed, daily_vol=0.01,
-        planted_effects=(PlantedEffect("SYM000", 0, 0.012),),
+        planted_effects=(PlantedEffect("SYM000", 0.012),),
     ))
 
 
@@ -66,7 +72,7 @@ class TestRunFull:
         data, research = small_rosters()
         a = run_full(BASELINE, store, data, research)
         b = run_full(BASELINE, store, data, research)
-        assert [r.to_json() for r in a] == [r.to_json() for r in b]
+        assert [ledger_line(r) for r in a] == [ledger_line(r) for r in b]
 
     def test_zero_research_agents_rejected(self):
         store = small_market()
@@ -208,7 +214,7 @@ class TestTemporalSafety:
         for a, b in zip(base, perturbed):
             if a.date > cutoff:
                 break
-            assert a.to_json() == b.to_json()
+            assert ledger_line(a) == ledger_line(b)
 
 
 class TestIcPairs:

@@ -131,7 +131,7 @@ class TestGenerateSynthetic:
     def test_planted_drift_raises_mean_return(self):
         spec = SyntheticSpec(
             n_symbols=5, n_days=100, seed=21, daily_vol=0.01,
-            planted_effects=(PlantedEffect("SYM002", 0, 0.02),),
+            planted_effects=(PlantedEffect("SYM002", 0.02),),
         )
         store = generate_synthetic(spec)
 
@@ -148,6 +148,14 @@ class TestGenerateSynthetic:
             SyntheticSpec(n_symbols=0, n_days=5, seed=1, daily_vol=0.01)
         with pytest.raises(ValueError):
             SyntheticSpec(n_symbols=1, n_days=5, seed=1, daily_vol=0.01, limit_pct=0.0)
+        for vol in (float("nan"), float("inf"), -0.01):
+            with pytest.raises(ValueError, match="daily_vol"):
+                SyntheticSpec(n_symbols=1, n_days=5, seed=1, daily_vol=vol)
+
+    def test_planted_start_day_is_keyword_only(self):
+        assert PlantedEffect("SYM000", 0.02) == PlantedEffect("SYM000", 0.02, start_day=0)
+        with pytest.raises(TypeError):
+            PlantedEffect("SYM000", 0, 0.02)  # the old (symbol, start_day, drift) order
 
 
 class TestPriceChange:
@@ -232,6 +240,14 @@ def gappy_store():
     bars += [_bar(d, "BBB", float(20 + rng.random()))
              for i, d in enumerate(days) if i not in (2, 5, 6, 10, 11)]
     return MarketStore(bars)
+
+
+def test_closes_skip_symbols_without_a_bar(gappy_store):
+    for i, day in enumerate(gappy_store.calendar):
+        closes = gappy_store.closes(day)
+        want = ["AAA"] if i in (2, 5, 6, 10, 11) else ["AAA", "BBB"]
+        assert sorted(closes) == want
+        assert closes == {s: gappy_store.close(s, day) for s in want}
 
 
 class TestTrailingReturnsWalkBack:
