@@ -14,6 +14,7 @@ Where the program already has a type for a section (``BacktestRules``,
 
 import dataclasses
 import datetime as dt
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -156,6 +157,11 @@ class RicPanel:
     agents: int = 16
     days: int = 300
 
+    def validate(self, where: str):
+        if not math.isfinite(self.phi):
+            raise ConfigurationError(f"{where}.phi: must be a finite number, got {self.phi!r}")
+        _at_least_1(self, ("agents", "days"), where)
+
 
 @dataclass(frozen=True)
 class RicWindows:
@@ -163,6 +169,15 @@ class RicWindows:
     n: int = 3
     M: int = 60
     N: int = 30
+
+    def validate(self, where: str):
+        _at_least_1(self, ("m", "n", "M", "N"), where)
+
+
+def _at_least_1(section, names, where: str):
+    for name in names:
+        if getattr(section, name) < 1:
+            raise ConfigurationError(f"{where}.{name}: must be >= 1, got {getattr(section, name)}")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ import csv
 import datetime as dt
 import json
 import math
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import islice
 from types import MappingProxyType
 
 import numpy as np
@@ -50,6 +51,9 @@ class Bar:
             raise ValueError(f"{self.symbol} {self.date}: close outside [low, high]")
         if self.volume < 0:
             raise ValueError(f"{self.symbol} {self.date}: negative volume")
+        # every price lies in (0, high] by now, and NaN fails a comparison
+        if not (self.high < math.inf and self.volume < math.inf):
+            raise ValueError(f"{self.symbol} {self.date}: prices and volume must be finite")
 
 
 @dataclass(frozen=True)
@@ -89,21 +93,65 @@ class SyntheticSpec:
 
 
 class MarketStore:
-    """Immutable collection of bars plus the trading calendar."""
+    """Immutable daily bars plus the trading calendar, held in columns.
 
-    def __init__(self, bars: list[Bar]):
-        by_symbol: dict[str, dict[dt.date, Bar]] = {}
-        dates: set[dt.date] = set()
+    ``_fields`` is one float64 array of shape (5, symbols, calendar days):
+    open, high, low, close and volume, indexed by the position of the symbol
+    in ``symbols`` and of the date in ``calendar``. ``_has`` marks the cells
+    that hold a bar; the others hold NaN. ``Bar`` objects are built only
+    where the API returns one (``get_bar``, ``iter_bars``).
+    """
+
+    def __init__(self, bars: Iterable[Bar]):
+        days: dict[dt.date, int] = {}
+        syms: dict[str, int] = {}
+        day_codes, sym_codes, values = array("q"), array("q"), array("d")
         for bar in bars:
-            sym_bars = by_symbol.setdefault(bar.symbol, {})
-            if bar.date in sym_bars:
-                raise DuplicateBarError(f"duplicate bar for ({bar.symbol}, {bar.date})")
-            sym_bars[bar.date] = bar
-            dates.add(bar.date)
-        self._bars = by_symbol
-        self._calendar: tuple[dt.date, ...] = tuple(sorted(dates))
+            day_codes.append(days.setdefault(bar.date, len(days)))
+            sym_codes.append(syms.setdefault(bar.symbol, len(syms)))
+            values.extend((bar.open, bar.high, bar.low, bar.close, bar.volume))
+        self._pack(list(days), list(syms), np.frombuffer(day_codes, np.int64),
+                   np.frombuffer(sym_codes, np.int64), np.frombuffer(values).reshape(-1, 5))
+
+    @classmethod
+    def _from_rows(cls, days: list[dt.date], syms: list[str], day_codes: np.ndarray,
+                   sym_codes: np.ndarray, rows: np.ndarray) -> MarketStore:
+        store = cls.__new__(cls)
+        store._pack(days, syms, day_codes, sym_codes, rows)
+        return store
+
+    def _pack(self, days: list[dt.date], syms: list[str], day_codes: np.ndarray,
+              sym_codes: np.ndarray, rows: np.ndarray) -> None:
+        """Lay out ``rows`` (open, high, low, close, volume), row i being the
+        bar of ``syms[sym_codes[i]]`` on ``days[day_codes[i]]`` (a key may
+        repeat in either list); raise DuplicateBarError for the first row, in
+        row order, whose (symbol, date) came before."""
+        self._calendar: tuple[dt.date, ...] = tuple(sorted(set(days)))
         self._index = {d: i for i, d in enumerate(self._calendar)}
-        self._symbols: tuple[str, ...] = tuple(sorted(by_symbol))
+        self._symbols: tuple[str, ...] = tuple(sorted(set(syms)))
+        self._row = {s: i for i, s in enumerate(self._symbols)}
+        shape = len(self._symbols), len(self._calendar)
+        day_pos = np.array([self._index[d] for d in days], np.int64)
+        sym_pos = np.array([self._row[s] for s in syms], np.int64)
+        cell = sym_pos[sym_codes] * shape[1] + day_pos[day_codes]
+        has = np.zeros(shape[0] * shape[1], bool)
+        has[cell] = True
+        if np.count_nonzero(has) < len(cell):
+            seen: set[int] = set()  # set.add returns None: the first repeat is kept
+            c = next(c for c in cell.tolist() if c in seen or seen.add(c))
+            raise DuplicateBarError(f"duplicate bar for ({self._symbols[c // shape[1]]}, "
+                                    f"{self._calendar[c % shape[1]]})")
+        fields = np.full((5, has.size), np.nan)
+        fields[:, cell] = rows.T
+        self._fields = fields.reshape(5, *shape)
+        self._has = has.reshape(shape)
+        # close() runs once per rated symbol per day, and a list read is
+        # faster than a numpy scalar read
+        self._close_rows = self._fields[3].tolist()
+        # every close in (symbol, date) order: the closes of symbol s up to
+        # day j end at _upto[s, j]
+        self._bar_closes = self._fields[3][self._has]
+        self._upto = np.cumsum(has).reshape(shape)
         # day_json texts, oldest first, held for the longest lookback asked
         self._day_json: dict[dt.date, str] = {}
         self._json_days = 0
@@ -122,20 +170,28 @@ class MarketStore:
         return self._index[t]
 
     def has_bar(self, symbol: str, t: dt.date) -> bool:
-        return t in self._bars.get(symbol, {})
+        s, j = self._row.get(symbol), self._index.get(t)
+        return s is not None and j is not None and self._has.item(s, j)
 
     def get_bar(self, symbol: str, t: dt.date) -> Bar:
-        try:
-            return self._bars[symbol][t]
-        except KeyError:
-            raise MissingDataError(f"no bar for ({symbol}, {t})") from None
+        if not self.has_bar(symbol, t):
+            raise MissingDataError(f"no bar for ({symbol}, {t})")
+        return Bar(t, symbol, *self._fields[:, self._row[symbol], self._index[t]].tolist())
 
     def close(self, symbol: str, t: dt.date) -> float:
-        return self.get_bar(symbol, t).close
+        try:
+            c = self._close_rows[self._row[symbol]][self._index[t]]
+        except KeyError:
+            c = math.nan
+        if c != c:  # NaN fills the cells without a bar
+            raise MissingDataError(f"no bar for ({symbol}, {t})")
+        return c
 
     def closes(self, t: dt.date) -> dict[str, float]:
         """The close of every symbol with a bar on day ``t``."""
-        return {s: b.close for s, bars in self._bars.items() if (b := bars.get(t)) is not None}
+        j = self.day_index(t)
+        # c == c is false for the NaN of a cell without a bar
+        return {s: c for s, row in zip(self._symbols, self._close_rows) if (c := row[j]) == c}
 
     def day_json(self, t: dt.date) -> str:
         """The bars of day ``t`` in symbol order, as ``json.dumps(bars,
@@ -144,19 +200,24 @@ class MarketStore:
         lookback a view has asked for, the oldest text is dropped."""
         text = self._day_json.get(t)
         if text is None:
-            # a literal per bar: vars(b) would attach a __dict__ to every Bar read
+            j = self.day_index(t)
+            rows = np.flatnonzero(self._has[:, j])
+            date = t.isoformat()
             text = self._day_json[t] = json.dumps([
-                {"date": t.isoformat(), "symbol": s, "open": b.open, "high": b.high,
-                 "low": b.low, "close": b.close, "volume": b.volume}
-                for s in self._symbols if (b := self._bars[s].get(t))], sort_keys=True)[1:-1]
+                {"date": date, "symbol": self._symbols[s], "open": o, "high": h,
+                 "low": lo, "close": c, "volume": v}
+                for s, o, h, lo, c, v in zip(rows.tolist(), *self._fields[:, rows, j].tolist())],
+                sort_keys=True)[1:-1]
             if len(self._day_json) > self._json_days:
                 del self._day_json[next(iter(self._day_json))]
         return text
 
     def iter_bars(self):
-        for symbol in self._symbols:
-            for t in sorted(self._bars[symbol]):
-                yield self._bars[symbol][t]
+        """Every bar, by symbol and then by date."""
+        for s, symbol in enumerate(self._symbols):
+            days = np.flatnonzero(self._has[s])
+            for j, values in zip(days.tolist(), self._fields[:, s, days].T.tolist()):
+                yield Bar(self._calendar[j], symbol, *values)
 
 
 class MarketView:
@@ -165,8 +226,8 @@ class MarketView:
     def __init__(self, store: MarketStore, cutoff: dt.date):
         self._store = store
         self.cutoff = cutoff
-        cut = store.day_index(cutoff)
-        self._calendar = store.calendar[: cut + 1]
+        self._cut = store.day_index(cutoff)
+        self._calendar = store.calendar[: self._cut + 1]
         self._momentum_cache: dict[int, tuple[MappingProxyType, tuple[str, ...]]] = {}
         self._bars_json_cache: dict[int, str] = {}
 
@@ -191,15 +252,19 @@ class MarketView:
         return self._store.get_bar(symbol, t)
 
     def close(self, symbol: str, t: dt.date) -> float:
-        return self.get_bar(symbol, t).close
+        self._check(t)
+        return self._store.close(symbol, t)
 
     def trailing_returns(self, symbol: str, window: int) -> list[float]:
         """Daily close-to-close returns for the last ``window`` steps ending
         at the cutoff; shorter if less history exists, empty if < 2 bars."""
-        bars = self._store._bars.get(symbol, {})
-        # walk back from the cutoff until window + 1 closes are found
-        found = (bars[d].close for d in reversed(self._calendar) if d in bars)
-        closes = list(islice(found, window + 1))[::-1]
+        store = self._store
+        s = store._row.get(symbol)
+        if s is None:
+            return []
+        first = store._upto.item(s, 0) - store._has.item(s, 0)  # bars before its first
+        end = store._upto.item(s, self._cut)
+        closes = store._bar_closes[max(end - window - 1, first):end].tolist()
         return [c1 / c0 - 1.0 for c0, c1 in zip(closes, closes[1:])]
 
     def momentum(self, window: int) -> tuple[MappingProxyType, tuple[str, ...]]:
@@ -262,22 +327,59 @@ def _parse_row(line_no: int, row: list[str]) -> Bar:
         raise CsvFormatError(f"line {line_no}: {exc}") from exc
 
 
+def _data_rows(fh):
+    """A csv reader over an open bar file, past its checked header."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError("empty file") from None
+    if [h.strip().lower() for h in header] != CSV_HEADER:
+        raise CsvFormatError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+    return reader
+
+
 def ingest_csv(path) -> MarketStore:
-    """Load a long-format bar file with header date,symbol,open,high,low,close,volume."""
-    bars: list[Bar] = []
+    """Load a long-format bar file with header date,symbol,open,high,low,close,volume.
+
+    Rows stream into columns: each distinct date and symbol text is parsed
+    once, and the ``Bar`` checks run once per column. On any fault the file
+    is read again through ``_parse_row``, which raises at the first bad line
+    in file order with the message a ``Bar`` gives."""
+    try:
+        return _ingest_columns(path)
+    except (ValueError, TypeError, csv.Error):
+        with open(path, newline="") as fh:
+            return MarketStore([_parse_row(line_no, row)
+                                for line_no, row in enumerate(_data_rows(fh), start=2) if row])
+
+
+def _ingest_columns(path) -> MarketStore:
+    day_texts: dict[str, int] = {}
+    sym_texts: dict[str, int] = {}
+    day_codes, sym_codes, values = array("q"), array("q"), array("d")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("empty file") from None
-        if [h.strip().lower() for h in header] != CSV_HEADER:
-            raise CsvFormatError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            bars.append(_parse_row(line_no, row))
-    return MarketStore(bars)
+        for row in _data_rows(fh):
+            if row:
+                date, symbol, o, h, lo, c, v = row  # ValueError unless 7 fields
+                day_codes.append(day_texts.setdefault(date, len(day_texts)))
+                sym_codes.append(sym_texts.setdefault(symbol, len(sym_texts)))
+                values.extend((float(o), float(h), float(lo), float(c), float(v)))
+    days = [dt.date.fromisoformat(text.strip()) for text in day_texts]
+    rows = np.frombuffer(values).reshape(-1, 5)
+    if not _pass_bar_checks(rows):
+        raise ValueError("a row fails the Bar checks")
+    return MarketStore._from_rows(days, [text.strip() for text in sym_texts],
+                                  np.frombuffer(day_codes, np.int64),
+                                  np.frombuffer(sym_codes, np.int64), rows)
+
+
+def _pass_bar_checks(rows: np.ndarray) -> bool:
+    """Whether every row (open, high, low, close, volume) passes the checks
+    of ``Bar.__post_init__``, run on whole columns."""
+    o, h, lo, c, v = rows.T
+    return bool((np.isfinite(rows).all(axis=1) & (rows[:, :4] > 0).all(axis=1)
+                 & (lo <= o) & (o <= h) & (lo <= c) & (c <= h) & (v >= 0)).all())
 
 
 def write_csv(store: MarketStore, path) -> None:
@@ -329,22 +431,19 @@ def generate_synthetic(spec: SyntheticSpec) -> MarketStore:
     lo = max(-spec.limit_pct, -0.999)
     returns = np.clip(raw, lo, spec.limit_pct)
 
-    bars: list[Bar] = []
-    closes = np.full(spec.n_symbols, float(spec.start_price))
-    for d in range(spec.n_days):
-        prev = closes.copy()
-        if d > 0:
-            closes = prev * (1.0 + returns[d])
-        for j, sym in enumerate(symbols):
-            op = float(prev[j]) if d > 0 else float(closes[j])
-            cl = float(closes[j])
-            hi = max(op, cl) * (1.0 + float(intraday[d, 0, j]))
-            lo_px = min(op, cl) * (1.0 - float(intraday[d, 1, j]))
-            bars.append(
-                Bar(date=days[d], symbol=sym, open=op, high=hi, low=lo_px,
-                    close=cl, volume=float(volume[d, j]))
-            )
-    return MarketStore(bars)
+    closes = np.empty((spec.n_days, spec.n_symbols))
+    closes[0] = float(spec.start_price)
+    for d in range(1, spec.n_days):
+        closes[d] = closes[d - 1] * (1.0 + returns[d])
+    opens = np.concatenate([closes[:1], closes[:-1]])
+    rows = np.stack([opens, np.maximum(opens, closes) * (1.0 + intraday[:, 0]),
+                     np.minimum(opens, closes) * (1.0 - intraday[:, 1]), closes,
+                     volume.astype(float)], axis=-1).reshape(-1, 5)  # day-major
+    if not _pass_bar_checks(rows):
+        for (d, j), values in zip(np.ndindex(spec.n_days, spec.n_symbols), rows.tolist()):
+            Bar(days[d], symbols[j], *values)  # raises at the first bad bar
+    cells = np.indices((spec.n_days, spec.n_symbols)).reshape(2, -1)
+    return MarketStore._from_rows(days, symbols, cells[0], cells[1], rows)
 
 
 def perturb_after(store: MarketStore, cutoff: dt.date, seed: int) -> MarketStore:

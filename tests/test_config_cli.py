@@ -217,6 +217,16 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
      "data: daily_vol must be a finite number >= 0, got nan"),
     ({"data": {"kind": "synthetic", "start_price": float("inf")}},
      "data: start_price must be a finite number > 0, got inf"),
+    ({"validate_ric": {"panel": {"phi": NAN}}},
+     "validate_ric.panel.phi: must be a finite number, got nan"),
+    ({"validate_ric": {"panel": {"phi": float("-inf")}}},
+     "validate_ric.panel.phi: must be a finite number, got -inf"),
+    ({"validate_ric": {"panel": {"agents": 0}}}, "validate_ric.panel.agents: must be >= 1, got 0"),
+    ({"validate_ric": {"panel": {"days": -5}}}, "validate_ric.panel.days: must be >= 1, got -5"),
+    ({"validate_ric": {"windows": {"m": 0}}}, "validate_ric.windows.m: must be >= 1, got 0"),
+    ({"validate_ric": {"windows": {"n": 0}}}, "validate_ric.windows.n: must be >= 1, got 0"),
+    ({"validate_ric": {"windows": {"M": 0}}}, "validate_ric.windows.M: must be >= 1, got 0"),
+    ({"validate_ric": {"windows": {"N": -1}}}, "validate_ric.windows.N: must be >= 1, got -1"),
 ], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
         "planted-no-drift", "lookback-0", "lookback-negative", "bool-as-string",
         "int-with-fraction", "int-as-bool", "float-as-bool", "unknown-contest-key",
@@ -225,7 +235,8 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
         "timeout-huge", "fee-negative", "fee-nan", "initial_cash-nan", "initial_cash-inf",
         "limit_pct-0", "limit_pct-nan", "m-1", "n_data-0", "budget-negative",
         "learning_rate-nan", "learning_rate-0", "learning_rate-negative", "daily_vol-nan",
-        "start_price-inf"])
+        "start_price-inf", "ric-phi-nan", "ric-phi-inf", "ric-agents-0", "ric-days-negative",
+        "ric-m-0", "ric-n-0", "ric-M-0", "ric-N-negative"])
 def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
     cfg_path = write_config(tmp_path / "run.yaml", **overrides)
     assert main(["backtest", str(cfg_path)]) == 2

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradecontest import market as market_mod
 from tradecontest.errors import (
@@ -156,6 +161,56 @@ class TestGenerateSynthetic:
         assert PlantedEffect("SYM000", 0.02) == PlantedEffect("SYM000", 0.02, start_day=0)
         with pytest.raises(TypeError):
             PlantedEffect("SYM000", 0, 0.02)  # the old (symbol, start_day, drift) order
+
+
+def reference_synthetic(spec):
+    """The per-bar generator the columnar one replaced: one ``Bar`` per
+    (day, symbol), day-major, each checked as it is built."""
+    rng = np.random.default_rng(spec.seed)
+    days = business_days(spec.start, spec.n_days)
+    symbols = [f"SYM{i:03d}" for i in range(spec.n_symbols)]
+    drift = np.zeros((spec.n_days, spec.n_symbols))
+    for eff in spec.planted_effects:
+        drift[max(eff.start_day, 0):, symbols.index(eff.symbol)] += eff.drift
+    z = rng.standard_normal((spec.n_days, spec.n_symbols))
+    intraday = rng.uniform(0.0, max(spec.daily_vol, 1e-4) / 2.0, (spec.n_days, 2, spec.n_symbols))
+    volume = rng.integers(100_000, 1_000_000, (spec.n_days, spec.n_symbols))
+    returns = np.clip(spec.daily_vol * z + drift, max(-spec.limit_pct, -0.999), spec.limit_pct)
+    bars = []
+    closes = np.full(spec.n_symbols, float(spec.start_price))
+    for d in range(spec.n_days):
+        prev = closes.copy()
+        if d > 0:
+            closes = prev * (1.0 + returns[d])
+        for j, sym in enumerate(symbols):
+            op = float(prev[j]) if d > 0 else float(closes[j])
+            cl = float(closes[j])
+            bars.append(Bar(date=days[d], symbol=sym, open=op,
+                            high=max(op, cl) * (1.0 + float(intraday[d, 0, j])),
+                            low=min(op, cl) * (1.0 - float(intraday[d, 1, j])),
+                            close=cl, volume=float(volume[d, j])))
+    return MarketStore(bars)
+
+
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(n_symbols=4, n_days=30, seed=9, daily_vol=0.02),
+    SyntheticSpec(n_symbols=5, n_days=60, seed=21, daily_vol=0.01, start_price=7,
+                  planted_effects=(PlantedEffect("SYM002", 0.02, start_day=10),)),
+    SyntheticSpec(n_symbols=2, n_days=8, seed=3, daily_vol=0.0),
+    SyntheticSpec(n_symbols=3, n_days=1500, seed=3, daily_vol=0.5, limit_pct=1.0),
+    # lows below zero: the first bad bar, day-major, names the fault
+    SyntheticSpec(n_symbols=4, n_days=30, seed=3, daily_vol=5.0),
+    SyntheticSpec(n_symbols=4, n_days=30, seed=3, daily_vol=3.0, limit_pct=1.0),
+], ids=["plain", "planted", "flat", "long-wild", "negative-low", "negative-low-later"])
+def test_generate_synthetic_matches_the_per_bar_generator(spec):
+    try:
+        want = reference_synthetic(spec)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            generate_synthetic(spec)
+        assert str(got.value) == str(exc)
+        return
+    assert list(generate_synthetic(spec).iter_bars()) == list(want.iter_bars())
 
 
 class TestPriceChange:
@@ -378,3 +433,204 @@ def test_business_days_skips_weekends():
 def test_duplicate_bar_in_store():
     with pytest.raises(DuplicateBarError):
         MarketStore([_bar(D(2025, 1, 2)), _bar(D(2025, 1, 2))])
+
+
+# --- infinite values ----------------------------------------------------------
+
+
+class TestInfiniteValues:
+    @pytest.mark.parametrize("fields", [("high",), ("open", "high"), ("close", "high"),
+                                        ("volume",)])
+    def test_bar_rejects_inf(self, fields):
+        values = dict(open=10.0, high=10.0, low=10.0, close=10.0, volume=1.0)
+        values.update(dict.fromkeys(fields, float("inf")))
+        with pytest.raises(ValueError, match="must be finite"):
+            Bar(date=D(2025, 1, 2), symbol="AAA", **values)
+
+    def test_bar_rejects_all_inf_prices(self):
+        inf = float("inf")
+        with pytest.raises(ValueError, match="AAA 2025-01-02: prices and volume must be finite"):
+            Bar(date=D(2025, 1, 2), symbol="AAA", open=inf, high=inf, low=inf, close=inf,
+                volume=1)
+
+    def test_earlier_checks_keep_their_message(self):
+        inf = float("inf")
+        with pytest.raises(ValueError, match="prices must be positive"):
+            Bar(date=D(2025, 1, 2), symbol="AAA", open=-inf, high=inf, low=-inf,
+                close=1, volume=1)
+        with pytest.raises(ValueError, match="negative volume"):
+            Bar(date=D(2025, 1, 2), symbol="AAA", open=1, high=1, low=1, close=1,
+                volume=-inf)
+
+    def test_csv_row_of_inf_names_line(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        path.write_text(
+            "date,symbol,open,high,low,close,volume\n"
+            "2025-01-02,AAA,10,10.5,9.5,10.2,100\n"
+            "2025-01-02,BBB,inf,inf,inf,inf,100\n"
+        )
+        with pytest.raises(CsvFormatError,
+                           match="line 3: BBB 2025-01-02: prices and volume must be finite"):
+            ingest_csv(path)
+
+
+# --- the columnar ingest against the per-row reference -------------------------
+
+
+def reference_ingest(path) -> dict[str, dict[dt.date, Bar]]:
+    """The per-row ingest the columnar store replaced: every row through
+    ``_parse_row`` into a ``Bar``, then a dict of dicts that refuses a
+    repeated (symbol, date)."""
+    bars = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        assert [h.strip().lower() for h in header] == market_mod.CSV_HEADER
+        for line_no, row in enumerate(reader, start=2):
+            if row:
+                bars.append(market_mod._parse_row(line_no, row))
+    by_symbol: dict[str, dict[dt.date, Bar]] = {}
+    for bar in bars:
+        sym_bars = by_symbol.setdefault(bar.symbol, {})
+        if bar.date in sym_bars:
+            raise DuplicateBarError(f"duplicate bar for ({bar.symbol}, {bar.date})")
+        sym_bars[bar.date] = bar
+    return by_symbol
+
+
+def assert_same_outcome(path):
+    """ingest_csv gives the reference's store, or its exception word for word."""
+    try:
+        want = reference_ingest(path)
+    except (CsvFormatError, DuplicateBarError) as exc:
+        with pytest.raises(type(exc)) as got:
+            ingest_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    store = ingest_csv(path)
+    assert store.symbols == tuple(sorted(want))
+    assert store.calendar == tuple(sorted({d for bars in want.values() for d in bars}))
+    for symbol in store.symbols:
+        for t in store.calendar:
+            bar = want[symbol].get(t)
+            assert store.has_bar(symbol, t) == (bar is not None)
+            if bar is not None:
+                assert store.get_bar(symbol, t) == bar
+                assert store.close(symbol, t) == bar.close
+    assert sum(1 for _ in store.iter_bars()) == sum(map(len, want.values()))
+
+
+HEADER = "date,symbol,open,high,low,close,volume\n"
+GOOD = "2025-01-02,AAA,10,10.5,9.5,10.2,100\n"
+
+
+def _rows(n, symbol):
+    return "".join(f"{d},{symbol},10,10.5,9.5,10.{i},{100 + i}\n"
+                   for i, d in enumerate(business_days(D(2025, 1, 2), n)))
+
+
+MALFORMED = {
+    "short-row": GOOD + "2025-01-03,AAA,10\n",
+    "long-row": GOOD + "2025-01-03,AAA,10,10.5,9.5,10.2,100,7\n",
+    "bad-float": GOOD + "2025-01-03,AAA,10,abc,9.5,10.2,100\n",
+    "bad-date": "2025-13-02,AAA,10,10.5,9.5,10.2,100\n",
+    "low-above-high": "2025-01-02,AAA,10,9.0,11.0,10,100\n",
+    "open-above-high": "2025-01-02,AAA,12,11,9.5,10,100\n",
+    "close-below-low": "2025-01-02,AAA,10,11,9.5,9,100\n",
+    "zero-price": "2025-01-02,AAA,0,0,0,0,100\n",
+    "nan-price": "2025-01-02,AAA,10,10.5,9.5,nan,100\n",
+    "nan-volume": "2025-01-02,AAA,10,10.5,9.5,10.2,nan\n",
+    "negative-volume": GOOD + "2025-01-03,AAA,10,10.5,9.5,10.2,-1\n",
+    "all-inf": "2025-01-02,AAA,inf,inf,inf,inf,100\n",
+    "inf-volume": "2025-01-02,AAA,10,10.5,9.5,10.2,inf\n",
+    "minus-inf-low": "2025-01-02,AAA,10,10.5,-inf,10.2,100\n",
+    "duplicate": GOOD + "2025-01-03,AAA,10,10.5,9.5,10.2,1\n" + GOOD,
+    "duplicate-padded": GOOD + " 2025-01-02 , AAA ,10,10.5,9.5,10.3,100\n",
+    "two-duplicates": ("2025-01-02,BBB,1,1,1,1,1\n" + GOOD + "2025-01-02,BBB,1,1,1,1,1\n"
+                       + GOOD),
+    "duplicate-then-bad-row": GOOD + GOOD + "2025-01-06,AAA,10,9,11,10,1\n",
+    # a bar fault on line 3, six good rows, a short row on line 10
+    "bar-fault-before-short-row": (GOOD + "2025-01-03,AAA,10,9,11,10,1\n" + _rows(6, "BBB")
+                                   + "2025-01-13,AAA\n"),
+}
+
+
+class TestIngestParity:
+    @pytest.mark.parametrize("body", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_file_fails_as_before(self, tmp_path, body):
+        path = tmp_path / "bars.csv"
+        path.write_text(HEADER + body)
+        with pytest.raises((CsvFormatError, DuplicateBarError)):
+            reference_ingest(path)
+        assert_same_outcome(path)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        path.write_text(HEADER + MALFORMED["bar-fault-before-short-row"])
+        assert path.read_text().splitlines()[9] == "2025-01-13,AAA"  # line 10
+        with pytest.raises(CsvFormatError, match="^line 3: AAA 2025-01-03: open outside"):
+            ingest_csv(path)
+
+    def test_bar_fault_wins_over_an_earlier_duplicate(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        path.write_text(HEADER + MALFORMED["duplicate-then-bad-row"])
+        with pytest.raises(CsvFormatError, match="^line 4: "):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("body", [
+        # gappy: BBB has no bar on the second day
+        GOOD + "2025-01-03,AAA,10,10.5,9.5,10.4,100\n2025-01-02,BBB,5,5,5,5,0\n"
+        "2025-01-06,BBB,5,6,4,5.5,1e3\n2025-01-06,AAA,10,11,10,11,7\n",
+        # padded texts, blank lines and signed or exponent floats
+        " 2025-01-02 ,  AAA,+10, 10.5 ,9.5e0,10.2,100\n\n2025-01-03,AAA ,10,10.5,9.5,1.02E1,0\n\n",
+        # rows in no order
+        "2025-01-07,CCC,1,2,1,2,3\n2025-01-02,AAA,10,10.5,9.5,10.2,100\n"
+        "2025-01-03,BBB,1,1,1,1,1\n2025-01-02,CCC,1,2,1,1.5,3\n2025-01-07,AAA,9,9,9,9,9\n",
+        # a header and a blank line
+        "\n",
+    ], ids=["gappy", "padded", "unsorted", "no-rows"])
+    def test_valid_file_gives_the_same_store(self, tmp_path, body):
+        path = tmp_path / "bars.csv"
+        path.write_text(HEADER + body)
+        assert_same_outcome(path)
+
+    def test_round_trip_of_a_synthetic_store(self, tmp_path, tiny_store):
+        path = tmp_path / "bars.csv"
+        write_csv(tiny_store, path)
+        assert_same_outcome(path)
+
+
+FAULTS = {
+    "short": lambda r: r[:4],
+    "bad-float": lambda r: r[:3] + ["1.2.3"] + r[4:],
+    "bad-date": lambda r: ["2025-02-30"] + r[1:],
+    "low-above-high": lambda r: r[:3] + [r[4], r[3]] + r[5:],
+    "nan": lambda r: r[:5] + ["nan"] + r[6:],
+    "negative-volume": lambda r: r[:6] + ["-1"],
+    "inf": lambda r: r[:2] + ["inf"] * 4 + r[6:],
+    "padded": lambda r: [f" {r[0]} ", f"{r[1]}  "] + r[2:],  # not a fault
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5),
+                                st.floats(1, 100), st.floats(0, 0.5), st.integers(0, 10**6)),
+                      min_size=1, max_size=12),
+       fault=st.sampled_from(sorted(FAULTS) + ["duplicate", "none"]),
+       where=st.integers(0, 11), dup_of=st.integers(0, 11))
+def test_ingest_matches_the_reference_with_one_fault(cells, fault, where, dup_of):
+    days = business_days(D(2025, 1, 2), 6)
+    rows = [[days[d].isoformat(), f"S{s}", repr(px), repr(px * (1 + w)), repr(px * (1 - w)),
+             repr(px), str(vol)] for s, d, px, w, vol in cells]
+    where %= len(rows)
+    if fault == "duplicate":
+        rows.insert(where, list(rows[dup_of % len(rows)]))
+    elif fault != "none":
+        rows[where] = FAULTS[fault](rows[where])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bars.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(market_mod.CSV_HEADER)
+            writer.writerows(rows)
+        assert_same_outcome(path)

@@ -11,14 +11,17 @@ from pathlib import Path
 
 import yaml
 
+from tradecontest.market import SyntheticSpec, generate_synthetic, write_csv
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def traced_layers(tmp_path, n_days: int, contest: dict) -> dict:
+def traced_layers(tmp_path, n_days: int, contest: dict, data: dict | None = None) -> dict:
     """The per-layer figures of one traced child run of a small config."""
     config = {
         "seed": 3,
-        "data": {"kind": "synthetic", "n_symbols": 4, "n_days": n_days, "daily_vol": 0.01},
+        "data": data or {"kind": "synthetic", "n_symbols": 4, "n_days": n_days,
+                         "daily_vol": 0.01},
         "agents": {"data": [{"agent_id": f"d{i}", "skill": 0.5} for i in range(3)],
                    "research": [{"agent_id": "r0"}, {"agent_id": "r1", "belief": "random"}]},
         "contest": contest,
@@ -49,3 +52,17 @@ def test_gbdt_fit_probe_reads_rows_and_trees(tmp_path):
     assert layers["gbdt.fits"] > 0
     assert layers["gbdt.trees"] > 0
     assert layers["gbdt.fit_rows"] > 0
+
+
+def test_csv_source_counts_the_ingested_bars(tmp_path):
+    # the benchmark's CSV workload: set-up is ingest_csv, and market.bars
+    # walks the store's iter_bars once the run is done
+    bars_path = tmp_path / "bars.csv"
+    write_csv(generate_synthetic(SyntheticSpec(n_symbols=4, n_days=30, seed=3,
+                                               daily_vol=0.01)), bars_path)
+    rows = len(bars_path.read_text().splitlines()) - 1
+    layers = traced_layers(tmp_path, 30, {"predictor": "baseline"},
+                           {"kind": "csv", "csv_path": str(bars_path)})
+    assert rows == 120
+    assert layers["market.bars"] == rows
+    assert layers["market.build_s"] > 0
