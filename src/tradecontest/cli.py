@@ -8,6 +8,7 @@ TRADECONTEST_OUTPUT_DIR environment variable and then by --output-dir.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime as dt
 import json
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .backtest import apply_day, compute_metrics, new_state, rank_ic_summary
-from .engine import contest_ic_pairs, run_full
+from .engine import IC_FIELDS, contest_ic_pairs, run_full
 from .errors import ConfigurationError, TradeContestError
 from .market import write_csv
 from .prediction import ar1_score_panel, validate_momentum
@@ -45,8 +46,15 @@ def _resolve_output_dir(config, cli_override: str | None) -> Path:
     return path
 
 
-def run_contest_backtest(config: cfgmod.RunConfig, **contest_overrides):
-    """Run the contest and the backtest; returns (record_dicts, state, metrics)."""
+def run_contest_backtest(config: cfgmod.RunConfig, ledger_path: Path | None = None,
+                         **contest_overrides):
+    """Run the contest and the backtest; returns (state, metrics).
+
+    With ``ledger_path``, each day's ledger line is written there as soon as
+    the day is applied, its portfolio in full only on the first line that
+    carries it. Of each day, only the fields that ``contest_ic_pairs`` reads
+    are kept for the metrics.
+    """
     store = cfgmod.build_store(config)
     data_agents, research_agents = cfgmod.build_agents(config)
     ccfg = cfgmod.contest_config(config, store, **contest_overrides)
@@ -62,12 +70,20 @@ def run_contest_backtest(config: cfgmod.RunConfig, **contest_overrides):
     # later day, from each symbol's last close before it
     for t in store.calendar[:store.day_index(records[0].date)]:
         state.prev_closes.update(store.closes(t))
-    for record in records:
-        apply_day(state, record.target_weights, store.closes(record.date), record.date,
-                  config.backtest)
-    record_dicts = [r.to_dict() for r in records]
-    metrics = _metrics_dict(config, state.nav_history, record_dicts)
-    return record_dicts, state, metrics
+    ic_records = []
+    prev_portfolio_date = None
+    with open(ledger_path, "w") if ledger_path else contextlib.nullcontext() as ledger:
+        for record in records:
+            apply_day(state, record.target_weights, store.closes(record.date), record.date,
+                      config.backtest)
+            if ledger is not None:
+                ledger.write(json.dumps(record.to_dict(prev_portfolio_date), sort_keys=True)
+                             + "\n")
+                prev_portfolio_date = None if record.portfolio is None \
+                    else record.portfolio.date
+            ic_records.append({k: getattr(record, k) for k in IC_FIELDS})
+    metrics = _metrics_dict(config, state.nav_history, ic_records)
+    return state, metrics
 
 
 def _metrics_dict(config, nav_history, record_dicts) -> dict:
@@ -96,10 +112,8 @@ def _metrics_dict(config, nav_history, record_dicts) -> dict:
     }
 
 
-def _write_run_outputs(out_dir: Path, record_dicts, state, metrics) -> None:
-    with open(out_dir / "ledger.jsonl", "w") as fh:
-        for rec in record_dicts:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+def _write_run_outputs(out_dir: Path, state, metrics) -> None:
+    """nav.csv, fills.csv and metrics.json; the ledger is written as the run goes."""
     with open(out_dir / "nav.csv", "w") as fh:
         fh.write("date,nav\n")
         for date, nav in state.nav_history:
@@ -117,8 +131,8 @@ def _write_run_outputs(out_dir: Path, record_dicts, state, metrics) -> None:
 def cmd_backtest(config_path: str, output_dir: str | None = None) -> int:
     config = cfgmod.load_config(config_path)
     out_dir = _resolve_output_dir(config, output_dir)
-    record_dicts, state, metrics = run_contest_backtest(config)
-    _write_run_outputs(out_dir, record_dicts, state, metrics)
+    state, metrics = run_contest_backtest(config, out_dir / "ledger.jsonl")
+    _write_run_outputs(out_dir, state, metrics)
     print(f"backtest complete: {metrics['n_days']} days, "
           f"CR {metrics['CR']:+.2%}, SR {metrics['SR']:.2f}, "
           f"MDD {metrics['MDD']:.2%} -> {out_dir}")
@@ -137,8 +151,8 @@ def cmd_ablate(config_path: str, variant: str, output_dir: str | None = None) ->
         )
     config = cfgmod.load_config(config_path)
     out_dir = _resolve_output_dir(config, output_dir)
-    _, _, full_metrics = run_contest_backtest(config)
-    _, _, variant_metrics = run_contest_backtest(config, **ABLATION_VARIANTS[variant])
+    _, full_metrics = run_contest_backtest(config)
+    _, variant_metrics = run_contest_backtest(config, **ABLATION_VARIANTS[variant])
     table = "\n".join([
         f"{'Configuration':<22} |   CR (%) |     SR | MDD (%)",
         _ablation_row("full", full_metrics),

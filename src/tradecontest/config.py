@@ -158,6 +158,8 @@ class RicPanel:
     days: int = 300
 
     def validate(self, where: str):
+        if self.kind not in ("ar1", "noise"):
+            raise ConfigurationError(f"{where}.kind: must be ar1 or noise, got {self.kind!r}")
         if not math.isfinite(self.phi):
             raise ConfigurationError(f"{where}.phi: must be a finite number, got {self.phi!r}")
         _at_least_1(self, ("agents", "days"), where)
@@ -186,6 +188,11 @@ class ValidateRicSection:
     panel: RicPanel = field(default_factory=RicPanel)
     ledger: str | None = None
     windows: RicWindows = field(default_factory=RicWindows)
+
+    def validate(self, where: str):
+        if self.source not in ("panel", "ledger"):
+            raise ConfigurationError(
+                f"{where}.source: must be panel or ledger, got {self.source!r}")
 
 
 @dataclass(frozen=True)

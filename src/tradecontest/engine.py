@@ -103,16 +103,24 @@ class DailyRecord:
     model_kinds: dict[str, str]
     absent: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, prev_portfolio_date: dt.date | None = None) -> dict:
         """The ledger line's fields; dicts are left unsorted, as the ledger
-        is written with ``sort_keys=True``."""
+        is written with ``sort_keys=True``. A portfolio dated
+        ``prev_portfolio_date``, the date of the previous line's portfolio,
+        is written as the reference ``{"date": D}``; any other in full."""
+        portfolio = self.portfolio
+        if portfolio is not None and portfolio.date is not None \
+                and portfolio.date == prev_portfolio_date:
+            portfolio_field = {"date": portfolio.date.isoformat()}
+        else:
+            portfolio_field = _portfolio_dict(portfolio)
         return {
             "date": self.date.isoformat(),
             "factor_scores": self.factor_scores,
             "researcher_scores": self.researcher_scores,
             "data_utilities": self.data_utilities,
             "research_utilities": self.research_utilities,
-            "portfolio": _portfolio_dict(self.portfolio),
+            "portfolio": portfolio_field,
             "weights": None if self.weights is None else self.weights.weights,
             "signals": [_signal_dict(s) for s in self.signals],
             "target_weights": self.target_weights,
@@ -492,6 +500,10 @@ def run_full(config: ContestConfig, store: MarketStore, data_agents,
 
 
 # -- ledger post-processing ---------------------------------------------
+
+
+# the fields of a ledger line that contest_ic_pairs reads
+IC_FIELDS = ("factor_scores", "researcher_scores", "data_utilities", "research_utilities")
 
 
 def contest_ic_pairs(record_dicts: list[dict], horizon: int, side: str):

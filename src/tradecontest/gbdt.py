@@ -51,7 +51,6 @@ class RegressionTree:
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
-        self._arrays = None
 
     def _new_node(self, value: float) -> int:
         self.feature.append(_LEAF)
@@ -69,7 +68,6 @@ class RegressionTree:
         # k and n - k of every split position are slices of one arange
         counts = np.arange(y.size + 1, dtype=np.float64)
         self._grow((Xt, y, y * y, counts, pred), order, Xs, tied, depth=0)
-        self._freeze()
         return pred
 
     @staticmethod
@@ -142,31 +140,6 @@ class RegressionTree:
             data, order[mask].reshape(d, n - n_left), Xs[mask].reshape(d, n - n_left), None,
             depth + 1)
 
-    def _freeze(self):
-        self._arrays = (
-            np.asarray(self.feature, dtype=np.intp),
-            np.asarray(self.threshold, dtype=np.float64),
-            np.asarray(self.left, dtype=np.intp),
-            np.asarray(self.right, dtype=np.intp),
-            np.asarray(self.value, dtype=np.float64),
-        )
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        feature, threshold, left, right, value = self._arrays
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        rows = np.arange(X.shape[0])
-        for _ in range(self.max_depth):
-            f = feature[node]
-            internal = f != _LEAF
-            if not internal.any():
-                break
-            fx = X[rows, np.where(internal, f, 0)]
-            go_left = fx <= threshold[node]
-            nxt = np.where(go_left, left[node], right[node])
-            node = np.where(internal, nxt, node)
-        return value[node]
-
 
 class GradientBoostedRegressor:
     """Least-squares boosting of shallow regression trees."""
@@ -182,6 +155,7 @@ class GradientBoostedRegressor:
         self.learning_rate = learning_rate
         self.base: float = 0.0
         self.trees: list[RegressionTree] = []
+        self._pack()
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedRegressor":
         X = np.asarray(X, dtype=np.float64)
@@ -198,11 +172,39 @@ class GradientBoostedRegressor:
             train_pred = tree.fit(presort, residual)
             pred = pred + self.learning_rate * train_pred
             self.trees.append(tree)
+        self._pack()
         return self
+
+    def _pack(self):
+        """One flat set of node arrays for all trees. A tree's child indices
+        are offset by where its nodes start, and a leaf is its own left and
+        right child on feature 0, so every row walks every tree at once."""
+        roots, feature, left, right, threshold, value = [], [], [], [], [], []
+        for tree in self.trees:
+            start = len(value)
+            roots.append(start)
+            for k, f in enumerate(tree.feature):
+                leaf = f == _LEAF
+                feature.append(0 if leaf else f)
+                left.append(start + (k if leaf else tree.left[k]))
+                right.append(start + (k if leaf else tree.right[k]))
+            threshold += tree.threshold
+            value += tree.value
+        self._nodes = (np.asarray(roots, dtype=np.intp), np.asarray(feature, dtype=np.intp),
+                       np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp),
+                       np.asarray(threshold, dtype=np.float64),
+                       np.asarray(value, dtype=np.float64))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        roots, feature, left, right, threshold, value = self._nodes
+        rows = np.arange(X.shape[0])
+        node = np.repeat(roots[:, None], X.shape[0], axis=1)  # trees x rows
+        for _ in range(self.max_depth):
+            go_left = X[rows, feature[node]] <= threshold[node]
+            node = np.where(go_left, left[node], right[node])
+        # added tree by tree, as a loop over the trees' own predictions would
         pred = np.full(X.shape[0], self.base)
-        for tree in self.trees:
-            pred = pred + self.learning_rate * tree.predict(X)
+        for v in value[node]:
+            pred = pred + self.learning_rate * v
         return pred

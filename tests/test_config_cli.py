@@ -32,6 +32,31 @@ def perfbench_checks():
     return module
 
 
+def read_ledger(path) -> list[dict]:
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def is_portfolio_ref(portfolio) -> bool:
+    return portfolio is not None and set(portfolio) == {"date"}
+
+
+def expand_portfolio_refs(ledger: bytes) -> bytes:
+    """The ledger with each portfolio reference ``{"date": D}`` replaced by
+    the last portfolio written in full, which must be D's; the lines that
+    change are written again as the writer writes them."""
+    lines, full = [], None
+    for line in ledger.splitlines(keepends=True):
+        record = json.loads(line)
+        if is_portfolio_ref(record["portfolio"]):
+            assert full is not None and full["date"] == record["portfolio"]["date"]
+            record["portfolio"] = full
+            line = (json.dumps(record, sort_keys=True) + "\n").encode()
+        else:
+            full = record["portfolio"]
+        lines.append(line)
+    return b"".join(lines)
+
+
 def write_config(path, **overrides):
     base = {
         "seed": 21,
@@ -227,6 +252,10 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
     ({"validate_ric": {"windows": {"n": 0}}}, "validate_ric.windows.n: must be >= 1, got 0"),
     ({"validate_ric": {"windows": {"M": 0}}}, "validate_ric.windows.M: must be >= 1, got 0"),
     ({"validate_ric": {"windows": {"N": -1}}}, "validate_ric.windows.N: must be >= 1, got -1"),
+    ({"validate_ric": {"source": "panle"}},
+     "validate_ric.source: must be panel or ledger, got 'panle'"),
+    ({"validate_ric": {"panel": {"kind": "ar2"}}},
+     "validate_ric.panel.kind: must be ar1 or noise, got 'ar2'"),
 ], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
         "planted-no-drift", "lookback-0", "lookback-negative", "bool-as-string",
         "int-with-fraction", "int-as-bool", "float-as-bool", "unknown-contest-key",
@@ -236,7 +265,8 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
         "limit_pct-0", "limit_pct-nan", "m-1", "n_data-0", "budget-negative",
         "learning_rate-nan", "learning_rate-0", "learning_rate-negative", "daily_vol-nan",
         "start_price-inf", "ric-phi-nan", "ric-phi-inf", "ric-agents-0", "ric-days-negative",
-        "ric-m-0", "ric-n-0", "ric-M-0", "ric-N-negative"])
+        "ric-m-0", "ric-n-0", "ric-M-0", "ric-N-negative", "ric-source-typo",
+        "ric-panel-kind-ar2"])
 def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
     cfg_path = write_config(tmp_path / "run.yaml", **overrides)
     assert main(["backtest", str(cfg_path)]) == 2
@@ -329,9 +359,9 @@ class TestCmdBacktest:
             agents={"data": [{"agent_id": f"d{i}", "skill": 1.0} for i in range(3)],
                     "research": [{"agent_id": "r0", "belief": "momentum"}]},
         )
-        records, state, _ = run_contest_backtest(cfgmod.load_config(cfg_path))
+        state, _ = run_contest_backtest(cfgmod.load_config(cfg_path), tmp_path / "ledger.jsonl")
         first = state.days[0]
-        assert records[0]["target_weights"].get("SYM000", 0.0) > 0
+        assert read_ledger(tmp_path / "ledger.jsonl")[0]["target_weights"].get("SYM000", 0.0) > 0
         assert "buy SYM000: limit-up" in first.rejected
         assert not [f for f in state.fills if f.date == first.date]
 
@@ -353,28 +383,38 @@ class TestCmdBacktest:
                     "research": [{"agent_id": "r0", "belief": "momentum"}]},
         )
         config = cfgmod.load_config(cfg_path)
-        records, state, metrics = run_contest_backtest(config)
+        out = tmp_path / "out"
+        out.mkdir()
+        state, metrics = run_contest_backtest(config, out / "ledger.jsonl")
+        records = read_ledger(out / "ledger.jsonl")
         first = state.days[0]
         assert first.date == test_start
         assert records[0]["target_weights"].get("SYM000", 0.0) > 0
         assert "buy SYM000: limit-up" in first.rejected
         assert not [f for f in state.fills if f.date == first.date]
 
-        out = tmp_path / "out"
-        out.mkdir()
-        _write_run_outputs(out, records, state, metrics)
+        # the checker audits every portfolio, each written in full once and
+        # referenced by date on the lines after it
+        _write_run_outputs(out, state, metrics)
         checks = perfbench_checks()
         rules = checks.Rules(initial_cash=config.backtest.initial_cash, fee=config.backtest.fee,
                              limit_pct=config.backtest.limit_pct, budget=config.contest.budget)
         report = checks.check_run(out, bars_path, rules)
         assert report.problems == []
         assert report.counts["nav_days_rebuilt"] == len(records)
+        portfolios = [r["portfolio"] for r in records if r["portfolio"] is not None]
+        assert any(is_portfolio_ref(p) for p in portfolios)
+        assert report.counts["portfolios_checked"] == len({p["date"] for p in portfolios})
+        assert report.counts["factor_scores_checked"] > 0
 
 
 # A small gbdt run with the judger on and a training window of 15 days. Its
 # ledger's sha256 pins every bit of every fitted model, utility and weight.
 # No BLAS call feeds the ledger, so the hash does not depend on the BLAS
-# build; it was recorded with numpy 2.4.6 on x86-64.
+# build; it was recorded with numpy 2.4.6 on x86-64. One pin is of the bytes
+# as written, the other of the ledger with its portfolio references
+# expanded, which is the ledger of a writer that puts the full portfolio
+# into every line.
 GOLDEN_CONFIG = {
     "seed": 23,
     "data": {"kind": "synthetic", "n_symbols": 8, "n_days": 90, "daily_vol": 0.015,
@@ -392,6 +432,7 @@ GOLDEN_CONFIG = {
                 "predictor": "gbdt", "n_trees": 20},
 }
 GOLDEN_LEDGER_SHA256 = "49dcdde510bb34ced97843a4f19e603c3504590a3ebaf8da898b727f7a577ef6"
+GOLDEN_RAW_LEDGER_SHA256 = "64eebbcae4ea98d566299f4a0e18520703490200fd43b064d25c71b032fd57e8"
 
 
 def test_golden_ledger_sha256(tmp_path):
@@ -403,7 +444,8 @@ def test_golden_ledger_sha256(tmp_path):
     records = [json.loads(line) for line in ledger.splitlines()]
     assert {r["model_kinds"].get("data") for r in records} >= {"gbdt"}
     assert {r["model_kinds"].get("research") for r in records} >= {"gbdt"}
-    assert hashlib.sha256(ledger).hexdigest() == GOLDEN_LEDGER_SHA256
+    assert hashlib.sha256(ledger).hexdigest() == GOLDEN_RAW_LEDGER_SHA256
+    assert hashlib.sha256(expand_portfolio_refs(ledger)).hexdigest() == GOLDEN_LEDGER_SHA256
 
 
 # The same run's metrics.json, which embeds the config as ``to_dict`` writes
@@ -427,6 +469,8 @@ def test_golden_metrics_sha256(tmp_path):
 GOLDEN_BASELINE_CONFIG = {**GOLDEN_CONFIG, "contest": {"m": 5, "n_data": 3, "n_research": 5,
                                                       "budget": 256, "predictor": "baseline"}}
 GOLDEN_BASELINE_LEDGER_SHA256 = "3a80ba19beb6ad2b6c9395d11c6b8c4075f1da914381984e785d302395a39840"
+GOLDEN_BASELINE_RAW_LEDGER_SHA256 = \
+    "eddd404ef3e98a75f384b36366a9c33dee9c4167983e172c10c9622d2c085080"
 
 
 def test_golden_baseline_ledger_sha256(tmp_path):
@@ -435,7 +479,9 @@ def test_golden_baseline_ledger_sha256(tmp_path):
     out = tmp_path / "out"
     assert main(["backtest", str(cfg_path), "--output-dir", str(out)]) == 0
     ledger = (out / "ledger.jsonl").read_bytes()
-    assert hashlib.sha256(ledger).hexdigest() == GOLDEN_BASELINE_LEDGER_SHA256
+    assert hashlib.sha256(ledger).hexdigest() == GOLDEN_BASELINE_RAW_LEDGER_SHA256
+    assert hashlib.sha256(expand_portfolio_refs(ledger)).hexdigest() \
+        == GOLDEN_BASELINE_LEDGER_SHA256
 
 
 class TestCmdAblate:

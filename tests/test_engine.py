@@ -106,6 +106,27 @@ class TestRunFull:
                 prev = records[i - 1]
                 assert record.to_dict()["portfolio"] == prev.to_dict()["portfolio"]
 
+    def test_portfolio_written_once_then_referenced(self):
+        store = small_market()
+        data, research = small_rosters()
+        records = run_full(BASELINE, store, data, research)
+        prev_date = None
+        refs = 0
+        for record in records:
+            full = record.to_dict()
+            line = record.to_dict(prev_date)
+            assert {k: v for k, v in line.items() if k != "portfolio"} == \
+                {k: v for k, v in full.items() if k != "portfolio"}
+            if record.data_rebalance or prev_date is None:
+                assert line["portfolio"] == full["portfolio"]
+            else:
+                assert line["portfolio"] == {"date": prev_date.isoformat()}
+                refs += 1
+            prev_date = record.portfolio.date
+        assert refs == sum(1 for r in records[1:] if not r.data_rebalance)
+        # a portfolio of another date is written in full
+        assert records[1].to_dict(records[0].date.replace(year=1999)) == records[1].to_dict()
+
     def test_research_cadence_and_daily_override(self):
         store = small_market()
         data, research = small_rosters()

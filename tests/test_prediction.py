@@ -272,6 +272,72 @@ class TestExactSplitSearch:
         assert_same_ensemble(X, y, n_trees=4, max_depth=max_depth)
 
 
+def reference_predict(model, X):
+    """The ensemble's prediction in its plain form, kept as the reference for
+    ``GradientBoostedRegressor.predict``: each tree walked on its own node
+    lists, its leaf values added to the running sum one tree at a time."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    rows = np.arange(X.shape[0])
+    pred = np.full(X.shape[0], model.base)
+    for tree in model.trees:
+        feature, threshold, left, right, value = (
+            np.asarray(a) for a in (tree.feature, tree.threshold, tree.left, tree.right,
+                                    tree.value))
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(tree.max_depth):
+            f = feature[node]
+            internal = f != -1
+            if not internal.any():
+                break
+            go_left = X[rows, np.where(internal, f, 0)] <= threshold[node]
+            node = np.where(internal, np.where(go_left, left[node], right[node]), node)
+        pred = pred + model.learning_rate * value[node]
+    return pred
+
+
+class TestEnsemblePredict:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("max_depth", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [1, 2, 16, 300])
+    def test_same_bits_as_per_tree_loop(self, seed, max_depth, n_rows):
+        rng = np.random.default_rng(seed)
+        kind = ("normal", "duplicates", "constant-column", "mirrored")[seed]
+        X, y = shaped_rows(kind, 120, rng)
+        model = GradientBoostedRegressor(n_trees=50, max_depth=max_depth,
+                                         learning_rate=0.1).fit(X, y)
+        Xp = rng.normal(size=(n_rows, 4))
+        # rows that sit exactly on thresholds and rows of the training set
+        thresholds = [t for tree in model.trees for f, t in zip(tree.feature, tree.threshold)
+                      if f != -1]
+        Xp[::2, 0] = thresholds[0] if thresholds else 0.0
+        Xp[1::3] = X[:Xp[1::3].shape[0]]
+        assert np.array_equal(model.predict(Xp), reference_predict(model, Xp))
+        assert np.array_equal(model.predict(X), reference_predict(model, X))
+
+    def test_leaves_at_every_depth(self):
+        # a few rows give trees whose leaves sit at depth 1, 2 and 3
+        X = np.array([[0.0], [1.0], [2.0], [2.0], [3.0]])
+        y = np.array([0.0, 5.0, 1.0, 1.0, 9.0])
+        model = GradientBoostedRegressor(n_trees=10, max_depth=3).fit(X, y)
+        Xp = np.linspace(-1.0, 4.0, 41)[:, None]
+        assert np.array_equal(model.predict(Xp), reference_predict(model, Xp))
+
+    def test_no_trees_predicts_base(self):
+        X = np.ones((5, 2))
+        y = np.full(5, 2.5)
+        model = GradientBoostedRegressor(n_trees=5).fit(X, y)
+        assert model.trees == []
+        assert np.array_equal(model.predict(np.zeros((3, 2))), np.full(3, 2.5))
+
+    def test_nan_features_take_the_same_branch(self):
+        X, y = shaped_rows("normal", 60, np.random.default_rng(9))
+        model = GradientBoostedRegressor(n_trees=20, max_depth=3).fit(X, y)
+        Xp = np.random.default_rng(10).normal(size=(12, 4))
+        Xp[::3, 0] = np.nan
+        Xp[1::4, 2] = np.inf
+        assert np.array_equal(model.predict(Xp), reference_predict(model, Xp))
+
+
 class TestRankIc:
     def test_identical(self):
         assert rank_ic([1, 5, 9], [1, 5, 9]) == pytest.approx(1.0)
