@@ -38,9 +38,6 @@ class FactorPortfolio:
     total_tokens: int
     total_utility: float
 
-    def agent_ids(self) -> list[str]:
-        return [a for a, _ in self.selected]
-
 
 def empty_portfolio(date: dt.date | None = None) -> FactorPortfolio:
     return FactorPortfolio(date=date, selected=(), total_tokens=0, total_utility=0.0)

@@ -242,9 +242,6 @@ class MetricsReport:
     cumulative_return: float
     sharpe: float
     max_drawdown: float
-    rank_ic_series: tuple[float, ...]
-    mean_rank_ic: float
-    icir: float
     flags: tuple[str, ...] = ()
 
 
@@ -282,9 +279,9 @@ def rank_ic_summary(predicted_ranks_by_day, realized_ranks_by_day):
     return tuple(ics), mean_ic, icir, flags
 
 
-def compute_metrics(nav_history, predicted_ranks_by_day=(), realized_ranks_by_day=()) -> MetricsReport:
-    """Strategy metrics from the nav path plus contest-effectiveness rank
-    ICs from aligned per-day prediction/realization cross-sections."""
+def compute_metrics(nav_history) -> MetricsReport:
+    """Strategy metrics from the nav path: cumulative return, annualized
+    Sharpe and max drawdown."""
     navs = [v for _, v in nav_history]
     if len(navs) < 2:
         raise ValueError("need at least 2 nav points")
@@ -298,10 +295,5 @@ def compute_metrics(nav_history, predicted_ranks_by_day=(), realized_ranks_by_da
         flags.append("sr_undefined_constant_nav")
     else:
         sharpe = float(returns.mean() / std) * ANNUALIZATION
-    mdd = float(max_drawdown(navs_arr))
-    ics, mean_ic, icir, ic_flags = rank_ic_summary(predicted_ranks_by_day, realized_ranks_by_day)
-    return MetricsReport(
-        cumulative_return=cr, sharpe=sharpe, max_drawdown=mdd,
-        rank_ic_series=ics, mean_rank_ic=mean_ic, icir=icir,
-        flags=tuple(flags + ic_flags),
-    )
+    return MetricsReport(cumulative_return=cr, sharpe=sharpe,
+                         max_drawdown=float(max_drawdown(navs_arr)), flags=tuple(flags))

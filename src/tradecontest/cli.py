@@ -87,22 +87,20 @@ def run_contest_backtest(config: cfgmod.RunConfig, ledger_path: Path | None = No
 
 
 def _metrics_dict(config, nav_history, record_dicts) -> dict:
-    """metrics.json: strategy metrics plus both contests' rank ICs."""
-    data_pred, data_real = contest_ic_pairs(record_dicts, config.contest.n_data, "data")
-    res_pred, res_real = contest_ic_pairs(record_dicts, config.contest.n_research, "research")
-    base = compute_metrics(nav_history, data_pred, data_real)
-    res_ics, res_mean_ic, res_icir, res_flags = rank_ic_summary(res_pred, res_real)
-    return {
-        "CR": base.cumulative_return,
-        "SR": base.sharpe,
-        "MDD": base.max_drawdown,
-        "RankIC": base.mean_rank_ic,
-        "ICIR": base.icir,
-        "RankIC_research": res_mean_ic,
-        "ICIR_research": res_icir,
-        "rank_ic_series": list(base.rank_ic_series),
-        "rank_ic_series_research": list(res_ics),
-        "flags": sorted(set(base.flags) | set(res_flags)),
+    """metrics.json: strategy metrics plus both contests' rank ICs, the data
+    team's under unsuffixed keys."""
+    base = compute_metrics(nav_history)
+    out = {"CR": base.cumulative_return, "SR": base.sharpe, "MDD": base.max_drawdown}
+    flags = set(base.flags)
+    for side, horizon, suffix in (("data", config.contest.n_data, ""),
+                                  ("research", config.contest.n_research, "_research")):
+        ics, mean_ic, icir, ic_flags = rank_ic_summary(
+            *contest_ic_pairs(record_dicts, horizon, side))
+        out |= {f"RankIC{suffix}": mean_ic, f"ICIR{suffix}": icir,
+                f"rank_ic_series{suffix}": list(ics)}
+        flags.update(ic_flags)
+    return out | {
+        "flags": sorted(flags),
         "eval_start": nav_history[0][0].isoformat(),
         "eval_end": nav_history[-1][0].isoformat(),
         "n_days": len(nav_history),
@@ -174,17 +172,31 @@ def cmd_ablate(config_path: str, variant: str, output_dir: str | None = None) ->
     return 0
 
 
+def _ledger_lines(path):
+    """(line number, record) of each non-blank line of a ledger; a line that
+    is not a JSON object is an error naming the file and the line."""
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TradeContestError(f"{path}:{line_no}: not valid JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise TradeContestError(f"{path}:{line_no}: not a JSON object")
+            yield line_no, record
+
+
 def _panel_from_ledger(path: str) -> list[ScoreSeries]:
     series: dict[str, ScoreSeries] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
+    for line_no, rec in _ledger_lines(path):
+        try:
             day = dt.date.fromisoformat(rec["date"])
             for agent_id, score in rec.get("factor_scores", {}).items():
                 series.setdefault(agent_id, ScoreSeries(agent_id)).append(day, float(score))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise TradeContestError(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
     return [series[a] for a in sorted(series)]
 
 
@@ -196,6 +208,8 @@ def cmd_validate_ric(config_path: str, output_dir: str | None = None) -> int:
     if ric.source == "ledger":
         if not ric.ledger:
             raise ConfigurationError("validate_ric.ledger: path required when source is ledger")
+        if not os.path.isfile(ric.ledger):
+            raise ConfigurationError(f"validate_ric.ledger: file not found: {ric.ledger}")
         panel = _panel_from_ledger(ric.ledger)
     else:
         phi = ric.panel.phi if ric.panel.kind == "ar1" else 0.0
@@ -235,23 +249,31 @@ def cmd_report(run_dir: str) -> int:
     nav_path = run / "nav.csv"
     if not ledger_path.exists() or not nav_path.exists():
         raise TradeContestError(f"{run_dir} does not contain ledger.jsonl and nav.csv")
-    record_dicts = []
-    with open(ledger_path) as fh:
-        for line in fh:
-            if line.strip():
-                record_dicts.append(json.loads(line))
+    record_dicts = [record for _, record in _ledger_lines(ledger_path)]
     nav_history = []
     with open(nav_path) as fh:
-        next(fh)
-        for line in fh:
-            date_str, nav_str = line.strip().split(",")
-            nav_history.append((dt.date.fromisoformat(date_str), float(nav_str)))
+        next(fh, None)  # the header
+        for line_no, line in enumerate(fh, start=2):
+            try:
+                date_str, nav_str = line.strip().split(",")
+                nav_history.append((dt.date.fromisoformat(date_str), float(nav_str)))
+            except ValueError:
+                raise TradeContestError(
+                    f"{nav_path}:{line_no}: expected date,nav, got {line.strip()!r}") from None
+    if len(nav_history) < 2:
+        raise TradeContestError(f"{nav_path}: {len(nav_history)} nav row(s); need at least 2")
     # the run's own config gives the contest horizons; without one, the defaults
     config_dict = {}
     metrics_path = run / "metrics.json"
     if metrics_path.exists():
-        with open(metrics_path) as fh:
-            config_dict = json.load(fh).get("config") or {}
+        try:
+            with open(metrics_path) as fh:
+                config_dict = json.load(fh).get("config") or {}
+        except json.JSONDecodeError as exc:
+            raise TradeContestError(
+                f"{metrics_path}:{exc.lineno}: not valid JSON ({exc.msg})") from None
+        except AttributeError:
+            raise TradeContestError(f"{metrics_path}: not a JSON object") from None
     metrics = _metrics_dict(cfgmod.from_dict(config_dict), nav_history, record_dicts)
     print(json.dumps(metrics, sort_keys=True, indent=2))
     return 0

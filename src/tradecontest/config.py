@@ -311,15 +311,13 @@ def load_config(path) -> RunConfig:
     return from_dict(raw)
 
 
-def emit_config(config: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(to_dict(config), fh, sort_keys=True)
-
-
 def build_store(config: RunConfig) -> MarketStore:
     data = config.data
     if data.kind == "csv":
-        return ingest_csv(data.csv_path)
+        try:
+            return ingest_csv(data.csv_path)
+        except FileNotFoundError:
+            raise ConfigurationError(f"data.csv_path: file not found: {data.csv_path}") from None
     try:
         spec = SyntheticSpec(
             n_symbols=data.n_symbols,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import datetime as dt
 from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -45,7 +46,6 @@ from .prediction import (
     train,
 )
 from .scoring import (
-    ScoreSeries,
     factor_score,
     realized_sharpe,
     researcher_score,
@@ -187,13 +187,6 @@ class _TrainingRows:
         self.targets.extend((future.mean(), future.std()))
 
 
-def _current_features(series: ScoreSeries, extras_vec, m: int, cutoff: dt.date):
-    values = series.values_until(cutoff)
-    if len(values) < m:
-        return None
-    return features_from_window(values[-m:]) + tuple(extras_vec or ())
-
-
 def _fit_or_baseline(config: ContestConfig, rows: dict[str, _TrainingRows]) -> PredictorModel:
     """Fit on each agent's latest ``train_window_days`` rows, or fall back
     to the baseline when the predictor is the baseline or rows are few."""
@@ -205,6 +198,52 @@ def _fit_or_baseline(config: ContestConfig, rows: dict[str, _TrainingRows]) -> P
     if config.predictor.kind == "gbdt" and sum(map(len, X)) >= MIN_TRAIN_PAIRS:
         return train(config.predictor, np.vstack(X), np.vstack(targets))
     return baseline_model()
+
+
+class _Contest:
+    """One team's contest: each agent's resolved scores, the training rows a
+    gbdt predictor reads (kept only where one will), and the outputs that
+    wait for the next close, keyed by their day."""
+
+    def __init__(self, agent_ids, m: int, n: int, keep_rows: bool):
+        self.scores: dict[str, list[float]] = {a: [] for a in agent_ids}
+        self.rows = {a: _TrainingRows(m, n) for a in agent_ids} if keep_rows else {}
+        self.pending: dict[dt.date, dict] = {}
+
+    def resolve(self, agent_id: str, score: float, extra) -> None:
+        """Append the agent's newest score; finish the training row it completes."""
+        values = self.scores[agent_id]
+        values.append(score)
+        if agent_id in self.rows:
+            self.rows[agent_id].add(values, extra)
+
+    def utilities(self, config: ContestConfig, extras: dict) -> tuple[dict[str, float], str]:
+        """Predicted utility of each agent with at least m scores, from its
+        latest m scores and its extra columns; and the model's kind."""
+        model = _fit_or_baseline(config, self.rows)
+        agents = [a for a in sorted(self.scores) if len(self.scores[a]) >= config.m]
+        if not agents:
+            return {}, model.kind
+        mu, sigma = model.predict_batch(np.array([
+            features_from_window(self.scores[a][-config.m:]) + tuple(extras.get(a) or ())
+            for a in agents]))
+        return {a: clipped_utility(float(mu[i]), float(sigma[i]))
+                for i, a in enumerate(agents)}, model.kind
+
+
+def _collect(agents, call, t: dt.date, absent: list[str]) -> dict:
+    """Each agent's output for day t, by agent id; an agent that fails or
+    dates its output otherwise is absent."""
+    out = {}
+    for agent in agents:
+        try:
+            output = call(agent)
+            if output.date != t:
+                raise ProtocolError(f"{agent.agent_id}: output dated {output.date}, expected {t}")
+            out[agent.agent_id] = output
+        except AGENT_FAILURES:
+            absent.append(agent.agent_id)
+    return out
 
 
 class ContestEngine:
@@ -226,46 +265,22 @@ class ContestEngine:
         self.data_agents = sorted(data_agents, key=lambda a: a.agent_id)
         self.research_agents = sorted(research_agents, key=lambda a: a.agent_id)
 
-        # a day's outputs, kept until the next day's close scores them
-        self.factors: dict[dt.date, dict[str, TextualFactor]] = {}
-        self.signals: dict[dt.date, dict[str, TradingSignal]] = {}
-        self.data_scores: dict[str, ScoreSeries] = {
-            a.agent_id: ScoreSeries(a.agent_id) for a in self.data_agents
-        }
-        self.research_returns: dict[str, list[tuple[dt.date, float]]] = {
-            a.agent_id: [] for a in self.research_agents
-        }
-        self.research_sharpe: dict[str, ScoreSeries] = {
-            a.agent_id: ScoreSeries(a.agent_id) for a in self.research_agents
+        gbdt = config.predictor.kind == "gbdt"
+        self.data = _Contest([a.agent_id for a in self.data_agents], config.m, config.n_data,
+                             gbdt and not config.no_data_contest)
+        self.research = _Contest([a.agent_id for a in self.research_agents], config.m,
+                                 config.n_research, gbdt and not config.no_research_contest)
+        self.research_returns: dict[str, deque[float]] = {
+            a.agent_id: deque(maxlen=config.m) for a in self.research_agents
         }
         self.judged: dict[str, deque[tuple[float, float]]] = {
             a.agent_id: deque(maxlen=config.m) for a in self.research_agents
         }
         self.judger_means: dict[str, tuple[float, float]] = {}
-        # training rows are kept only where a gbdt predictor will read them
-        gbdt = config.predictor.kind == "gbdt"
-        self.data_rows = {a.agent_id: _TrainingRows(config.m, config.n_data)
-                          for a in self.data_agents if gbdt and not config.no_data_contest}
-        self.research_rows = {a.agent_id: _TrainingRows(config.m, config.n_research)
-                              for a in self.research_agents
-                              if gbdt and not config.no_research_contest}
         self.active_portfolio: FactorPortfolio | None = None
         self.active_weights: CapitalWeights | None = None
 
     # -- per-day stages -------------------------------------------------
-
-    def _collect_factors(self, view, t: dt.date, absent: list[str]) -> dict[str, TextualFactor]:
-        out: dict[str, TextualFactor] = {}
-        for agent in self.data_agents:
-            try:
-                factor = agent.produce(view, t)
-                if factor.date != t:
-                    raise ProtocolError(f"{agent.agent_id}: factor dated {factor.date}, expected {t}")
-                out[agent.agent_id] = factor
-            except AGENT_FAILURES:
-                absent.append(agent.agent_id)
-        self.factors[t] = out
-        return out
 
     def _resolve_scores(self, i: int, t: dt.date, absent: list[str]) -> tuple[dict, dict]:
         """Score day t-1 factors and researcher returns, now that t's close
@@ -275,19 +290,16 @@ class ContestEngine:
         if i == 0:
             return factor_scores, researcher_scores
         t_prev = self.store.calendar[i - 1]
-        for agent_id, factor in sorted(self.factors.pop(t_prev, {}).items()):
+        for agent_id, factor in sorted(self.data.pending.pop(t_prev, {}).items()):
             try:
                 q = factor_score(factor, self.store)
             except MissingDataError:
                 absent.append(agent_id)
                 continue
-            self.data_scores[agent_id].append(t_prev, q)
-            if agent_id in self.data_rows:
-                self.data_rows[agent_id].add(self.data_scores[agent_id].values, None)
+            self.data.resolve(agent_id, q, None)
             factor_scores[agent_id] = q
 
-        m = self.config.m
-        for agent_id, signal in sorted(self.signals.pop(t_prev, {}).items()):
+        for agent_id, signal in sorted(self.research.pending.pop(t_prev, {}).items()):
             if signal.action == "buy" and signal.symbol != CASH_SYMBOL:
                 try:
                     ret = price_change(self.store, signal.symbol, t_prev)
@@ -296,8 +308,8 @@ class ContestEngine:
                     continue
             else:
                 ret = 0.0
-            self.research_returns[agent_id].append((t_prev, ret))
-            window = [r for _, r in self.research_returns[agent_id][-m:]]
+            window = self.research_returns[agent_id]
+            window.append(ret)
             judger = None if self.config.no_judger else stub_judger(signal)
             entry: dict[str, float] = {}
             if judger is not None:
@@ -310,43 +322,18 @@ class ContestEngine:
             if len(window) >= 2:
                 sharpe = realized_sharpe(window) if judger is None \
                     else researcher_score([signal], window, judger).realized_sharpe_m
-                self.research_sharpe[agent_id].append(t_prev, sharpe)
-                if agent_id in self.research_rows:
-                    self.research_rows[agent_id].add(self.research_sharpe[agent_id].values,
-                                                     self.judger_means.get(agent_id))
+                self.research.resolve(agent_id, sharpe, self.judger_means.get(agent_id))
                 entry["sharpe"] = sharpe
             if entry:
                 researcher_scores[agent_id] = entry
         return factor_scores, researcher_scores
 
-    def _predict_utilities(self, series_map, rows, extras: dict, cutoff: dt.date):
-        model = _fit_or_baseline(self.config, rows)
-        agents: list[str] = []
-        feature_rows: list[tuple[float, ...]] = []
-        for agent_id in sorted(series_map):
-            x = _current_features(series_map[agent_id], extras.get(agent_id),
-                                  self.config.m, cutoff)
-            if x is None:
-                continue
-            agents.append(agent_id)
-            feature_rows.append(x)
-        if not agents:
-            return {}, model.kind
-        mu, sigma = model.predict_batch(np.array(feature_rows))
-        utilities = {
-            a: clipped_utility(float(mu[i]), float(sigma[i]))
-            for i, a in enumerate(agents)
-        }
-        return utilities, model.kind
-
-    def _rebalance_data(self, t: dt.date, t_prev: dt.date,
-                        factors_t: dict[str, TextualFactor]):
+    def _rebalance_data(self, t: dt.date, factors_t: dict[str, TextualFactor]):
         if self.config.no_data_contest:
             rng = stream(self.config.seed, "ablation", "data", t.isoformat())
             ids = sorted(a for a, f in factors_t.items() if f.token_length >= 1)
             order = [ids[j] for j in rng.permutation(len(ids))]
-            total = 0
-            chosen = []
+            chosen, total = [], 0
             for agent_id in order:
                 tokens = factors_t[agent_id].token_length
                 if total + tokens <= self.config.budget:
@@ -361,8 +348,7 @@ class ContestEngine:
             )
             return {}, "random"
 
-        utilities, model_kind = self._predict_utilities(
-            self.data_scores, self.data_rows, {}, t_prev)
+        utilities, model_kind = self.data.utilities(self.config, {})
         items = [
             KnapsackItem(agent_id=a, utility=u, tokens=factors_t[a].token_length,
                          factor=factors_t[a])
@@ -372,24 +358,7 @@ class ContestEngine:
         self.active_portfolio = knapsack_select(items, self.config.budget, date=t)
         return utilities, model_kind
 
-    def _collect_signals(self, view, t: dt.date, absent: list[str]) -> dict[str, TradingSignal]:
-        out: dict[str, TradingSignal] = {}
-        portfolio = self.active_portfolio if self.active_portfolio is not None \
-            else empty_portfolio(t)
-        research_view = None if self.config.no_deep_inputs else view
-        for agent in self.research_agents:
-            try:
-                signal = agent.produce(portfolio, research_view, t)
-                if signal.date != t:
-                    raise ProtocolError(f"{agent.agent_id}: signal dated {signal.date}, expected {t}")
-                out[agent.agent_id] = signal
-            except AGENT_FAILURES:
-                absent.append(agent.agent_id)
-        self.signals[t] = out
-        return out
-
-    def _rebalance_research(self, t: dt.date, t_prev: dt.date,
-                            signals_t: dict[str, TradingSignal]):
+    def _rebalance_research(self, t: dt.date, signals_t: dict[str, TradingSignal]):
         if self.config.no_research_contest:
             rng = stream(self.config.seed, "ablation", "research", t.isoformat())
             ids = sorted(signals_t)
@@ -400,8 +369,7 @@ class ContestEngine:
             self.active_weights = CapitalWeights(date=t, weights={pick: 1.0})
             return {}, "random"
 
-        utilities, model_kind = self._predict_utilities(
-            self.research_sharpe, self.research_rows, self.judger_means, t_prev)
+        utilities, model_kind = self.research.utilities(self.config, self.judger_means)
         if not utilities:
             self.active_weights = None
             return {}, model_kind
@@ -413,9 +381,9 @@ class ContestEngine:
     def run_contest_day(self, i: int, t: dt.date, eval_idx: int) -> DailyRecord:
         absent: list[str] = []
         view = view_until(self.store, t)
-        factors_t = self._collect_factors(view, t, absent)
+        factors_t = self.data.pending[t] = _collect(
+            self.data_agents, lambda agent: agent.produce(view, t), t, absent)
         factor_scores, researcher_scores = self._resolve_scores(i, t, absent)
-        t_prev = self.store.calendar[i - 1] if i > 0 else t
 
         data_utilities: dict[str, float] = {}
         research_utilities: dict[str, float] = {}
@@ -423,21 +391,26 @@ class ContestEngine:
 
         data_reb = i >= self.config.m and (i - eval_idx) % self.config.n_data == 0
         if data_reb:
-            data_utilities, kind = self._rebalance_data(t, t_prev, factors_t)
+            data_utilities, kind = self._rebalance_data(t, factors_t)
             model_kinds["data"] = kind
 
-        signals_t = self._collect_signals(view, t, absent)
+        portfolio = self.active_portfolio if self.active_portfolio is not None \
+            else empty_portfolio(t)
+        research_view = None if self.config.no_deep_inputs else view
+        signals_t = self.research.pending[t] = _collect(
+            self.research_agents, lambda agent: agent.produce(portfolio, research_view, t),
+            t, absent)
 
         research_reb = i >= self.config.m and (
             self.config.research_rebalance_daily
             or (i - eval_idx) % self.config.n_research == 0
         )
         if research_reb:
-            research_utilities, kind = self._rebalance_research(t, t_prev, signals_t)
+            research_utilities, kind = self._rebalance_research(t, signals_t)
             model_kinds["research"] = kind
 
-        target = signals_to_weights(
-            [signals_t[a] for a in sorted(signals_t)], self.active_weights)
+        signals = [signals_t[a] for a in sorted(signals_t)]
+        target = signals_to_weights(signals, self.active_weights)
 
         return DailyRecord(
             date=t,
@@ -447,7 +420,7 @@ class ContestEngine:
             research_utilities=research_utilities,
             portfolio=self.active_portfolio,
             weights=self.active_weights,
-            signals=[signals_t[a] for a in sorted(signals_t)],
+            signals=signals,
             target_weights=target,
             data_rebalance=data_reb,
             research_rebalance=research_reb,
@@ -484,18 +457,18 @@ def run_full(config: ContestConfig, store: MarketStore, data_agents,
             f"warm-up too short: need at least {required} trading days before "
             f"{eval_start}, have {eval_idx}"
         )
-    if eval_end is None:
-        eval_end = calendar[-1]
+    end = len(calendar) if eval_end is None else bisect_right(calendar, eval_end)
+    if end - eval_idx < 2:
+        # the strategy metrics need two nav points
+        raise ConfigurationError(
+            f"period: evaluation window from {eval_start} holds "
+            f"{max(end - eval_idx, 0)} trading day(s); need at least 2")
 
     records: list[DailyRecord] = []
-    for i, t in enumerate(calendar):
-        if t > eval_end:
-            break
+    for i, t in enumerate(calendar[:end]):
         record = engine.run_contest_day(i, t, eval_idx)
-        if t >= eval_start:
+        if i >= eval_idx:
             records.append(record)
-    if not records:
-        raise ConfigurationError("evaluation window contains no trading days")
     return records
 
 

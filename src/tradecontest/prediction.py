@@ -196,7 +196,7 @@ def validate_momentum(series_set: list[ScoreSeries], m: int, n: int,
     if not common:
         raise InsufficientHistoryError("score series share no dates")
     panel = np.array([
-        [v for d, v in s.entries if d in common] for s in series_set
+        [v for d, v in zip(s.dates, s.values) if d in common] for s in series_set
     ], dtype=np.float64)
     if panel.shape[1] < max(m + n, M + N):
         raise InsufficientHistoryError(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .agents import Observation, TextualFactor, TradingSignal
@@ -24,27 +23,17 @@ STD_FLOOR = 1e-4
 @dataclass
 class ScoreSeries:
     """Per-agent history of daily scores, strictly increasing in date,
-    as parallel lists: a date lookup is a bisection, a window a slice."""
+    as parallel lists."""
 
     agent_id: str
     dates: list[dt.date] = field(default_factory=list)
     values: list[float] = field(default_factory=list)
-
-    @property
-    def entries(self) -> list[tuple[dt.date, float]]:
-        return list(zip(self.dates, self.values))
 
     def append(self, t: dt.date, score: float) -> None:
         if self.dates and t <= self.dates[-1]:
             raise ValueError(f"{self.agent_id}: dates must be strictly increasing")
         self.dates.append(t)
         self.values.append(score)
-
-    def values_until(self, t: dt.date) -> list[float]:
-        return self.values[:bisect_right(self.dates, t)]
-
-    def __len__(self) -> int:
-        return len(self.dates)
 
 
 @dataclass(frozen=True)

@@ -290,7 +290,7 @@ def test_criterion_6_data_contest_finds_skill():
 
         skilled = {f"d{i:02d}" for i in range(4)}
         rebalances = [r for r in records if r.data_rebalance and r.portfolio]
-        hits = sum(bool(skilled & set(r.portfolio.agent_ids())) for r in rebalances)
+        hits = sum(bool(skilled & {a for a, _ in r.portfolio.selected}) for r in rebalances)
         assert hits / len(rebalances) >= 0.80
 
         pred, real = contest_ic_pairs([r.to_dict() for r in records],

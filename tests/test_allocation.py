@@ -31,7 +31,7 @@ class TestKnapsack:
         items = [KnapsackItem("i1", 5.0, 10), KnapsackItem("i2", 4.0, 8),
                  KnapsackItem("i3", 3.0, 5)]
         portfolio = knapsack_select(items, 13)
-        assert portfolio.agent_ids() == ["i2", "i3"]
+        assert [a for a, _ in portfolio.selected] == ["i2", "i3"]
         assert portfolio.total_utility == pytest.approx(7.0)
         assert portfolio.total_tokens == 13
 
@@ -87,12 +87,12 @@ class TestKnapsack:
         # equal utilities, same fit: the denser item wins
         items = [KnapsackItem("sparse", 4.0, 8), KnapsackItem("dense", 4.0, 4)]
         portfolio = knapsack_select(items, 8)
-        assert portfolio.agent_ids() == ["dense"]
+        assert [a for a, _ in portfolio.selected] == ["dense"]
 
     def test_tie_break_lexicographic_on_equal_density(self):
         items = [KnapsackItem("bbb", 4.0, 4), KnapsackItem("aaa", 4.0, 4)]
         portfolio = knapsack_select(items, 4)
-        assert portfolio.agent_ids() == ["aaa"]
+        assert [a for a, _ in portfolio.selected] == ["aaa"]
 
 
 class TestSharpeWeights:

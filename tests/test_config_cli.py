@@ -91,7 +91,7 @@ class TestConfigRoundTrip:
         cfg_path = write_config(tmp_path / "run.yaml")
         config = cfgmod.load_config(cfg_path)
         out_path = tmp_path / "emitted.yaml"
-        cfgmod.emit_config(config, out_path)
+        out_path.write_text(yaml.safe_dump(cfgmod.to_dict(config)))
         again = cfgmod.load_config(out_path)
         assert again == config
 
@@ -173,7 +173,7 @@ class TestFullSchemaRoundTrip:
         path.write_text(yaml.safe_dump(FULL_CONFIG))
         config = cfgmod.load_config(path)
         assert cfgmod.to_dict(config) == FULL_CONFIG
-        cfgmod.emit_config(config, tmp_path / "emitted.yaml")
+        (tmp_path / "emitted.yaml").write_text(yaml.safe_dump(cfgmod.to_dict(config)))
         assert cfgmod.load_config(tmp_path / "emitted.yaml") == config
 
 
@@ -256,6 +256,10 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
      "validate_ric.source: must be panel or ledger, got 'panle'"),
     ({"validate_ric": {"panel": {"kind": "ar2"}}},
      "validate_ric.panel.kind: must be ar1 or noise, got 'ar2'"),
+    ({"period": {"test_start": "2024-03-01", "test_end": "2024-03-01"}},
+     "period: evaluation window from 2024-03-01 holds 1 trading day(s); need at least 2"),
+    ({"data": {"kind": "csv", "csv_path": "no/such/bars.csv"}},
+     "data.csv_path: file not found: no/such/bars.csv"),
 ], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
         "planted-no-drift", "lookback-0", "lookback-negative", "bool-as-string",
         "int-with-fraction", "int-as-bool", "float-as-bool", "unknown-contest-key",
@@ -266,11 +270,13 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
         "learning_rate-nan", "learning_rate-0", "learning_rate-negative", "daily_vol-nan",
         "start_price-inf", "ric-phi-nan", "ric-phi-inf", "ric-agents-0", "ric-days-negative",
         "ric-m-0", "ric-n-0", "ric-M-0", "ric-N-negative", "ric-source-typo",
-        "ric-panel-kind-ar2"])
+        "ric-panel-kind-ar2", "one-day-window", "csv-path-missing"])
 def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
     cfg_path = write_config(tmp_path / "run.yaml", **overrides)
     assert main(["backtest", str(cfg_path)]) == 2
-    assert where in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "ledger.jsonl").exists()
 
 
 def test_lossless_numbers_still_load():
@@ -564,6 +570,13 @@ class TestCmdValidateRic:
                           "windows": {"m": 5, "n": 3, "M": 10, "N": 6}})
         assert main(["validate-ric", str(cfg2)]) == 0
 
+    def test_missing_ledger_exits_2(self, tmp_path, capsys):
+        ledger = tmp_path / "no-such-ledger.jsonl"
+        cfg_path = write_config(tmp_path / "run.yaml",
+                                validate_ric={"source": "ledger", "ledger": str(ledger)})
+        assert main(["validate-ric", str(cfg_path)]) == 2
+        assert f"validate_ric.ledger: file not found: {ledger}" in capsys.readouterr().err
+
 
 class TestGenDataAndReport:
     def test_gen_data_round_trip(self, tmp_path):
@@ -589,3 +602,43 @@ class TestGenDataAndReport:
 
     def test_report_on_empty_dir_exits_1(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1
+
+
+def truncate_last_line(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-20])
+
+
+def repeat_a_line(path: Path) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:3] + lines[2:]))
+
+
+@pytest.mark.parametrize("command, name, damage, where", [
+    ("report", "nav.csv", lambda p: p.write_text(""), "nav.csv: 0 nav row(s); need at least 2"),
+    ("report", "nav.csv", lambda p: p.write_text("date,nav\n2024-04-01,1000000.0\n"),
+     "nav.csv: 1 nav row(s); need at least 2"),
+    ("report", "nav.csv", lambda p: p.write_text("date,nav\n2024-04-01\n"),
+     "nav.csv:2: expected date,nav"),
+    ("report", "ledger.jsonl", truncate_last_line, "ledger.jsonl:59: not valid JSON"),
+    ("report", "metrics.json", lambda p: p.write_text("{\"CR\": 0.1,\n"),
+     "metrics.json:2: not valid JSON"),
+    ("validate-ric", "ledger.jsonl", repeat_a_line,
+     "ledger.jsonl:4: ValueError: d00: dates must be strictly increasing"),
+    ("validate-ric", "ledger.jsonl", truncate_last_line, "ledger.jsonl:59: not valid JSON"),
+], ids=["nav-empty", "nav-one-row", "nav-short-row", "ledger-truncated", "metrics-unparsable",
+        "ric-ledger-repeated-line", "ric-ledger-truncated"])
+def test_malformed_run_file_exits_1(tmp_path, capsys, command, name, damage, where):
+    cfg_path = write_config(tmp_path / "run.yaml")
+    assert main(["backtest", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    damage(out / name)
+    capsys.readouterr()
+    if command == "report":
+        assert main(["report", str(out)]) == 1
+    else:
+        ric_cfg = write_config(tmp_path / "ric.yaml", validate_ric={
+            "source": "ledger", "ledger": str(out / name),
+            "windows": {"m": 5, "n": 3, "M": 10, "N": 6}})
+        assert main(["validate-ric", str(ric_cfg)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(out / name) in line and where in line

@@ -25,8 +25,8 @@ from tradecontest.market import (
     generate_synthetic,
     perturb_after,
 )
-from tradecontest.prediction import PredictorSpec, features_from_window
-from tradecontest.scoring import stub_judger
+from tradecontest.prediction import PredictorModel, PredictorSpec, features_from_window
+from tradecontest.scoring import ScoreSeries
 
 
 def data_agent(agent_id, skill=0.0, seed=None, obs=2):
@@ -173,7 +173,7 @@ class TestRunFull:
         for record in records:
             assert "zz_silent" in record.absent
             if record.portfolio is not None:
-                assert "zz_silent" not in record.portfolio.agent_ids()
+                assert "zz_silent" not in {a for a, _ in record.portfolio.selected}
             if record.weights is not None:
                 assert record.weights.weights.get("zz_res", 0.0) == 0.0
             assert "zz_silent" not in record.factor_scores
@@ -238,6 +238,23 @@ class TestTemporalSafety:
             assert ledger_line(a) == ledger_line(b)
 
 
+class TestSkippedDay:
+    def test_a_skipped_day_resolves_nothing_stale(self):
+        store = small_market()
+        data, research = small_rosters()
+        engine = ContestEngine(BASELINE, store, data, research)
+        cal = store.calendar
+        for i in range(10):
+            engine.run_contest_day(i, cal[i], BASELINE.warmup_days)
+        # day 10 is skipped: day 9's outputs are never scored, against any close
+        after_gap = engine.run_contest_day(11, cal[11], BASELINE.warmup_days)
+        assert after_gap.factor_scores == {} and after_gap.researcher_scores == {}
+        assert {len(v) for v in engine.data.scores.values()} == {9}
+        resumed = engine.run_contest_day(12, cal[12], BASELINE.warmup_days)
+        assert set(resumed.factor_scores) == {a.agent_id for a in data}
+        assert {len(v) for v in engine.data.scores.values()} == {10}
+
+
 class TestIcPairs:
     def test_pairs_align_predictions_and_forward_scores(self):
         store = small_market()
@@ -264,8 +281,7 @@ def reference_rows(series_map, judger_history, m, n, cap):
 
     Every row of every agent is recomputed from scratch: features of each
     anchor's own window, forward means and stds from a sliding window, and
-    judger means from a scan of the judger history up to each anchor's date. Every resolved score is dated at or before the cutoff of
-    the rebalance that reads it, so no cutoff filter is needed.
+    judger means from a scan of the judger history up to each anchor's date.
     """
     X, Y = [], []
     for agent_id in sorted(series_map):
@@ -292,16 +308,24 @@ def reference_rows(series_map, judger_history, m, n, cap):
     return np.vstack(X), np.array(Y)
 
 
-def judger_history(engine, signals):
-    """(date, (soundness, quality)) of every judged signal, per research agent.
-    ``signals`` maps each past day to its signals by agent, as the day
-    records gave them."""
-    out = {}
-    for agent_id, returns in engine.research_returns.items():
-        judged = [stub_judger(signals[d][agent_id]) for d, _ in returns]
-        out[agent_id] = [(d, (j.logical_soundness, j.evidence_quality))
-                         for (d, _), j in zip(returns, judged)]
-    return out
+def score_histories(calendar, records, side):
+    """Each agent's dated scores of one side, and each research agent's
+    (date, (soundness, quality)) per judged signal, as the day records give
+    them: record k holds the scores of calendar day k-1."""
+    series, judged = {}, {}
+    for k, record in enumerate(records[1:], start=1):
+        day = calendar[k - 1]
+        if side == "data":
+            for agent_id, q in record.factor_scores.items():
+                series.setdefault(agent_id, ScoreSeries(agent_id)).append(day, q)
+            continue
+        for agent_id, entry in record.researcher_scores.items():
+            if "sharpe" in entry:
+                series.setdefault(agent_id, ScoreSeries(agent_id)).append(day, entry["sharpe"])
+            if "soundness" in entry:
+                judged.setdefault(agent_id, []).append(
+                    (day, (entry["soundness"], entry["quality"])))
+    return series, judged
 
 
 class Flaky:
@@ -318,11 +342,12 @@ class Flaky:
 
 
 def run_checking_rows(monkeypatch, config, store, data, research):
-    """Run every calendar day; at each rebalance assert that the rows the
-    engine hands to ``train`` equal the reference rebuild. Returns the side
-    ("data" or "research") of each checked fit."""
+    """Run every calendar day, then assert that the rows the engine handed
+    to ``train`` at each rebalance equal the reference rebuild from the day
+    records up to that day. Returns the side ("data" or "research") of each
+    checked fit."""
     engine = ContestEngine(config, store, data, research)
-    passed, checked, signals = [], [], {}
+    passed, fits = [], []
     real_train, real_fit = eng.train, eng._fit_or_baseline
 
     def train(spec, X, targets):
@@ -332,29 +357,30 @@ def run_checking_rows(monkeypatch, config, store, data, research):
     def fit(cfg, rows):
         passed.clear()
         model = real_fit(cfg, rows)
-        if rows is engine.data_rows:
-            side = "data"
-            X, Y = reference_rows(engine.data_scores, None, cfg.m, cfg.n_data,
-                                  cfg.train_window_days)
-        else:
-            side = "research"
-            judged = None if cfg.no_judger else judger_history(engine, signals)
-            X, Y = reference_rows(engine.research_sharpe, judged, cfg.m, cfg.n_research,
-                                  cfg.train_window_days)
-        if len(X) < 30:
-            assert passed == []
-            return model
-        [(X_engine, targets)] = passed
-        assert np.array_equal(X_engine, X)
-        assert np.array_equal(np.array(targets), Y)
-        checked.append(side)
+        side = "data" if rows is engine.data.rows else "research"
+        fits.append((len(records), side, list(passed)))
         return model
 
     monkeypatch.setattr(eng, "train", train)
     monkeypatch.setattr(eng, "_fit_or_baseline", fit)
+    records = []
     for i, t in enumerate(store.calendar):
-        record = engine.run_contest_day(i, t, config.warmup_days)
-        signals[t] = {s.agent_id: s for s in record.signals}
+        records.append(engine.run_contest_day(i, t, config.warmup_days))
+
+    checked = []
+    for k, side, passed_k in fits:
+        # a fit on day k reads the scores resolved that day, which record k holds
+        series, judged = score_histories(store.calendar, records[:k + 1], side)
+        n = config.n_data if side == "data" else config.n_research
+        judged = None if side == "data" or config.no_judger else judged
+        X, Y = reference_rows(series, judged, config.m, n, config.train_window_days)
+        if len(X) < 30:
+            assert passed_k == []
+            continue
+        [(X_engine, targets)] = passed_k
+        assert np.array_equal(X_engine, X)
+        assert np.array_equal(np.array(targets), Y)
+        checked.append(side)
     return checked
 
 
@@ -380,7 +406,7 @@ class TestTrainingRows:
         engine = ContestEngine(BASELINE, store, data, research)
         for i, t in enumerate(store.calendar):
             engine.run_contest_day(i, t, BASELINE.warmup_days)
-        assert engine.data_rows == {} and engine.research_rows == {}
+        assert engine.data.rows == {} and engine.research.rows == {}
 
 
 class TestOneFeatureFunction:
@@ -389,16 +415,26 @@ class TestOneFeatureFunction:
 
     @pytest.mark.parametrize("m", [2, 5, 8, 13])
     def test_anchor_features_equal_alone_and_inside_a_run(self, monkeypatch, m):
-        served = {}
-        real_current = eng._current_features
+        served, batches = {}, []
+        real_utilities, real_predict = eng._Contest.utilities, PredictorModel.predict_batch
 
-        def current(series, extras_vec, m_, cutoff):
-            x = real_current(series, extras_vec, m_, cutoff)
-            if x is not None:
-                served[series.agent_id, len(series.values_until(cutoff)) - 1] = x[:4]
-            return x
+        def predict_batch(model, X):
+            batches.append(X)
+            return real_predict(model, X)
 
-        monkeypatch.setattr(eng, "_current_features", current)
+        def utilities(contest, config, extras):
+            # the served rows are those of the agents with m scores, in id
+            # order, each anchored on its newest score
+            anchors = [(a, len(v) - 1) for a, v in sorted(contest.scores.items())
+                       if len(v) >= config.m]
+            batches.clear()
+            out = real_utilities(contest, config, extras)
+            for key, row in zip(anchors, batches[0] if anchors else ()):
+                served[key] = tuple(row[:4])
+            return out
+
+        monkeypatch.setattr(PredictorModel, "predict_batch", predict_batch)
+        monkeypatch.setattr(eng._Contest, "utilities", utilities)
         store = small_market(n_days=80)
         data, research = small_rosters()
         cfg = ContestConfig(m=m, predictor=PredictorSpec(kind="gbdt", n_trees=2), seed=9)
@@ -407,11 +443,10 @@ class TestOneFeatureFunction:
             engine.run_contest_day(i, t, cfg.warmup_days)
 
         trained_and_served = 0
-        for series_map, rows in ((engine.data_scores, engine.data_rows),
-                                 (engine.research_sharpe, engine.research_rows)):
-            for agent_id, r in rows.items():
+        for contest in (engine.data, engine.research):
+            for agent_id, r in contest.rows.items():
                 X = np.array(r.features).reshape(len(r.targets) // 2, -1)
-                values = series_map[agent_id].values
+                values = contest.scores[agent_id]
                 for row, i in zip(X, range(m - 1, len(values))):
                     alone = features_from_window(values[i - m + 1: i + 1])
                     assert tuple(row[:4]) == alone

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import datetime as dt
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tradecontest.engine import _current_features
+from tradecontest.engine import ContestConfig, _Contest
 from tradecontest.errors import (
     InsufficientCrossSectionError,
     InsufficientHistoryError,
@@ -17,7 +16,6 @@ from tradecontest.errors import (
     UndefinedCorrelationError,
 )
 from tradecontest.gbdt import GradientBoostedRegressor
-from tradecontest.market import business_days
 from tradecontest.prediction import (
     PredictorModel,
     PredictorSpec,
@@ -29,14 +27,6 @@ from tradecontest.prediction import (
     train,
     validate_momentum,
 )
-from tradecontest.scoring import ScoreSeries
-
-
-def series_from(values, start=dt.date(2025, 1, 2)):
-    s = ScoreSeries("a")
-    for d, v in zip(business_days(start, len(values)), values):
-        s.append(d, float(v))
-    return s
 
 
 def window(values):
@@ -62,12 +52,29 @@ class TestExtractFeatures:
         assert slope == pytest.approx(1.0)
 
     def test_insufficient_history(self):
-        s = series_from([1, 2, 3])
-        assert _current_features(s, None, 5, s.dates[-1]) is None
+        contest = contest_with({"short": [1, 2, 3], "long": [1, 2, 3, 4, 5]})
+        utilities, kind = contest.utilities(ContestConfig(m=5, predictor=PredictorSpec()), {})
+        assert kind == "baseline" and set(utilities) == {"long"}
 
-    def test_window_ends_at_t(self):
-        s = series_from([1, 2, 3, 4, 100])
-        assert _current_features(s, None, 3, s.dates[3])[2] == 4.0
+    def test_window_ends_at_t(self, monkeypatch):
+        # serving reads the latest m scores, and the extra columns after them
+        served = []
+        monkeypatch.setattr(PredictorModel, "predict_batch",
+                            lambda model, X: served.append(X) or (X[:, 0], X[:, 1]))
+        contest = contest_with({"a": [1, 2, 3, 4, 100], "b": [5, 6, 7]})
+        contest.utilities(ContestConfig(m=3, predictor=PredictorSpec()),
+                          {"a": (0.5, 1.0), "b": (0.25, 0.75)})
+        [X] = served
+        assert X.tolist() == [[*features_from_window([3.0, 4.0, 100.0]), 0.5, 1.0],
+                              [*features_from_window([5.0, 6.0, 7.0]), 0.25, 0.75]]
+
+
+def contest_with(scores: dict[str, list[float]]) -> _Contest:
+    contest = _Contest(sorted(scores), m=3, n=2, keep_rows=False)
+    for agent_id, values in scores.items():
+        for v in values:
+            contest.resolve(agent_id, float(v), None)
+    return contest
 
 
 def toy_history(n=60, seed=3):

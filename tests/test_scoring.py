@@ -188,7 +188,7 @@ class TestScoreSeries:
         days = [D(2025, 1, 2), D(2025, 1, 3), D(2025, 1, 6), D(2025, 1, 7)]
         for i, d in enumerate(days):
             s.append(d, float(i))
-        assert s.values_until(days[2]) == [0.0, 1.0, 2.0]
+        assert list(zip(s.dates, s.values)) == [(d, float(i)) for i, d in enumerate(days)]
 
     def test_judger_bounds(self):
         with pytest.raises(ValueError):
