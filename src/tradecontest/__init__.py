@@ -47,7 +47,6 @@ from .prediction import (
 from .scoring import (
     HybridScore,
     JudgerScore,
-    ScoreSeries,
     factor_score,
     researcher_score,
     stub_judger,

@@ -15,13 +15,14 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as cfgmod
 from .backtest import apply_day, compute_metrics, new_state, rank_ic_summary
 from .engine import IC_FIELDS, contest_ic_pairs, run_full
 from .errors import ConfigurationError, TradeContestError
 from .market import write_csv
 from .prediction import ar1_score_panel, validate_momentum
-from .scoring import ScoreSeries
 from .seeding import child_seed
 
 ABLATION_VARIANTS = {
@@ -35,15 +36,15 @@ ABLATION_VARIANTS = {
 
 
 def _resolve_output_dir(config, cli_override: str | None) -> Path:
+    """The output directory's path; it is created only before a file is
+    written to it, so a rejected run leaves none behind."""
     out = config.output_dir
     env = os.environ.get("TRADECONTEST_OUTPUT_DIR")
     if env:
         out = env
     if cli_override:
         out = cli_override
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
 
 
 def run_contest_backtest(config: cfgmod.RunConfig, ledger_path: Path | None = None,
@@ -72,6 +73,8 @@ def run_contest_backtest(config: cfgmod.RunConfig, ledger_path: Path | None = No
         state.prev_closes.update(store.closes(t))
     ic_records = []
     prev_portfolio_date = None
+    if ledger_path:
+        ledger_path.parent.mkdir(parents=True, exist_ok=True)
     with open(ledger_path, "w") if ledger_path else contextlib.nullcontext() as ledger:
         for record in records:
             apply_day(state, record.target_weights, store.closes(record.date), record.date,
@@ -163,6 +166,7 @@ def cmd_ablate(config_path: str, variant: str, output_dir: str | None = None) ->
         "delta_CR": variant_metrics["CR"] - full_metrics["CR"],
         "delta_SR": variant_metrics["SR"] - full_metrics["SR"],
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"ablation_{variant}.json", "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -188,16 +192,22 @@ def _ledger_lines(path):
             yield line_no, record
 
 
-def _panel_from_ledger(path: str) -> list[ScoreSeries]:
-    series: dict[str, ScoreSeries] = {}
+def _panel_from_ledger(path: str) -> np.ndarray:
+    """A ledger's factor scores as an (agents, days) array: agents sorted,
+    on the days on which every agent has a score."""
+    scores: dict[str, dict[dt.date, float]] = {}
     for line_no, rec in _ledger_lines(path):
         try:
             day = dt.date.fromisoformat(rec["date"])
             for agent_id, score in rec.get("factor_scores", {}).items():
-                series.setdefault(agent_id, ScoreSeries(agent_id)).append(day, float(score))
+                series, value = scores.setdefault(agent_id, {}), float(score)
+                if series and day <= next(reversed(series)):
+                    raise ValueError(f"{agent_id}: dates must be strictly increasing")
+                series[day] = value
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise TradeContestError(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
-    return [series[a] for a in sorted(series)]
+    common = sorted(set.intersection(*map(set, scores.values()))) if scores else []
+    return np.array([[scores[a][d] for d in common] for a in sorted(scores)], dtype=np.float64)
 
 
 def cmd_validate_ric(config_path: str, output_dir: str | None = None) -> int:
@@ -224,6 +234,7 @@ def cmd_validate_ric(config_path: str, output_dir: str | None = None) -> int:
         "skipped_undefined": report.skipped_undefined,
         "seed": config.seed,
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "ric_report.json", "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -202,8 +202,8 @@ def _fit_or_baseline(config: ContestConfig, rows: dict[str, _TrainingRows]) -> P
 
 class _Contest:
     """One team's contest: each agent's resolved scores, the training rows a
-    gbdt predictor reads (kept only where one will), and the outputs that
-    wait for the next close, keyed by their day."""
+    gbdt predictor reads (kept only where one will), and the outputs of the
+    latest day run, which wait for the next close, keyed by their day."""
 
     def __init__(self, agent_ids, m: int, n: int, keep_rows: bool):
         self.scores: dict[str, list[float]] = {a: [] for a in agent_ids}
@@ -290,7 +290,7 @@ class ContestEngine:
         if i == 0:
             return factor_scores, researcher_scores
         t_prev = self.store.calendar[i - 1]
-        for agent_id, factor in sorted(self.data.pending.pop(t_prev, {}).items()):
+        for agent_id, factor in sorted(self.data.pending.get(t_prev, {}).items()):
             try:
                 q = factor_score(factor, self.store)
             except MissingDataError:
@@ -299,7 +299,7 @@ class ContestEngine:
             self.data.resolve(agent_id, q, None)
             factor_scores[agent_id] = q
 
-        for agent_id, signal in sorted(self.research.pending.pop(t_prev, {}).items()):
+        for agent_id, signal in sorted(self.research.pending.get(t_prev, {}).items()):
             if signal.action == "buy" and signal.symbol != CASH_SYMBOL:
                 try:
                     ret = price_change(self.store, signal.symbol, t_prev)
@@ -381,9 +381,9 @@ class ContestEngine:
     def run_contest_day(self, i: int, t: dt.date, eval_idx: int) -> DailyRecord:
         absent: list[str] = []
         view = view_until(self.store, t)
-        factors_t = self.data.pending[t] = _collect(
-            self.data_agents, lambda agent: agent.produce(view, t), t, absent)
+        factors_t = _collect(self.data_agents, lambda agent: agent.produce(view, t), t, absent)
         factor_scores, researcher_scores = self._resolve_scores(i, t, absent)
+        self.data.pending = {t: factors_t}  # older outputs are dropped unresolved
 
         data_utilities: dict[str, float] = {}
         research_utilities: dict[str, float] = {}
@@ -397,9 +397,10 @@ class ContestEngine:
         portfolio = self.active_portfolio if self.active_portfolio is not None \
             else empty_portfolio(t)
         research_view = None if self.config.no_deep_inputs else view
-        signals_t = self.research.pending[t] = _collect(
+        signals_t = _collect(
             self.research_agents, lambda agent: agent.produce(portfolio, research_view, t),
             t, absent)
+        self.research.pending = {t: signals_t}
 
         research_reb = i >= self.config.m and (
             self.config.research_rebalance_daily

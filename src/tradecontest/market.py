@@ -9,6 +9,7 @@ reading the future.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import json
@@ -310,76 +311,69 @@ def price_change(store: MarketStore, symbol: str, t: dt.date) -> float:
     return c1 / c0 - 1.0
 
 
-def _parse_row(line_no: int, row: list[str]) -> Bar:
-    if len(row) != 7:
-        raise CsvFormatError(f"line {line_no}: expected 7 fields, got {len(row)}")
-    try:
-        return Bar(
-            date=dt.date.fromisoformat(row[0].strip()),
-            symbol=row[1].strip(),
-            open=float(row[2]),
-            high=float(row[3]),
-            low=float(row[4]),
-            close=float(row[5]),
-            volume=float(row[6]),
-        )
-    except (ValueError, TypeError) as exc:
-        raise CsvFormatError(f"line {line_no}: {exc}") from exc
-
-
-def _data_rows(fh):
-    """A csv reader over an open bar file, past its checked header."""
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvFormatError("empty file") from None
-    if [h.strip().lower() for h in header] != CSV_HEADER:
-        raise CsvFormatError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
-    return reader
-
-
 def ingest_csv(path) -> MarketStore:
     """Load a long-format bar file with header date,symbol,open,high,low,close,volume.
 
-    Rows stream into columns: each distinct date and symbol text is parsed
-    once, and the ``Bar`` checks run once per column. On any fault the file
-    is read again through ``_parse_row``, which raises at the first bad line
-    in file order with the message a ``Bar`` gives."""
-    try:
-        return _ingest_columns(path)
-    except (ValueError, TypeError, csv.Error):
-        with open(path, newline="") as fh:
-            return MarketStore([_parse_row(line_no, row)
-                                for line_no, row in enumerate(_data_rows(fh), start=2) if row])
-
-
-def _ingest_columns(path) -> MarketStore:
+    One pass streams the rows into columns; a date text is parsed on the
+    first line that carries it, and the ``Bar`` checks run on whole columns.
+    The first fault in file order raises ``CsvFormatError`` naming its line
+    (the header is line 1, each row the csv reader yields one more line);
+    the ``Bar`` of a row that fails the checks words its message."""
     day_texts: dict[str, int] = {}
     sym_texts: dict[str, int] = {}
+    days: list[dt.date] = []
+    blanks: list[int] = []  # for each blank row, the number of rows before it
     day_codes, sym_codes, values = array("q"), array("q"), array("d")
+    fault = None
     with open(path, newline="") as fh:
-        for row in _data_rows(fh):
-            if row:
-                date, symbol, o, h, lo, c, v = row  # ValueError unless 7 fields
-                day_codes.append(day_texts.setdefault(date, len(day_texts)))
-                sym_codes.append(sym_texts.setdefault(symbol, len(sym_texts)))
-                values.extend((float(o), float(h), float(lo), float(c), float(v)))
-    days = [dt.date.fromisoformat(text.strip()) for text in day_texts]
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError("empty file") from None
+        except csv.Error as exc:
+            raise CsvFormatError(f"line 1: {exc}") from None
+        if [h.strip().lower() for h in header] != CSV_HEADER:
+            raise CsvFormatError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+        try:
+            for row in reader:
+                try:
+                    date, symbol, o, h, lo, c, v = row
+                    code = day_texts.get(date)
+                    if code is None:
+                        code = day_texts[date] = len(days)
+                        days.append(dt.date.fromisoformat(date.strip()))
+                    day_codes.append(code)
+                    sym_codes.append(sym_texts.setdefault(symbol, len(sym_texts)))
+                    values.extend((float(o), float(h), float(lo), float(c), float(v)))
+                except ValueError as exc:
+                    if row:
+                        fault = str(exc) if len(row) == 7 else f"expected 7 fields, got {len(row)}"
+                        break
+                    blanks.append(len(values) // 5)
+        except csv.Error as exc:
+            fault = str(exc)
     rows = np.frombuffer(values).reshape(-1, 5)
-    if not _pass_bar_checks(rows):
-        raise ValueError("a row fails the Bar checks")
-    return MarketStore._from_rows(days, [text.strip() for text in sym_texts],
-                                  np.frombuffer(day_codes, np.int64),
+    syms = [text.strip() for text in sym_texts]
+    if (bad := _first_bad_row(rows)) is not None:
+        try:
+            Bar(days[day_codes[bad]], syms[sym_codes[bad]], *rows[bad].tolist())
+        except ValueError as exc:
+            fault = str(exc)
+    if fault is not None:
+        at = len(rows) if bad is None else bad
+        raise CsvFormatError(f"line {2 + at + bisect.bisect_right(blanks, at)}: {fault}")
+    return MarketStore._from_rows(days, syms, np.frombuffer(day_codes, np.int64),
                                   np.frombuffer(sym_codes, np.int64), rows)
 
 
-def _pass_bar_checks(rows: np.ndarray) -> bool:
-    """Whether every row (open, high, low, close, volume) passes the checks
-    of ``Bar.__post_init__``, run on whole columns."""
+def _first_bad_row(rows: np.ndarray) -> int | None:
+    """The index of the first row (open, high, low, close, volume) that fails
+    the checks of ``Bar.__post_init__``, run on whole columns, or None."""
     o, h, lo, c, v = rows.T
-    return bool((np.isfinite(rows).all(axis=1) & (rows[:, :4] > 0).all(axis=1)
-                 & (lo <= o) & (o <= h) & (lo <= c) & (c <= h) & (v >= 0)).all())
+    ok = (np.isfinite(rows).all(axis=1) & (rows[:, :4] > 0).all(axis=1)
+          & (lo <= o) & (o <= h) & (lo <= c) & (c <= h) & (v >= 0))
+    return None if ok.all() else int(np.argmin(ok))
 
 
 def write_csv(store: MarketStore, path) -> None:
@@ -439,9 +433,8 @@ def generate_synthetic(spec: SyntheticSpec) -> MarketStore:
     rows = np.stack([opens, np.maximum(opens, closes) * (1.0 + intraday[:, 0]),
                      np.minimum(opens, closes) * (1.0 - intraday[:, 1]), closes,
                      volume.astype(float)], axis=-1).reshape(-1, 5)  # day-major
-    if not _pass_bar_checks(rows):
-        for (d, j), values in zip(np.ndindex(spec.n_days, spec.n_symbols), rows.tolist()):
-            Bar(days[d], symbols[j], *values)  # raises at the first bad bar
+    if (bad := _first_bad_row(rows)) is not None:  # its Bar raises
+        Bar(days[bad // spec.n_symbols], symbols[bad % spec.n_symbols], *rows[bad].tolist())
     cells = np.indices((spec.n_days, spec.n_symbols)).reshape(2, -1)
     return MarketStore._from_rows(days, symbols, cells[0], cells[1], rows)
 
@@ -453,15 +446,9 @@ def perturb_after(store: MarketStore, cutoff: dt.date, seed: int) -> MarketStore
     may change when the future does.
     """
     rng = np.random.default_rng(seed)
-    bars = []
-    for bar in store.iter_bars():
-        if bar.date > cutoff:
-            f = math.exp(rng.normal(0.0, 0.05))
-            bars.append(
-                Bar(date=bar.date, symbol=bar.symbol, open=bar.open * f,
-                    high=bar.high * f, low=bar.low * f, close=bar.close * f,
-                    volume=bar.volume)
-            )
-        else:
-            bars.append(bar)
-    return MarketStore(bars)
+    s, j = np.nonzero(store._has)  # every bar, in iter_bars order
+    rows = store._fields[:, s, j].T
+    later = j >= bisect.bisect_right(store.calendar, cutoff)
+    draws = rng.normal(0.0, 0.05, np.count_nonzero(later)).tolist()
+    rows[later, :4] *= np.array([math.exp(x) for x in draws])[:, None]
+    return MarketStore._from_rows(list(store.calendar), list(store.symbols), j, s, rows)

@@ -9,7 +9,6 @@ momentum validation used to justify the whole approach.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .gbdt import GradientBoostedRegressor
-from .market import business_days
-from .scoring import ScoreSeries
 from .seeding import stream
 
 SIGMA_FLOOR = 1e-4
@@ -180,24 +177,20 @@ def _window_ric(scores: np.ndarray, m: int, n: int) -> tuple[list[float], int]:
     return ics, skipped
 
 
-def validate_momentum(series_set: list[ScoreSeries], m: int, n: int,
-                      M: int, N: int) -> MomentumReport:
+def validate_momentum(panel: np.ndarray, m: int, n: int, M: int, N: int) -> MomentumReport:
     """Compare short-window and long-window score predictability.
 
-    Builds the (agents, days) score panel on the common dates, computes
-    mean cross-sectional rank IC between trailing and forward window
-    means for (m, n) and for (M, N), and reports both plus the gap.
+    ``panel`` holds one row of daily scores per agent, on the days every
+    agent has a score. Computes the mean cross-sectional rank IC between
+    trailing and forward window means for (m, n) and for (M, N), and
+    reports both plus the gap.
     """
-    if len(series_set) < 2:
+    if len(panel) < 2:
         raise InsufficientCrossSectionError(
-            f"need >= 2 score series for cross-sectional ranks, got {len(series_set)}"
+            f"need >= 2 score series for cross-sectional ranks, got {len(panel)}"
         )
-    common = set.intersection(*(set(s.dates) for s in series_set))
-    if not common:
+    if not panel.shape[1]:
         raise InsufficientHistoryError("score series share no dates")
-    panel = np.array([
-        [v for d, v in zip(s.dates, s.values) if d in common] for s in series_set
-    ], dtype=np.float64)
     if panel.shape[1] < max(m + n, M + N):
         raise InsufficientHistoryError(
             f"need {max(m + n, M + N)} common days, have {panel.shape[1]}"
@@ -217,19 +210,13 @@ def validate_momentum(series_set: list[ScoreSeries], m: int, n: int,
     )
 
 
-def ar1_score_panel(n_agents: int, n_days: int, phi: float, seed: int,
-                    noise_scale: float = 1.0,
-                    start: dt.date = dt.date(2024, 1, 2)) -> list[ScoreSeries]:
-    """Independent AR(1) score series per agent, for momentum validation."""
-    days = business_days(start, n_days)
-    out = []
+def ar1_score_panel(n_agents: int, n_days: int, phi: float, seed: int) -> np.ndarray:
+    """Independent AR(1) score series, one row per agent, for momentum validation."""
+    panel = np.empty((n_agents, n_days))
     for a in range(n_agents):
-        rng = stream(seed, "panel", a)
-        eps = rng.standard_normal(n_days) * noise_scale
-        series = ScoreSeries(agent_id=f"agent{a:03d}")
+        eps = stream(seed, "panel", a).standard_normal(n_days)
         q = 0.0
-        for i, d in enumerate(days):
+        for i in range(n_days):
             q = phi * q + eps[i]
-            series.append(d, float(q))
-        out.append(series)
-    return out
+            panel[a, i] = q
+    return panel

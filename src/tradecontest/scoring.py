@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .agents import Observation, TextualFactor, TradingSignal
 from .errors import InsufficientHistoryError
@@ -18,22 +18,6 @@ from .market import MarketStore, price_change
 
 ANNUALIZATION = math.sqrt(252.0)
 STD_FLOOR = 1e-4
-
-
-@dataclass
-class ScoreSeries:
-    """Per-agent history of daily scores, strictly increasing in date,
-    as parallel lists."""
-
-    agent_id: str
-    dates: list[dt.date] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-
-    def append(self, t: dt.date, score: float) -> None:
-        if self.dates and t <= self.dates[-1]:
-            raise ValueError(f"{self.agent_id}: dates must be strictly increasing")
-        self.dates.append(t)
-        self.values.append(score)
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,7 @@ def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
     assert main(["backtest", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
-    assert not (tmp_path / "out" / "ledger.jsonl").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_lossless_numbers_still_load():
@@ -316,6 +316,17 @@ class TestCmdBacktest:
                     "test_start": "2024-02-15"},
         )
         assert main(["backtest", str(cfg_path)]) == 2
+
+    def test_oversized_csv_field_exits_1(self, tmp_path, capsys):
+        bars = tmp_path / "bars.csv"
+        bars.write_text("date,symbol,open,high,low,close,volume\n"
+                        "2024-01-02,AAA,10,10.5,9.5,10.2,100\n"
+                        f"2024-01-02,{'B' * 200_000},10,10.5,9.5,10.2,100\n")
+        cfg_path = write_config(tmp_path / "run.yaml", data={"kind": "csv", "csv_path": str(bars)})
+        assert main(["backtest", str(cfg_path)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: line 3: field larger than field limit (131072)"
+        assert not (tmp_path / "out").exists()
 
     def test_output_dir_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.yaml")
@@ -540,6 +551,12 @@ class TestCmdAblate:
         )
         assert main(["backtest", str(cfg_path)]) == 2
 
+    def test_rejected_run_leaves_no_output_dir(self, tmp_path):
+        cfg_path = write_config(tmp_path / "run.yaml",
+                                period={"test_start": "2024-03-01", "test_end": "2024-03-01"})
+        assert main(["ablate", str(cfg_path), "--variant", "no_judger"]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestCmdValidateRic:
     def test_ar1_panel(self, tmp_path):
@@ -576,6 +593,12 @@ class TestCmdValidateRic:
                                 validate_ric={"source": "ledger", "ledger": str(ledger)})
         assert main(["validate-ric", str(cfg_path)]) == 2
         assert f"validate_ric.ledger: file not found: {ledger}" in capsys.readouterr().err
+
+    def test_rejected_run_leaves_no_output_dir(self, tmp_path):
+        cfg_path = write_config(tmp_path / "run.yaml",
+                                validate_ric={"source": "ledger", "ledger": ""})
+        assert main(["validate-ric", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenDataAndReport:

@@ -26,7 +26,6 @@ from tradecontest.market import (
     perturb_after,
 )
 from tradecontest.prediction import PredictorModel, PredictorSpec, features_from_window
-from tradecontest.scoring import ScoreSeries
 
 
 def data_agent(agent_id, skill=0.0, seed=None, obs=2):
@@ -244,15 +243,25 @@ class TestSkippedDay:
         data, research = small_rosters()
         engine = ContestEngine(BASELINE, store, data, research)
         cal = store.calendar
+
+        def run(i):
+            record = engine.run_contest_day(i, cal[i], BASELINE.warmup_days)
+            # only day i's outputs wait for a close; day 9's are dropped at the gap
+            assert list(engine.data.pending) == [cal[i]] == list(engine.research.pending)
+            return record
+
         for i in range(10):
-            engine.run_contest_day(i, cal[i], BASELINE.warmup_days)
+            run(i)
         # day 10 is skipped: day 9's outputs are never scored, against any close
-        after_gap = engine.run_contest_day(11, cal[11], BASELINE.warmup_days)
+        after_gap = run(11)
         assert after_gap.factor_scores == {} and after_gap.researcher_scores == {}
         assert {len(v) for v in engine.data.scores.values()} == {9}
-        resumed = engine.run_contest_day(12, cal[12], BASELINE.warmup_days)
+        resumed = run(12)
         assert set(resumed.factor_scores) == {a.agent_id for a in data}
         assert {len(v) for v in engine.data.scores.values()} == {10}
+        for i in range(13, 20):
+            run(i)
+        assert {len(v) for v in engine.data.scores.values()} == {17}
 
 
 class TestIcPairs:
@@ -285,8 +294,8 @@ def reference_rows(series_map, judger_history, m, n, cap):
     """
     X, Y = [], []
     for agent_id in sorted(series_map):
-        series = series_map[agent_id]
-        values = np.array(series.values, dtype=np.float64)
+        dates, scores = series_map[agent_id]
+        values = np.array(scores, dtype=np.float64)
         L = len(values)
         if L < m + n:
             continue
@@ -296,9 +305,9 @@ def reference_rows(series_map, judger_history, m, n, cap):
         if cap is not None:
             anchors = anchors[-cap:]
         for i in anchors:
-            x = np.array(features_from_window(series.values[i - m + 1: i + 1]))
+            x = np.array(features_from_window(scores[i - m + 1: i + 1]))
             if judger_history is not None:
-                hist = [v for d, v in judger_history[agent_id] if d <= series.dates[i]][-m:]
+                hist = [v for d, v in judger_history[agent_id] if d <= dates[i]][-m:]
                 extra = (sum(v[0] for v in hist) / len(hist), sum(v[1] for v in hist) / len(hist))
                 x = np.concatenate([x, np.asarray(extra, dtype=np.float64)])
             X.append(x)
@@ -309,19 +318,23 @@ def reference_rows(series_map, judger_history, m, n, cap):
 
 
 def score_histories(calendar, records, side):
-    """Each agent's dated scores of one side, and each research agent's
-    (date, (soundness, quality)) per judged signal, as the day records give
-    them: record k holds the scores of calendar day k-1."""
+    """Each agent's (dates, scores) lists of one side, and each research
+    agent's (date, (soundness, quality)) per judged signal, as the day
+    records give them: record k holds the scores of calendar day k-1."""
     series, judged = {}, {}
     for k, record in enumerate(records[1:], start=1):
         day = calendar[k - 1]
         if side == "data":
             for agent_id, q in record.factor_scores.items():
-                series.setdefault(agent_id, ScoreSeries(agent_id)).append(day, q)
+                dates, scores = series.setdefault(agent_id, ([], []))
+                dates.append(day)
+                scores.append(q)
             continue
         for agent_id, entry in record.researcher_scores.items():
             if "sharpe" in entry:
-                series.setdefault(agent_id, ScoreSeries(agent_id)).append(day, entry["sharpe"])
+                dates, scores = series.setdefault(agent_id, ([], []))
+                dates.append(day)
+                scores.append(entry["sharpe"])
             if "soundness" in entry:
                 judged.setdefault(agent_id, []).append(
                     (day, (entry["soundness"], entry["quality"])))

@@ -477,6 +477,20 @@ class TestInfiniteValues:
 # --- the columnar ingest against the per-row reference -------------------------
 
 
+def _parse_row(line_no: int, row: list[str]) -> Bar:
+    """One row of a bar file as the per-row reader parsed it: the field
+    count, then the date, the symbol and the floats in file order, then the
+    ``Bar`` checks; any fault names the line."""
+    if len(row) != 7:
+        raise CsvFormatError(f"line {line_no}: expected 7 fields, got {len(row)}")
+    try:
+        return Bar(date=D.fromisoformat(row[0].strip()), symbol=row[1].strip(),
+                   open=float(row[2]), high=float(row[3]), low=float(row[4]),
+                   close=float(row[5]), volume=float(row[6]))
+    except (ValueError, TypeError) as exc:
+        raise CsvFormatError(f"line {line_no}: {exc}") from exc
+
+
 def reference_ingest(path) -> dict[str, dict[dt.date, Bar]]:
     """The per-row ingest the columnar store replaced: every row through
     ``_parse_row`` into a ``Bar``, then a dict of dicts that refuses a
@@ -488,7 +502,7 @@ def reference_ingest(path) -> dict[str, dict[dt.date, Bar]]:
         assert [h.strip().lower() for h in header] == market_mod.CSV_HEADER
         for line_no, row in enumerate(reader, start=2):
             if row:
-                bars.append(market_mod._parse_row(line_no, row))
+                bars.append(_parse_row(line_no, row))
     by_symbol: dict[str, dict[dt.date, Bar]] = {}
     for bar in bars:
         sym_bars = by_symbol.setdefault(bar.symbol, {})
@@ -598,6 +612,78 @@ class TestIngestParity:
         path = tmp_path / "bars.csv"
         write_csv(tiny_store, path)
         assert_same_outcome(path)
+
+
+class TestOversizedField:
+    BIG = "B" * 200_000  # past csv's field size limit of 131,072 characters
+
+    def test_names_its_line(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        path.write_text(HEADER + GOOD + "\n" + f"2025-01-03,{self.BIG},10,10.5,9.5,10.2,100\n")
+        with pytest.raises(CsvFormatError,
+                           match=r"^line 4: field larger than field limit \(131072\)$"):
+            ingest_csv(path)
+
+    def test_in_the_header(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        path.write_text(f"date,{self.BIG}\n" + GOOD)
+        with pytest.raises(CsvFormatError, match=r"^line 1: field larger than field limit"):
+            ingest_csv(path)
+
+    def test_an_earlier_bar_fault_wins(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        path.write_text(HEADER + GOOD + "\n2025-01-03,AAA,10,9,11,10,1\n" + _rows(3, "BBB")
+                        + f"2025-01-08,{self.BIG},10,10.5,9.5,10.2,100\n")
+        with pytest.raises(CsvFormatError, match="^line 4: AAA 2025-01-03: open outside"):
+            ingest_csv(path)
+
+
+class TestOnePass:
+    """ingest_csv reads its file once and builds a Bar only to word a fault;
+    generate_synthetic builds none."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = {"Bar": 0, "open": 0}
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(market_mod, "Bar", counting("Bar", Bar))
+        monkeypatch.setattr(market_mod, "open", counting("open", open), raising=False)
+        return counts
+
+    def test_valid_file(self, tmp_path, counts):
+        path = tmp_path / "bars.csv"
+        path.write_text(HEADER + _rows(5, "AAA") + "\n" + _rows(5, "BBB"))
+        assert len(ingest_csv(path).calendar) == 5
+        assert counts == {"Bar": 0, "open": 1}
+
+    @pytest.mark.parametrize("fault", ["bar-fault-before-short-row", "low-above-high",
+                                       "negative-volume"])
+    def test_a_bar_fault(self, tmp_path, counts, fault):
+        path = tmp_path / "bars.csv"
+        path.write_text(HEADER + MALFORMED[fault])
+        with pytest.raises(CsvFormatError):
+            ingest_csv(path)
+        assert counts == {"Bar": 1, "open": 1}
+
+    def test_a_parse_fault(self, tmp_path, counts):
+        path = tmp_path / "bars.csv"
+        path.write_text(HEADER + MALFORMED["short-row"])
+        with pytest.raises(CsvFormatError, match="^line 3: expected 7 fields, got 3$"):
+            ingest_csv(path)
+        assert counts == {"Bar": 0, "open": 1}
+
+    def test_synthetic(self, counts):
+        generate_synthetic(SyntheticSpec(n_symbols=5, n_days=40, seed=2, daily_vol=0.03))
+        assert counts["Bar"] == 0
+        with pytest.raises(ValueError, match="prices must be positive"):
+            generate_synthetic(SyntheticSpec(n_symbols=4, n_days=30, seed=3, daily_vol=5.0))
+        assert counts["Bar"] == 1
 
 
 FAULTS = {

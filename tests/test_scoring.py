@@ -12,7 +12,6 @@ from tradecontest.errors import InsufficientHistoryError, MissingDataError
 from tradecontest.market import Bar, MarketStore
 from tradecontest.scoring import (
     JudgerScore,
-    ScoreSeries,
     factor_score,
     realized_sharpe,
     researcher_score,
@@ -174,21 +173,6 @@ class TestStubJudger:
     def test_two_evidence(self):
         j = stub_judger(self._signal(["a", "b"], ""))
         assert j.logical_soundness == pytest.approx(2 / 3)
-
-
-class TestScoreSeries:
-    def test_strictly_increasing_dates(self):
-        s = ScoreSeries("a")
-        s.append(T0, 1.0)
-        with pytest.raises(ValueError):
-            s.append(T0, 2.0)
-
-    def test_window_queries(self):
-        s = ScoreSeries("a")
-        days = [D(2025, 1, 2), D(2025, 1, 3), D(2025, 1, 6), D(2025, 1, 7)]
-        for i, d in enumerate(days):
-            s.append(d, float(i))
-        assert list(zip(s.dates, s.values)) == [(d, float(i)) for i, d in enumerate(days)]
 
     def test_judger_bounds(self):
         with pytest.raises(ValueError):
