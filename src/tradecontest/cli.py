@@ -38,23 +38,17 @@ ABLATION_VARIANTS = {
 def _resolve_output_dir(config, cli_override: str | None) -> Path:
     """The output directory's path; it is created only before a file is
     written to it, so a rejected run leaves none behind."""
-    out = config.output_dir
-    env = os.environ.get("TRADECONTEST_OUTPUT_DIR")
-    if env:
-        out = env
-    if cli_override:
-        out = cli_override
-    return Path(out)
+    return Path(cli_override or os.environ.get("TRADECONTEST_OUTPUT_DIR") or config.output_dir)
 
 
 def run_contest_backtest(config: cfgmod.RunConfig, ledger_path: Path | None = None,
                          **contest_overrides):
     """Run the contest and the backtest; returns (state, metrics).
 
-    With ``ledger_path``, each day's ledger line is written there as soon as
-    the day is applied, its portfolio in full only on the first line that
-    carries it. Of each day, only the fields that ``contest_ic_pairs`` reads
-    are kept for the metrics.
+    Each evaluation day is contested, applied and, with ``ledger_path``,
+    written there (its portfolio in full only on the first line that
+    carries it) before the next day runs. Of each day, only the fields
+    that ``contest_ic_pairs`` reads are kept for the metrics.
     """
     store = cfgmod.build_store(config)
     data_agents, research_agents = cfgmod.build_agents(config)
@@ -67,16 +61,17 @@ def run_contest_backtest(config: cfgmod.RunConfig, ledger_path: Path | None = No
         ccfg, store, data_agents, research_agents,
         eval_start=config.period.test_start, eval_end=config.period.test_end,
     )
-    # the move limit of the first evaluation day is measured, as on every
-    # later day, from each symbol's last close before it
-    for t in store.calendar[:store.day_index(records[0].date)]:
-        state.prev_closes.update(store.closes(t))
     ic_records = []
     prev_portfolio_date = None
     if ledger_path:
         ledger_path.parent.mkdir(parents=True, exist_ok=True)
     with open(ledger_path, "w") if ledger_path else contextlib.nullcontext() as ledger:
         for record in records:
+            if not ic_records:
+                # the move limit of the first evaluation day is measured, as
+                # on every later day, from each symbol's last close before it
+                for t in store.calendar[:store.day_index(record.date)]:
+                    state.prev_closes.update(store.closes(t))
             apply_day(state, record.target_weights, store.closes(record.date), record.date,
                       config.backtest)
             if ledger is not None:
@@ -176,10 +171,23 @@ def cmd_ablate(config_path: str, variant: str, output_dir: str | None = None) ->
     return 0
 
 
+@contextlib.contextmanager
+def _run_file(path):
+    """``path`` opened to read as UTF-8; a missing file, a directory or bytes
+    that are not UTF-8 are an error naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise TradeContestError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise TradeContestError(f"{path}: not valid UTF-8") from None
+
+
 def _ledger_lines(path):
     """(line number, record) of each non-blank line of a ledger; a line that
     is not a JSON object is an error naming the file and the line."""
-    with open(path) as fh:
+    with _run_file(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -258,11 +266,9 @@ def cmd_report(run_dir: str) -> int:
     run = Path(run_dir)
     ledger_path = run / "ledger.jsonl"
     nav_path = run / "nav.csv"
-    if not ledger_path.exists() or not nav_path.exists():
-        raise TradeContestError(f"{run_dir} does not contain ledger.jsonl and nav.csv")
     record_dicts = [record for _, record in _ledger_lines(ledger_path)]
     nav_history = []
-    with open(nav_path) as fh:
+    with _run_file(nav_path) as fh:
         next(fh, None)  # the header
         for line_no, line in enumerate(fh, start=2):
             try:
@@ -278,7 +284,7 @@ def cmd_report(run_dir: str) -> int:
     metrics_path = run / "metrics.json"
     if metrics_path.exists():
         try:
-            with open(metrics_path) as fh:
+            with _run_file(metrics_path) as fh:
                 config_dict = json.load(fh).get("config") or {}
         except json.JSONDecodeError as exc:
             raise TradeContestError(

@@ -32,7 +32,7 @@ from .agents import (
 )
 from .backtest import BacktestRules
 from .engine import ContestConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, CsvFormatError
 from .market import MarketStore, PlantedEffect, SyntheticSpec, generate_synthetic, ingest_csv
 from .prediction import PredictorSpec
 from .seeding import child_seed
@@ -300,10 +300,14 @@ def to_dict(value):
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigurationError(f"config file is a directory: {path}") from None
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"config file is not valid UTF-8: {path}") from None
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config is not valid YAML: {exc}") from None
     if raw is None:
@@ -318,6 +322,10 @@ def build_store(config: RunConfig) -> MarketStore:
             return ingest_csv(data.csv_path)
         except FileNotFoundError:
             raise ConfigurationError(f"data.csv_path: file not found: {data.csv_path}") from None
+        except IsADirectoryError:
+            raise ConfigurationError(f"data.csv_path: is a directory: {data.csv_path}") from None
+        except UnicodeDecodeError:  # decoded a block at a time: no line is known
+            raise CsvFormatError(f"{data.csv_path}: not valid UTF-8") from None
     try:
         spec = SyntheticSpec(
             n_symbols=data.n_symbols,

@@ -15,7 +15,9 @@ import datetime as dt
 from array import array
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -247,7 +249,7 @@ def _collect(agents, call, t: dt.date, absent: list[str]) -> dict:
 
 
 class ContestEngine:
-    """Stateful day-by-day runner; see run_full for the one-shot API."""
+    """Stateful day-by-day runner; run_full drives it over a calendar."""
 
     def __init__(self, config: ContestConfig, store: MarketStore,
                  data_agents, research_agents):
@@ -432,12 +434,12 @@ class ContestEngine:
 
 def run_full(config: ContestConfig, store: MarketStore, data_agents,
              research_agents, eval_start: dt.date | None = None,
-             eval_end: dt.date | None = None) -> list[DailyRecord]:
-    """Run the full contest over the store's calendar.
+             eval_end: dt.date | None = None) -> Iterator[DailyRecord]:
+    """The evaluation period's records, each day run as its record is taken.
 
-    Records are emitted for the evaluation period only; everything before
-    ``eval_start`` is warm-up used to accumulate resolved score history.
-    Identical inputs give identical ledgers, byte for byte.
+    The roster and period are checked at the call; the warm-up days before
+    ``eval_start``, which only accumulate resolved score history, run with
+    the first record taken. Identical inputs give identical ledgers.
     """
     engine = ContestEngine(config, store, data_agents, research_agents)
     calendar = store.calendar
@@ -465,12 +467,8 @@ def run_full(config: ContestConfig, store: MarketStore, data_agents,
             f"period: evaluation window from {eval_start} holds "
             f"{max(end - eval_idx, 0)} trading day(s); need at least 2")
 
-    records: list[DailyRecord] = []
-    for i, t in enumerate(calendar[:end]):
-        record = engine.run_contest_day(i, t, eval_idx)
-        if i >= eval_idx:
-            records.append(record)
-    return records
+    days = (engine.run_contest_day(i, t, eval_idx) for i, t in enumerate(calendar[:end]))
+    return islice(days, eval_idx, None)
 
 
 # -- ledger post-processing ---------------------------------------------

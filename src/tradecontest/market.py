@@ -99,8 +99,9 @@ class MarketStore:
     ``_fields`` is one float64 array of shape (5, symbols, calendar days):
     open, high, low, close and volume, indexed by the position of the symbol
     in ``symbols`` and of the date in ``calendar``. ``_has`` marks the cells
-    that hold a bar; the others hold NaN. ``Bar`` objects are built only
-    where the API returns one (``get_bar``, ``iter_bars``).
+    that hold a bar; the others hold NaN. Reads go by column (``close``,
+    ``closes``, ``day_json``); ``iter_bars`` is the one place that builds
+    ``Bar`` objects of the held bars.
     """
 
     def __init__(self, bars: Iterable[Bar]):
@@ -170,15 +171,6 @@ class MarketStore:
             raise MissingDataError(f"{t} is not on the trading calendar")
         return self._index[t]
 
-    def has_bar(self, symbol: str, t: dt.date) -> bool:
-        s, j = self._row.get(symbol), self._index.get(t)
-        return s is not None and j is not None and self._has.item(s, j)
-
-    def get_bar(self, symbol: str, t: dt.date) -> Bar:
-        if not self.has_bar(symbol, t):
-            raise MissingDataError(f"no bar for ({symbol}, {t})")
-        return Bar(t, symbol, *self._fields[:, self._row[symbol], self._index[t]].tolist())
-
     def close(self, symbol: str, t: dt.date) -> float:
         try:
             c = self._close_rows[self._row[symbol]][self._index[t]]
@@ -243,14 +235,6 @@ class MarketView:
     def _check(self, t: dt.date):
         if t > self.cutoff:
             raise TemporalViolationError(f"query for {t} is past view cutoff {self.cutoff}")
-
-    def has_bar(self, symbol: str, t: dt.date) -> bool:
-        self._check(t)
-        return self._store.has_bar(symbol, t)
-
-    def get_bar(self, symbol: str, t: dt.date) -> Bar:
-        self._check(t)
-        return self._store.get_bar(symbol, t)
 
     def close(self, symbol: str, t: dt.date) -> float:
         self._check(t)
@@ -318,14 +302,15 @@ def ingest_csv(path) -> MarketStore:
     first line that carries it, and the ``Bar`` checks run on whole columns.
     The first fault in file order raises ``CsvFormatError`` naming its line
     (the header is line 1, each row the csv reader yields one more line);
-    the ``Bar`` of a row that fails the checks words its message."""
+    the ``Bar`` of a row that fails the checks words its message. The file
+    is read as UTF-8; other bytes raise ``UnicodeDecodeError``."""
     day_texts: dict[str, int] = {}
     sym_texts: dict[str, int] = {}
     days: list[dt.date] = []
     blanks: list[int] = []  # for each blank row, the number of rows before it
     day_codes, sym_codes, values = array("q"), array("q"), array("d")
     fault = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -377,7 +362,7 @@ def _first_bad_row(rows: np.ndarray) -> int | None:
 
 
 def write_csv(store: MarketStore, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for bar in store.iter_bars():

@@ -5,6 +5,7 @@ import datetime as dt
 import pytest
 
 from tradecontest.market import (
+    Bar,
     MarketStore,
     PlantedEffect,
     SyntheticSpec,
@@ -45,6 +46,11 @@ def drift_store() -> MarketStore:
 def tiny_store() -> MarketStore:
     spec = SyntheticSpec(n_symbols=3, n_days=12, seed=7, daily_vol=0.01)
     return generate_synthetic(spec)
+
+
+def bar_map(store: MarketStore) -> dict[tuple[str, dt.date], Bar]:
+    """Every bar of a store, keyed by (symbol, date)."""
+    return {(bar.symbol, bar.date): bar for bar in store.iter_bars()}
 
 
 def make_days(n: int, start: dt.date = dt.date(2024, 1, 2)) -> list[dt.date]:

@@ -286,7 +286,7 @@ def test_criterion_6_data_contest_finds_skill():
             belief_bias="momentum")) for i in range(2)]
         config = ContestConfig(predictor=PredictorSpec(kind="gbdt"),
                                seed=42, budget=300)
-        records = run_full(config, store, data, research)
+        records = list(run_full(config, store, data, research))
 
         skilled = {f"d{i:02d}" for i in range(4)}
         rebalances = [r for r in records if r.data_rebalance and r.portfolio]
@@ -325,7 +325,7 @@ def test_criterion_7_researcher_contest_weights_skill():
         def run_cr(**overrides):
             config = ContestConfig(predictor=PredictorSpec(kind="gbdt"),
                                    seed=77, **overrides)
-            records = run_full(config, store, data, research)
+            records = list(run_full(config, store, data, research))
             state = new_state(1_000_000.0)
             for rec in records:
                 apply_day(state, rec.target_weights, store.closes(rec.date), rec.date)
@@ -471,7 +471,7 @@ def test_criterion_10_temporal_safety_fuzz():
             store = generate_synthetic(SyntheticSpec(
                 n_symbols=6, n_days=70, seed=88, daily_vol=0.01,
                 planted_effects=(PlantedEffect("SYM000", 0.012),)))
-            base = run_full(config, store, data, research)
+            base = list(run_full(config, store, data, research))
             base_json = [json.dumps(r.to_dict(), sort_keys=True) for r in base]
             for _ in range(n_trials):
                 trials += 1
@@ -479,7 +479,7 @@ def test_criterion_10_temporal_safety_fuzz():
                 cutoff = base[cut_idx].date
                 perturbed_store = perturb_after(store, cutoff,
                                                 seed=int(rng.integers(2**31)))
-                perturbed = run_full(config, perturbed_store, data, research)
+                perturbed = list(run_full(config, perturbed_store, data, research))
                 for k, record in enumerate(perturbed):
                     if record.date > cutoff:
                         break

@@ -48,6 +48,8 @@ from tradecontest.market import (
 )
 from tradecontest.prediction import PredictorSpec
 
+from conftest import bar_map
+
 STUB = f"{sys.executable} {Path(__file__).parent / 'stub_agent.py'}"
 
 D = dt.date
@@ -483,15 +485,16 @@ class TestResponseShapes:
                 pass
 
 
-def reference_line(kind, agent_id, view, t, portfolio_text=None, lookback=30):
+def reference_line(kind, agent_id, store, t, portfolio_text=None, lookback=30):
     """The request encoder from before windows were cached: one dict per
-    bar per call, then ``json.dumps(payload, sort_keys=True)``."""
+    bar per call, then ``json.dumps(payload, sort_keys=True)``. The bars are
+    the store's on its last ``lookback`` days up to ``t``."""
     bars = []
-    if view is not None:
-        for day in view.calendar[-lookback:]:
-            for sym in view.symbols:
-                if view.has_bar(sym, day):
-                    b = view.get_bar(sym, day)
+    if store is not None:
+        held = bar_map(store)
+        for day in [d for d in store.calendar if d <= t][-lookback:]:
+            for sym in store.symbols:
+                if (b := held.get((sym, day))) is not None:
                     bars.append({
                         "date": b.date.isoformat(), "symbol": b.symbol,
                         "open": b.open, "high": b.high, "low": b.low,
@@ -499,7 +502,7 @@ def reference_line(kind, agent_id, view, t, portfolio_text=None, lookback=30):
                     })
     payload = {
         "kind": kind, "date": t.isoformat(), "agent_id": agent_id,
-        "universe": list(view.symbols) if view is not None else [],
+        "universe": list(store.symbols) if store is not None else [],
         "bars": bars, "factor_portfolio": portfolio_text,
     }
     return json.dumps(payload, sort_keys=True)
@@ -534,7 +537,7 @@ class TestRequestBytes:
         t = tiny_store.calendar[6]
         view = view_until(tiny_store, t)
         req = build_request(kind, agent_id, view, t, portfolio_text=text, lookback=4)
-        assert req.to_json() == reference_line(kind, agent_id, view, t, text, 4)
+        assert req.to_json() == reference_line(kind, agent_id, tiny_store, t, text, 4)
 
     @pytest.mark.parametrize("day", [0, 1, 5, 11])
     @pytest.mark.parametrize("lookback", [1, 3, 30])
@@ -542,7 +545,7 @@ class TestRequestBytes:
         t = tiny_store.calendar[day]
         view = view_until(tiny_store, t)
         req = build_request("data", "x0", view, t, lookback=lookback)
-        assert req.to_json() == reference_line("data", "x0", view, t, None, lookback)
+        assert req.to_json() == reference_line("data", "x0", tiny_store, t, None, lookback)
 
     def test_symbol_with_missing_bars(self, tiny_store):
         gaps = {("SYM001", tiny_store.calendar[3]), ("SYM001", tiny_store.calendar[4]),
@@ -552,7 +555,7 @@ class TestRequestBytes:
             t = store.calendar[day]
             view = view_until(store, t)
             req = build_request("research", "r0", view, t, portfolio_text="p", lookback=6)
-            assert req.to_json() == reference_line("research", "r0", view, t, "p", 6)
+            assert req.to_json() == reference_line("research", "r0", store, t, "p", 6)
 
     def test_empty_universe(self):
         t = D(2025, 1, 2)
@@ -583,7 +586,7 @@ class TestRequestBytes:
         for deep_inputs_cut in (False, True):
             config = ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=3,
                                    no_deep_inputs=deep_inputs_cut)
-            run_full(config, store, data, research)
+            list(run_full(config, store, data, research))
         assert len(lines) == 144
         blob = "".join(lines).encode()
         assert hashlib.sha256(blob).hexdigest() == PINNED_REQUESTS_SHA256

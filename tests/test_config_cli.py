@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import datetime as dt
 import hashlib
 import importlib.util
 import json
@@ -9,9 +10,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from tradecontest import cli as cli_mod
 from tradecontest import config as cfgmod
 from tradecontest.cli import _write_run_outputs, main, run_contest_backtest
-from tradecontest.errors import ConfigurationError
+from tradecontest.engine import ContestEngine
+from tradecontest.errors import ConfigurationError, TradeContestError
 from tradecontest.market import (
     MarketStore,
     PlantedEffect,
@@ -84,6 +87,15 @@ def write_config(path, **overrides):
     base.update(overrides)
     path.write_text(yaml.safe_dump(base))
     return path
+
+
+def replace_with_a_directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+def append_a_0xff_byte(path: Path) -> None:
+    path.write_bytes(path.read_bytes() + b"\xff\n")
 
 
 class TestConfigRoundTrip:
@@ -260,6 +272,9 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
      "period: evaluation window from 2024-03-01 holds 1 trading day(s); need at least 2"),
     ({"data": {"kind": "csv", "csv_path": "no/such/bars.csv"}},
      "data.csv_path: file not found: no/such/bars.csv"),
+    ({"data": {"kind": "csv", "csv_path": "."}}, "data.csv_path: is a directory: ."),
+    (replace_with_a_directory, "config file is a directory"),
+    (append_a_0xff_byte, "config file is not valid UTF-8"),
 ], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
         "planted-no-drift", "lookback-0", "lookback-negative", "bool-as-string",
         "int-with-fraction", "int-as-bool", "float-as-bool", "unknown-contest-key",
@@ -270,9 +285,15 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
         "learning_rate-nan", "learning_rate-0", "learning_rate-negative", "daily_vol-nan",
         "start_price-inf", "ric-phi-nan", "ric-phi-inf", "ric-agents-0", "ric-days-negative",
         "ric-m-0", "ric-n-0", "ric-M-0", "ric-N-negative", "ric-source-typo",
-        "ric-panel-kind-ar2", "one-day-window", "csv-path-missing"])
+        "ric-panel-kind-ar2", "one-day-window", "csv-path-missing", "csv-path-a-directory",
+        "config-a-directory", "config-not-utf8"])
 def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
-    cfg_path = write_config(tmp_path / "run.yaml", **overrides)
+    if callable(overrides):  # a damaged config file, named in the message
+        cfg_path = write_config(tmp_path / "run.yaml")
+        overrides(cfg_path)
+        where = f"{where}: {cfg_path}"
+    else:
+        cfg_path = write_config(tmp_path / "run.yaml", **overrides)
     assert main(["backtest", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
@@ -327,6 +348,40 @@ class TestCmdBacktest:
         [line] = capsys.readouterr().err.splitlines()
         assert line == "error: line 3: field larger than field limit (131072)"
         assert not (tmp_path / "out").exists()
+
+    def test_csv_not_utf8_exits_1(self, tmp_path, capsys):
+        bars = tmp_path / "bars.csv"
+        bars.write_bytes(b"date,symbol,open,high,low,close,volume\n"
+                         b"2024-01-02,A\xffA,10,10.5,9.5,10.2,100\n")
+        cfg_path = write_config(tmp_path / "run.yaml", data={"kind": "csv", "csv_path": str(bars)})
+        assert main(["backtest", str(cfg_path)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {bars}: not valid UTF-8"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("owner, name, k", [
+        (ContestEngine, "run_contest_day", 0), (ContestEngine, "run_contest_day", 7),
+        (ContestEngine, "run_contest_day", -1), (cli_mod, "apply_day", 7),
+    ], ids=["engine-first-day", "engine-day-7", "engine-last-day", "backtest-day-7"])
+    def test_a_fault_on_day_k_leaves_the_ledger_of_the_days_before(
+            self, tmp_path, monkeypatch, owner, name, k):
+        cfg_path = write_config(tmp_path / "run.yaml")
+        assert main(["backtest", str(cfg_path), "--output-dir", str(tmp_path / "whole")]) == 0
+        whole = (tmp_path / "whole" / "ledger.jsonl").read_bytes().splitlines(keepends=True)
+        k %= len(whole)
+        fault_day = dt.date.fromisoformat(json.loads(whole[k])["date"])
+        real = getattr(owner, name)
+
+        def faulty(*args):
+            if fault_day in args:
+                raise TradeContestError("injected fault")
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, faulty)
+        assert main(["backtest", str(cfg_path)]) == 1
+        out = tmp_path / "out"
+        assert (out / "ledger.jsonl").read_bytes() == b"".join(whole[:k])
+        assert not any((out / f).exists() for f in ("nav.csv", "fills.csv", "metrics.json"))
 
     def test_output_dir_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.yaml")
@@ -648,8 +703,17 @@ def repeat_a_line(path: Path) -> None:
     ("validate-ric", "ledger.jsonl", repeat_a_line,
      "ledger.jsonl:4: ValueError: d00: dates must be strictly increasing"),
     ("validate-ric", "ledger.jsonl", truncate_last_line, "ledger.jsonl:59: not valid JSON"),
+    ("report", "ledger.jsonl", replace_with_a_directory, "ledger.jsonl: Is a directory"),
+    ("report", "nav.csv", replace_with_a_directory, "nav.csv: Is a directory"),
+    ("report", "metrics.json", replace_with_a_directory, "metrics.json: Is a directory"),
+    ("report", "ledger.jsonl", append_a_0xff_byte, "ledger.jsonl: not valid UTF-8"),
+    ("report", "nav.csv", append_a_0xff_byte, "nav.csv: not valid UTF-8"),
+    ("report", "metrics.json", append_a_0xff_byte, "metrics.json: not valid UTF-8"),
+    ("validate-ric", "ledger.jsonl", append_a_0xff_byte, "ledger.jsonl: not valid UTF-8"),
 ], ids=["nav-empty", "nav-one-row", "nav-short-row", "ledger-truncated", "metrics-unparsable",
-        "ric-ledger-repeated-line", "ric-ledger-truncated"])
+        "ric-ledger-repeated-line", "ric-ledger-truncated", "ledger-a-directory",
+        "nav-a-directory", "metrics-a-directory", "ledger-not-utf8", "nav-not-utf8",
+        "metrics-not-utf8", "ric-ledger-not-utf8"])
 def test_malformed_run_file_exits_1(tmp_path, capsys, command, name, damage, where):
     cfg_path = write_config(tmp_path / "run.yaml")
     assert main(["backtest", str(cfg_path)]) == 0

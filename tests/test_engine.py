@@ -69,8 +69,8 @@ class TestRunFull:
     def test_deterministic_ledger(self):
         store = small_market()
         data, research = small_rosters()
-        a = run_full(BASELINE, store, data, research)
-        b = run_full(BASELINE, store, data, research)
+        a = list(run_full(BASELINE, store, data, research))
+        b = list(run_full(BASELINE, store, data, research))
         assert [ledger_line(r) for r in a] == [ledger_line(r) for r in b]
 
     def test_zero_research_agents_rejected(self):
@@ -95,7 +95,7 @@ class TestRunFull:
     def test_rebalance_cadence(self):
         store = small_market()
         data, research = small_rosters()
-        records = run_full(BASELINE, store, data, research)
+        records = list(run_full(BASELINE, store, data, research))
         reb_days = [i for i, r in enumerate(records) if r.data_rebalance]
         assert reb_days[0] == 0
         assert all(b - a == BASELINE.n_data for a, b in zip(reb_days, reb_days[1:]))
@@ -108,7 +108,7 @@ class TestRunFull:
     def test_portfolio_written_once_then_referenced(self):
         store = small_market()
         data, research = small_rosters()
-        records = run_full(BASELINE, store, data, research)
+        records = list(run_full(BASELINE, store, data, research))
         prev_date = None
         refs = 0
         for record in records:
@@ -129,18 +129,18 @@ class TestRunFull:
     def test_research_cadence_and_daily_override(self):
         store = small_market()
         data, research = small_rosters()
-        records = run_full(BASELINE, store, data, research)
+        records = list(run_full(BASELINE, store, data, research))
         reb = [i for i, r in enumerate(records) if r.research_rebalance]
         assert all(b - a == BASELINE.n_research for a, b in zip(reb, reb[1:]))
         daily_cfg = ContestConfig(predictor=PredictorSpec(kind="baseline"),
                                   seed=9, research_rebalance_daily=True)
-        daily = run_full(daily_cfg, store, data, research)
+        daily = list(run_full(daily_cfg, store, data, research))
         assert all(r.research_rebalance for r in daily)
 
     def test_scores_resolve_with_one_day_lag(self):
         store = small_market()
         data, research = small_rosters()
-        records = run_full(BASELINE, store, data, research)
+        records = list(run_full(BASELINE, store, data, research))
         # the scores reported on record k belong to factors from the prior
         # trading day, so every scored agent must have had a factor then
         cal = store.calendar
@@ -167,8 +167,8 @@ class TestRunFull:
                 from tradecontest.errors import AgentUnavailableError
                 raise AgentUnavailableError("always down")
 
-        records = run_full(BASELINE, store, data + [SilentAgent()],
-                           research + [SilentResearch()])
+        records = list(run_full(BASELINE, store, data + [SilentAgent()],
+                                research + [SilentResearch()]))
         for record in records:
             assert "zz_silent" in record.absent
             if record.portfolio is not None:
@@ -184,7 +184,7 @@ class TestAblations:
         data, research = small_rosters()
         cfg = ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=9,
                             no_data_contest=True, budget=120)
-        records = run_full(cfg, store, data, research)
+        records = list(run_full(cfg, store, data, research))
         assert all(
             r.portfolio.total_tokens <= 120
             for r in records if r.portfolio is not None
@@ -196,7 +196,7 @@ class TestAblations:
         data, research = small_rosters()
         cfg = ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=9,
                             no_research_contest=True)
-        records = run_full(cfg, store, data, research)
+        records = list(run_full(cfg, store, data, research))
         for record in records:
             if record.weights is not None:
                 values = sorted(record.weights.weights.values())
@@ -208,7 +208,7 @@ class TestAblations:
         data, research = small_rosters()
         cfg = ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=9,
                             no_judger=True)
-        records = run_full(cfg, store, data, research)
+        records = list(run_full(cfg, store, data, research))
         for record in records:
             for entry in record.researcher_scores.values():
                 assert "soundness" not in entry and "quality" not in entry
@@ -218,7 +218,7 @@ class TestAblations:
         data, research = small_rosters()
         cfg = ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=9,
                             no_deep_inputs=True)
-        records = run_full(cfg, store, data, research)
+        records = list(run_full(cfg, store, data, research))
         assert any(s.action == "buy" for r in records for s in r.signals)
 
 
@@ -226,11 +226,11 @@ class TestTemporalSafety:
     def test_future_perturbation_never_changes_past_records(self):
         store = small_market(seed=77)
         data, research = small_rosters()
-        base = run_full(BASELINE, store, data, research)
+        base = list(run_full(BASELINE, store, data, research))
         cut_idx = 20
         cutoff = base[cut_idx].date
         perturbed_store = perturb_after(store, cutoff, seed=123)
-        perturbed = run_full(BASELINE, perturbed_store, data, research)
+        perturbed = list(run_full(BASELINE, perturbed_store, data, research))
         for a, b in zip(base, perturbed):
             if a.date > cutoff:
                 break
@@ -277,7 +277,7 @@ class TestIcPairs:
         store = small_market(n_days=90)
         data, research = small_rosters()
         cfg = ContestConfig(predictor=PredictorSpec(kind="gbdt"), seed=9)
-        records = run_full(cfg, store, data, research)
+        records = list(run_full(cfg, store, data, research))
         kinds = {r.model_kinds.get("data") for r in records if r.data_rebalance}
         assert "gbdt" in kinds
 

@@ -32,6 +32,8 @@ from tradecontest.market import (
     write_csv,
 )
 
+from conftest import bar_map
+
 D = dt.date
 
 
@@ -240,17 +242,17 @@ class TestViewUntil:
     def test_query_within_cutoff(self, tiny_store):
         t5 = tiny_store.calendar[5]
         view = view_until(tiny_store, t5)
-        assert view.get_bar("SYM000", tiny_store.calendar[3]).close > 0
+        assert view.close("SYM000", tiny_store.calendar[3]) > 0
 
     def test_query_past_cutoff_raises(self, tiny_store):
         view = view_until(tiny_store, tiny_store.calendar[5])
         with pytest.raises(TemporalViolationError):
-            view.get_bar("SYM000", tiny_store.calendar[6])
+            view.close("SYM000", tiny_store.calendar[6])
 
     def test_first_day_boundary(self, tiny_store):
         first = tiny_store.calendar[0]
         view = view_until(tiny_store, first)
-        assert view.get_bar("SYM001", first).date == first
+        assert view.close("SYM001", first) == bar_map(tiny_store)[("SYM001", first)].close
 
     def test_calendar_truncated(self, tiny_store):
         view = view_until(tiny_store, tiny_store.calendar[4])
@@ -259,6 +261,7 @@ class TestViewUntil:
     def test_fuzzed_queries_never_leak(self, tiny_store):
         rng = np.random.default_rng(0)
         cal = tiny_store.calendar
+        bars = bar_map(tiny_store)
         for _ in range(200):
             cut = int(rng.integers(len(cal)))
             view = view_until(tiny_store, cal[cut])
@@ -266,9 +269,9 @@ class TestViewUntil:
             sym = tiny_store.symbols[int(rng.integers(len(tiny_store.symbols)))]
             if q > cut:
                 with pytest.raises(TemporalViolationError):
-                    view.get_bar(sym, cal[q])
+                    view.close(sym, cal[q])
             else:
-                assert view.get_bar(sym, cal[q]).date == cal[q]
+                assert view.close(sym, cal[q]) == bars[(sym, cal[q])].close
 
     def test_trailing_returns_window(self, tiny_store):
         view = view_until(tiny_store, tiny_store.calendar[6])
@@ -280,7 +283,8 @@ class TestViewUntil:
 
 def filtered_trailing_returns(store, cutoff, symbol, window):
     """Trailing returns from a filter over the whole calendar up to the cutoff."""
-    dates = [d for d in store.calendar if d <= cutoff and store.has_bar(symbol, d)]
+    bars = bar_map(store)
+    dates = [d for d in store.calendar if d <= cutoff and (symbol, d) in bars]
     dates = dates[-(window + 1):]
     return [store.close(symbol, b) / store.close(symbol, a) - 1.0
             for a, b in zip(dates, dates[1:])]
@@ -336,9 +340,9 @@ class TestTrailingReturnsWalkBack:
         view.trailing_returns("AAA", 5)
         for t in cal[7:]:
             with pytest.raises(TemporalViolationError):
-                view.get_bar("AAA", t)
+                view.close("AAA", t)
             with pytest.raises(TemporalViolationError):
-                view.has_bar("BBB", t)
+                view.close("BBB", t)
 
 
 class TestMomentumTable:
@@ -417,12 +421,12 @@ class TestDayJson:
 class TestPerturbAfter:
     def test_prefix_unchanged(self, tiny_store):
         cut = tiny_store.calendar[5]
-        other = perturb_after(tiny_store, cut, seed=3)
+        other = bar_map(perturb_after(tiny_store, cut, seed=3))
         for bar in tiny_store.iter_bars():
             if bar.date <= cut:
-                assert other.get_bar(bar.symbol, bar.date) == bar
+                assert other[(bar.symbol, bar.date)] == bar
             else:
-                assert other.get_bar(bar.symbol, bar.date).close != bar.close
+                assert other[(bar.symbol, bar.date)].close != bar.close
 
 
 def test_business_days_skips_weekends():
@@ -522,14 +526,14 @@ def assert_same_outcome(path):
         assert str(got.value) == str(exc)
         return
     store = ingest_csv(path)
+    got = bar_map(store)
     assert store.symbols == tuple(sorted(want))
     assert store.calendar == tuple(sorted({d for bars in want.values() for d in bars}))
     for symbol in store.symbols:
         for t in store.calendar:
             bar = want[symbol].get(t)
-            assert store.has_bar(symbol, t) == (bar is not None)
+            assert got.get((symbol, t)) == bar
             if bar is not None:
-                assert store.get_bar(symbol, t) == bar
                 assert store.close(symbol, t) == bar.close
     assert sum(1 for _ in store.iter_bars()) == sum(map(len, want.values()))
 
