@@ -226,6 +226,8 @@ def cmd_validate_ric(config_path: str, output_dir: str | None = None) -> int:
     if ric.source == "ledger":
         if not ric.ledger:
             raise ConfigurationError("validate_ric.ledger: path required when source is ledger")
+        if os.path.isdir(ric.ledger):
+            raise ConfigurationError(f"validate_ric.ledger: is a directory: {ric.ledger}")
         if not os.path.isfile(ric.ledger):
             raise ConfigurationError(f"validate_ric.ledger: file not found: {ric.ledger}")
         panel = _panel_from_ledger(ric.ledger)

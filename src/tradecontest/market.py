@@ -256,15 +256,31 @@ class MarketView:
         """Mean of ``trailing_returns(symbol, window)`` for every symbol with
         at least two bars, and those symbols strongest trend first (largest
         absolute mean, ties by symbol). Computed once per view and shared,
-        read-only, by every reader."""
+        read-only, by every reader.
+
+        The table is built from the close columns of all symbols at once:
+        a (window + 1) × symbols matrix of each symbol's last closes, where a
+        symbol with fewer bars repeats its last close (a return of exactly
+        0.0). The return rows are added one by one from 0.0, in a fixed
+        order, so each mean has the bits of ``sum(rets) / len(rets)`` on
+        Python 3.11 (from 3.12, ``sum`` compensates rounding)."""
         if window not in self._momentum_cache:
-            means = {}
-            for symbol in self.symbols:
-                rets = self.trailing_returns(symbol, window)
-                if rets:
-                    means[symbol] = sum(rets) / len(rets)
-            ranked = tuple(sorted(means, key=lambda s: (-abs(means[s]), s)))
-            self._momentum_cache[window] = (MappingProxyType(means), ranked)
+            store = self._store
+            end = store._upto[:, self._cut]  # one past each symbol's last close
+            first = store._upto[:, 0] - store._has[:, 0]  # each symbol's first close
+            n = np.minimum(end - first - 1, window)  # returns per symbol
+            rows = np.flatnonzero(n > 0)
+            end, n = end[rows], n[rows]
+            at = np.minimum(end - n - 1 + np.arange(window + 1)[:, None], end - 1)
+            closes = store._bar_closes[at]
+            total = np.zeros(len(rows))
+            for rets in closes[1:] / closes[:-1] - 1.0:
+                total += rets
+            mean = total / n
+            order = np.lexsort((rows, -np.abs(mean)))  # rows are in symbol order
+            names = [store._symbols[s] for s in rows.tolist()]
+            self._momentum_cache[window] = (MappingProxyType(dict(zip(names, mean.tolist()))),
+                                            tuple([names[i] for i in order.tolist()]))
         return self._momentum_cache[window]
 
     def bars_json(self, lookback: int) -> str:

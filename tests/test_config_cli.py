@@ -275,6 +275,7 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
     ({"data": {"kind": "csv", "csv_path": "."}}, "data.csv_path: is a directory: ."),
     (replace_with_a_directory, "config file is a directory"),
     (append_a_0xff_byte, "config file is not valid UTF-8"),
+    ({"validate_ric": {"source": "ledger", "ledger": "."}}, "validate_ric.ledger: is a directory: ."),
 ], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
         "planted-no-drift", "lookback-0", "lookback-negative", "bool-as-string",
         "int-with-fraction", "int-as-bool", "float-as-bool", "unknown-contest-key",
@@ -286,15 +287,17 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
         "start_price-inf", "ric-phi-nan", "ric-phi-inf", "ric-agents-0", "ric-days-negative",
         "ric-m-0", "ric-n-0", "ric-M-0", "ric-N-negative", "ric-source-typo",
         "ric-panel-kind-ar2", "one-day-window", "csv-path-missing", "csv-path-a-directory",
-        "config-a-directory", "config-not-utf8"])
+        "config-a-directory", "config-not-utf8", "ric-ledger-a-directory"])
 def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
+    # only validate-ric reads validate_ric.ledger
+    command = "validate-ric" if where.startswith("validate_ric.ledger") else "backtest"
     if callable(overrides):  # a damaged config file, named in the message
         cfg_path = write_config(tmp_path / "run.yaml")
         overrides(cfg_path)
         where = f"{where}: {cfg_path}"
     else:
         cfg_path = write_config(tmp_path / "run.yaml", **overrides)
-    assert main(["backtest", str(cfg_path)]) == 2
+    assert main([command, str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()

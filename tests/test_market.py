@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tradecontest import market as market_mod
@@ -345,18 +345,82 @@ class TestTrailingReturnsWalkBack:
                 view.close("BBB", t)
 
 
+def reference_momentum(store, cutoff, window):
+    """Each symbol's mean of ``filtered_trailing_returns``, the returns added
+    left to right from 0.0 as ``sum`` adds them on Python 3.11 (from 3.12
+    ``sum`` compensates rounding), and the symbols strongest first."""
+    means = {}
+    for symbol in store.symbols:
+        rets = filtered_trailing_returns(store, cutoff, symbol, window)
+        if rets:  # fewer than two bars: no mean, not ranked
+            total = 0.0
+            for r in rets:
+                total += r
+            means[symbol] = total / len(rets)
+    return means, sorted(means, key=lambda s: (-abs(means[s]), s))
+
+
+def store_from_masks(masks, closes):
+    """A store over 2025's first business days: symbol s holds a bar on day
+    j where ``masks[s][j]``, its close the next one drawn from ``closes``."""
+    days = business_days(D(2025, 1, 2), max(map(len, masks.values())))
+    closes = iter(closes)
+    return MarketStore([_bar(d, s, next(closes)) for s, held in masks.items()
+                        for d, h in zip(days, held) if h])
+
+
+# a symbol whose first bar comes late, one with exactly one bar, and one
+# with runs of missing days
+EDGE_MASKS = {"AAA": [1] * 10, "BBB": [0] * 6 + [1] * 4, "CCC": [0, 0, 0, 1] + [0] * 6,
+              "DDD": [1, 1, 0, 0, 0, 1, 1, 1, 0, 1]}
+EDGE_CLOSES = [8, 10, 12.5, 10, 8, 6, 4.5, 6, 8, 10, 8, 10, 12.5, 10, 8, 6.5, 33, 8, 6, 4.5, 8]
+
+
+@st.composite
+def gappy_stores(draw):
+    n_days = draw(st.integers(1, 10))
+    masks = {f"S{k}": draw(st.lists(st.booleans(), min_size=n_days, max_size=n_days))
+             for k in range(draw(st.integers(1, 4)))}
+    n_bars = sum(map(sum, masks.values()))
+    assume(n_bars)
+    price = st.one_of(st.sampled_from([4.5, 6.0, 8.0, 10.0, 12.5]), st.floats(1, 100))
+    return store_from_masks(masks, draw(st.lists(price, min_size=n_bars, max_size=n_bars)))
+
+
 class TestMomentumTable:
     def test_means_and_ranking(self, gappy_store):
         for cutoff in gappy_store.calendar:
             view = view_until(gappy_store, cutoff)
             means, ranked = view.momentum(5)
-            expected = {}
-            for symbol in gappy_store.symbols:
-                rets = filtered_trailing_returns(gappy_store, cutoff, symbol, 5)
-                if rets:  # fewer than two bars: no mean, not ranked
-                    expected[symbol] = sum(rets) / len(rets)
+            expected, order = reference_momentum(gappy_store, cutoff, 5)
             assert dict(means) == expected
-            assert list(ranked) == sorted(expected, key=lambda s: (-abs(expected[s]), s))
+            assert list(ranked) == order
+
+    @settings(max_examples=150, deadline=None)
+    @given(store=gappy_stores())
+    @example(store=store_from_masks(EDGE_MASKS, EDGE_CLOSES))
+    def test_matches_the_reference_on_random_gaps(self, store):
+        for cutoff in store.calendar:
+            view = view_until(store, cutoff)
+            for window in range(1, 9):
+                means, ranked = view.momentum(window)
+                expected, order = reference_momentum(store, cutoff, window)
+                assert dict(means) == expected
+                assert list(ranked) == order
+
+    def test_window_0_is_empty(self, gappy_store):
+        for cutoff in gappy_store.calendar:
+            means, ranked = view_until(gappy_store, cutoff).momentum(0)
+            assert dict(means) == {} and ranked == ()
+
+    def test_window_past_every_history_means_all_returns(self):
+        store = store_from_masks(EDGE_MASKS, EDGE_CLOSES)
+        every_return = len(store.calendar) - 1
+        for cutoff in store.calendar:
+            means, ranked = view_until(store, cutoff).momentum(50)
+            expected, order = reference_momentum(store, cutoff, every_return)
+            assert dict(means) == expected
+            assert list(ranked) == order
 
     def test_equal_strength_ranks_by_symbol(self):
         days = business_days(D(2025, 1, 2), 3)
