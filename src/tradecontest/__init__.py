@@ -3,12 +3,9 @@
 from .agents import (
     AgentRequest,
     Observation,
-    SyntheticAgentSpec,
     TextualFactor,
     TradingSignal,
     external_agent_call,
-    synthetic_data_agent,
-    synthetic_research_agent,
 )
 from .allocation import (
     CapitalWeights,

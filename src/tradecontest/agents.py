@@ -2,10 +2,10 @@
 
 Data agents emit a TextualFactor per day (observations with per-symbol
 conviction ratings, length-capped). Research agents emit a TradingSignal.
-Synthetic implementations are pure functions of (spec, day, view) so runs
-replay bit-exactly; the external adapter speaks one-line JSON over a child
-process's stdio or HTTP POST and enforces all contract invariants before
-accepting a response.
+A synthetic agent's output depends only on its own fields, the day and
+the market view, so runs replay bit-exactly; the external adapter speaks
+one-line JSON over a child process's stdio or HTTP POST and enforces all
+contract invariants before accepting a response.
 """
 
 from __future__ import annotations
@@ -87,81 +87,69 @@ class TradingSignal:
             raise ValueError(f"evidence required for a {self.action} signal")
 
 
-@dataclass(frozen=True)
-class SyntheticAgentSpec:
-    """Parameters for a deterministic synthetic agent."""
-
-    agent_id: str
-    kind: str  # "data" or "research"
-    noise_seed: int
-    skill: float = 0.0
-    obs_per_day: int = 3
-    belief_bias: str = "momentum"  # momentum | reversal | random
-
-    def __post_init__(self):
-        if self.kind not in ("data", "research"):
-            raise ValueError(f"kind must be data or research, got {self.kind!r}")
-        if not (0.0 <= self.skill <= 1.0):
-            raise ValueError("skill must be in [0, 1]")
-        if self.obs_per_day < 0:
-            raise ValueError("obs_per_day must be >= 0")
-        if self.belief_bias not in ("momentum", "reversal", "random"):
-            raise ValueError(f"unknown belief_bias {self.belief_bias!r}")
-
-
 def token_count(texts) -> int:
     """Character-based token heuristic: ceil(total characters / 4)."""
     chars = sum(len(t) for t in texts)
     return math.ceil(chars / 4)
 
 
-def _trailing_momentum(view: MarketView, symbols) -> dict[str, float]:
-    """Mean daily return over the last MOMENTUM_WINDOW steps of each of
-    ``symbols`` that has one; symbols outside the universe are skipped."""
-    means, _ = view.momentum(MOMENTUM_WINDOW)
-    return {sym: means[sym] for sym in symbols if sym in means}
+@dataclass(frozen=True)
+class _SyntheticAgent:
+    """A deterministic stand-in agent: its output is a function of its
+    fields, the day and the view alone, so runs replay bit-exactly."""
+
+    agent_id: str
+    noise_seed: int
+    skill: float = 0.0
+    obs_per_day: int = 3
+    belief: str = "momentum"  # momentum | reversal | random
+
+    def __post_init__(self):
+        if not (0.0 <= self.skill <= 1.0):
+            raise ValueError("skill must be in [0, 1]")
+        if self.obs_per_day < 0:
+            raise ValueError("obs_per_day must be >= 0")
+        if self.belief not in ("momentum", "reversal", "random"):
+            raise ValueError(f"unknown belief {self.belief!r}")
 
 
-def synthetic_data_agent(spec: SyntheticAgentSpec, view: MarketView, t: dt.date) -> TextualFactor:
-    """Deterministic stand-in for a data agent.
+class SyntheticDataAgent(_SyntheticAgent):
+    def produce(self, view: MarketView, t: dt.date) -> TextualFactor:
+        """Each observation is, with probability ``skill``, an informed read:
+        the agent rates a strong-trend symbol in the direction of its own
+        trailing momentum, which on a drifting market tracks the realized
+        next-day move. Otherwise the observation is a random symbol with a
+        random rating. The agent sees only the view (dates <= t) and a noise
+        stream keyed by (noise_seed, t); it never reads ahead.
+        """
+        rng = stream(self.noise_seed, "data", t.isoformat())
+        universe = list(view.symbols)
+        momentum, ranked = view.momentum(MOMENTUM_WINDOW)
 
-    Each observation is, with probability ``skill``, an informed read: the
-    agent rates a strong-trend symbol in the direction of its own trailing
-    momentum, which on a drifting market tracks the realized next-day move.
-    Otherwise the observation is a random symbol with a random rating. The
-    agent sees only the view (dates <= t) and a noise stream keyed by
-    (noise_seed, t); it never reads ahead.
-    """
-    if spec.kind != "data":
-        raise ValueError(f"{spec.agent_id} is not a data agent")
-    rng = stream(spec.noise_seed, "data", t.isoformat())
-    universe = list(view.symbols)
-    momentum, ranked = view.momentum(MOMENTUM_WINDOW)
+        observations = []
+        for k in range(self.obs_per_day):
+            informed = ranked and rng.random() < self.skill
+            if informed:
+                sym = ranked[k % len(ranked)]
+                m = momentum[sym]
+                direction = 0 if m == 0 else (1 if m > 0 else -1)
+                rating = direction * (2 if abs(m) > 0.01 else 1)
+                text = (f"{sym} has averaged {m:+.4f} per session over the last "
+                        f"{MOMENTUM_WINDOW} trading days; stance {rating:+d}.")
+            elif universe:
+                sym = universe[int(rng.integers(len(universe)))]
+                rating = int(rng.integers(-2, 3))
+                text = f"No conviction read on {sym} today; speculative stance {rating:+d}."
+            else:
+                continue
+            observations.append(Observation(text=text, rated_symbols=((sym, rating),)))
 
-    observations = []
-    for k in range(spec.obs_per_day):
-        informed = ranked and rng.random() < spec.skill
-        if informed:
-            sym = ranked[k % len(ranked)]
-            m = momentum[sym]
-            direction = 0 if m == 0 else (1 if m > 0 else -1)
-            rating = direction * (2 if abs(m) > 0.01 else 1)
-            text = (f"{sym} has averaged {m:+.4f} per session over the last "
-                    f"{MOMENTUM_WINDOW} trading days; stance {rating:+d}.")
-        elif universe:
-            sym = universe[int(rng.integers(len(universe)))]
-            rating = int(rng.integers(-2, 3))
-            text = f"No conviction read on {sym} today; speculative stance {rating:+d}."
-        else:
-            continue
-        observations.append(Observation(text=text, rated_symbols=((sym, rating),)))
-
-    return TextualFactor(
-        agent_id=spec.agent_id,
-        date=t,
-        observations=tuple(observations),
-        token_length=token_count(o.text for o in observations),
-    )
+        return TextualFactor(
+            agent_id=self.agent_id,
+            date=t,
+            observations=tuple(observations),
+            token_length=token_count(o.text for o in observations),
+        )
 
 
 def _portfolio_sentiment(portfolio) -> dict[str, int]:
@@ -176,67 +164,60 @@ def _portfolio_sentiment(portfolio) -> dict[str, int]:
     return sentiment
 
 
-def synthetic_research_agent(
-    spec: SyntheticAgentSpec,
-    portfolio_input,
-    view: MarketView | None,
-    t: dt.date,
-) -> TradingSignal:
-    """Deterministic stand-in for a research agent.
-
-    Picks among the symbols mentioned in the factor portfolio: momentum
-    buys the strongest trailing 5-day return, reversal the weakest, random
-    draws from its noise stream. Without a market view (deep inputs cut
-    off) momentum/reversal fall back to the portfolio's net sentiment.
-    Emits hold when the portfolio mentions nothing.
-    """
-    if spec.kind != "research":
-        raise ValueError(f"{spec.agent_id} is not a research agent")
-    rng = stream(spec.noise_seed, "research", t.isoformat())
-    sentiment = _portfolio_sentiment(portfolio_input) if portfolio_input is not None else {}
-    mentioned = sorted(sentiment)
-    if not mentioned:
-        return TradingSignal(
-            agent_id=spec.agent_id, date=t, symbol=CASH_SYMBOL, action="hold",
-            limitation="factor portfolio mentions no instruments",
-        )
-
-    if spec.belief_bias == "random":
-        sym = mentioned[int(rng.integers(len(mentioned)))]
-        action = ACTIONS[int(rng.integers(len(ACTIONS)))]
-        if action == "hold":
+class SyntheticResearchAgent(_SyntheticAgent):
+    def produce(self, portfolio, view: MarketView | None, t: dt.date) -> TradingSignal:
+        """Picks among the symbols mentioned in the factor portfolio: momentum
+        buys the strongest trailing 5-day return, reversal the weakest,
+        random draws from its noise stream. Without a market view (deep
+        inputs cut off) momentum/reversal fall back to the portfolio's net
+        sentiment. Emits hold when the portfolio mentions nothing.
+        """
+        rng = stream(self.noise_seed, "research", t.isoformat())
+        sentiment = _portfolio_sentiment(portfolio) if portfolio is not None else {}
+        mentioned = sorted(sentiment)
+        if not mentioned:
             return TradingSignal(
-                agent_id=spec.agent_id, date=t, symbol=sym, action="hold",
-                limitation="no edge identified; staying in cash",
+                agent_id=self.agent_id, date=t, symbol=CASH_SYMBOL, action="hold",
+                limitation="factor portfolio mentions no instruments",
             )
-        return TradingSignal(
-            agent_id=spec.agent_id, date=t, symbol=sym, action=action,
-            evidence=(f"speculative {action} of {sym}",),
-            limitation="randomized belief; evidence is not data-backed",
-        )
 
-    if view is not None:
-        score = _trailing_momentum(view, mentioned)
-        basis = f"trailing {MOMENTUM_WINDOW}-day mean return"
-    else:
-        score = {s: float(sentiment[s]) for s in mentioned}
-        basis = "net factor-portfolio sentiment"
-    if not score:
+        if self.belief == "random":
+            sym = mentioned[int(rng.integers(len(mentioned)))]
+            action = ACTIONS[int(rng.integers(len(ACTIONS)))]
+            if action == "hold":
+                return TradingSignal(
+                    agent_id=self.agent_id, date=t, symbol=sym, action="hold",
+                    limitation="no edge identified; staying in cash",
+                )
+            return TradingSignal(
+                agent_id=self.agent_id, date=t, symbol=sym, action=action,
+                evidence=(f"speculative {action} of {sym}",),
+                limitation="randomized belief; evidence is not data-backed",
+            )
+
+        if view is not None:  # symbols outside the universe have no history
+            means, _ = view.momentum(MOMENTUM_WINDOW)
+            score = {s: means[s] for s in mentioned if s in means}
+            basis = f"trailing {MOMENTUM_WINDOW}-day mean return"
+        else:
+            score = {s: float(sentiment[s]) for s in mentioned}
+            basis = "net factor-portfolio sentiment"
+        if not score:
+            return TradingSignal(
+                agent_id=self.agent_id, date=t, symbol=CASH_SYMBOL, action="hold",
+                limitation="no usable history for mentioned instruments",
+            )
+        target = max(score.values()) if self.belief == "momentum" else min(score.values())
+        best = min(s for s in score if score[s] == target)  # lexicographic tie-break
         return TradingSignal(
-            agent_id=spec.agent_id, date=t, symbol=CASH_SYMBOL, action="hold",
-            limitation="no usable history for mentioned instruments",
+            agent_id=self.agent_id, date=t, symbol=best, action="buy",
+            evidence=(
+                f"{best} ranks {'highest' if self.belief == 'momentum' else 'lowest'} "
+                f"on {basis} ({score[best]:+.4f}) among {len(mentioned)} mentioned instruments",
+                f"belief bias: {self.belief}",
+            ),
+            limitation="synthetic belief agent; uses price history only",
         )
-    target = max(score.values()) if spec.belief_bias == "momentum" else min(score.values())
-    best = min(s for s in score if score[s] == target)  # lexicographic tie-break
-    return TradingSignal(
-        agent_id=spec.agent_id, date=t, symbol=best, action="buy",
-        evidence=(
-            f"{best} ranks {'highest' if spec.belief_bias == 'momentum' else 'lowest'} "
-            f"on {basis} ({score[best]:+.4f}) among {len(mentioned)} mentioned instruments",
-            f"belief bias: {spec.belief_bias}",
-        ),
-        limitation="synthetic belief agent; uses price history only",
-    )
 
 
 # --- external JSON-line protocol ------------------------------------------
@@ -486,27 +467,6 @@ def external_agent_call(endpoint, request: AgentRequest, timeout: float = 60.0):
     if reply.agent_id != request.agent_id:
         raise ProtocolError(f"reply from {reply.agent_id!r} to a request for {request.agent_id!r}")
     return reply
-
-
-# --- engine-facing wrappers -------------------------------------------------
-
-
-class SyntheticDataAgent:
-    def __init__(self, spec: SyntheticAgentSpec):
-        self.spec = spec
-        self.agent_id = spec.agent_id
-
-    def produce(self, view: MarketView, t: dt.date) -> TextualFactor:
-        return synthetic_data_agent(self.spec, view, t)
-
-
-class SyntheticResearchAgent:
-    def __init__(self, spec: SyntheticAgentSpec):
-        self.spec = spec
-        self.agent_id = spec.agent_id
-
-    def produce(self, portfolio, view: MarketView | None, t: dt.date) -> TradingSignal:
-        return synthetic_research_agent(self.spec, portfolio, view, t)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import TextualFactor
+from .backtest import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,11 @@ def knapsack_select(items, budget: int, date: dt.date | None = None) -> FactorPo
     """Exact utility-maximizing subset under the token budget.
 
     Non-positive-utility items are dropped up front. The dynamic program
-    runs over capacity quantized at one token; when subsets tie, denser
-    items (higher utility per token, then lower agent id) win, so replays
-    are bit-identical.
+    runs over capacity quantized at one token, up to the budget or the
+    candidates' total tokens, whichever is less: every capacity past that
+    total makes the same picks. When subsets tie, denser items (higher
+    utility per token, then lower agent id) win, so replays are
+    bit-identical.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -62,18 +65,19 @@ def knapsack_select(items, budget: int, date: dt.date | None = None) -> FactorPo
     if not cand:
         return empty_portfolio(date)
 
-    dp = np.zeros(budget + 1)
-    keep = np.zeros((len(cand), budget + 1), dtype=bool)
+    capacity = min(budget, sum(it.tokens for it in cand))
+    dp = np.zeros(capacity + 1)
+    keep = np.zeros((len(cand), capacity + 1), dtype=bool)
     neg_inf = -np.inf
     for i, it in enumerate(cand):
-        shifted = np.concatenate([np.full(it.tokens, neg_inf), dp[: budget + 1 - it.tokens]])
+        shifted = np.concatenate([np.full(it.tokens, neg_inf), dp[: capacity + 1 - it.tokens]])
         take = shifted + it.utility
         better = take > dp  # skip on ties: denser, earlier items stand
         keep[i] = better
         dp = np.where(better, take, dp)
 
     chosen: list[KnapsackItem] = []
-    w = budget
+    w = capacity
     for i in range(len(cand) - 1, -1, -1):
         if keep[i, w]:
             chosen.append(cand[i])
@@ -83,7 +87,7 @@ def knapsack_select(items, budget: int, date: dt.date | None = None) -> FactorPo
         date=date,
         selected=tuple((it.agent_id, it.factor) for it in chosen),
         total_tokens=sum(it.tokens for it in chosen),
-        total_utility=float(sum(it.utility for it in chosen)),
+        total_utility=float(ordered_sum(it.utility for it in chosen)),
     )
 
 
@@ -107,7 +111,7 @@ def sharpe_weights(utilities: dict[str, float], date: dt.date | None = None) -> 
     if not utilities:
         raise ValueError("utilities must be nonempty")
     clipped = {a: max(0.0, u) for a, u in sorted(utilities.items())}
-    total = sum(clipped.values())
+    total = ordered_sum(clipped.values())
     if total <= 0.0:
         return CapitalWeights(date=date, weights={a: 0.0 for a in clipped})
     return CapitalWeights(date=date, weights={a: v / total for a, v in clipped.items()})

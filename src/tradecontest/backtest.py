@@ -25,6 +25,16 @@ LIMIT_EPS = 5e-4
 ANNUALIZATION = math.sqrt(252.0)
 
 
+def ordered_sum(values):
+    """``sum(values)`` added strictly left to right from int 0. From Python
+    3.12 the builtin compensates float rounding, so its last bits would
+    depend on the Python version."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass
 class Fill:
     date: dt.date
@@ -60,7 +70,7 @@ class PortfolioState:
     flags: list[str] = field(default_factory=list)
 
     def shares(self, symbol: str) -> float:
-        pending = sum(self.unsettled.get(symbol, {}).values())
+        pending = ordered_sum(self.unsettled.get(symbol, {}).values())
         return self.settled.get(symbol, 0.0) + pending
 
     def held_symbols(self) -> list[str]:
@@ -69,7 +79,8 @@ class PortfolioState:
         return sorted(held)
 
     def nav(self) -> float:
-        return self.cash + sum(self.shares(s) * self.marks[s] for s in self.held_symbols())
+        return self.cash + ordered_sum(self.shares(s) * self.marks[s]
+                                       for s in self.held_symbols())
 
 
 @dataclass(frozen=True)
@@ -124,7 +135,7 @@ def apply_day(state: PortfolioState, target_weights: dict[str, float],
     then trade toward the targets subject to T+1, move limits, and cash.
     Returns the same state object, updated in place.
     """
-    total_w = sum(target_weights.values())
+    total_w = ordered_sum(target_weights.values())
     if total_w > 1.0 + 1e-9:
         raise ValueError(f"target weights sum to {total_w}, must be <= 1")
     if any(w < 0 for w in target_weights.values()):
@@ -192,7 +203,7 @@ def apply_day(state: PortfolioState, target_weights: dict[str, float],
             continue
         buy_plan.append((symbol, buy_value, price))
 
-    total_buy = sum(v for _, v, _ in buy_plan)
+    total_buy = ordered_sum(v for _, v, _ in buy_plan)
     if total_buy > 0:
         affordable = state.cash / (1.0 + rules.fee)
         scale = min(1.0, affordable / total_buy)

@@ -24,7 +24,6 @@ import yaml
 from .agents import (
     ExternalDataAgent,
     ExternalResearchAgent,
-    SyntheticAgentSpec,
     SyntheticDataAgent,
     SyntheticResearchAgent,
     check_call_bounds,
@@ -360,12 +359,11 @@ def build_agents(config: RunConfig):
             seed = entry.noise_seed if entry.noise_seed is not None \
                 else child_seed(config.seed, "agent", entry.agent_id)
             try:
-                spec = SyntheticAgentSpec(
-                    agent_id=entry.agent_id, kind=side, noise_seed=seed, skill=entry.skill,
-                    obs_per_day=entry.obs_per_day, belief_bias=entry.belief)
+                agents.append(synthetic(agent_id=entry.agent_id, noise_seed=seed,
+                                        skill=entry.skill, obs_per_day=entry.obs_per_day,
+                                        belief=entry.belief))
             except ValueError as exc:
                 raise ConfigurationError(f"agents.{side}[{i}]: {exc}") from exc
-            agents.append(synthetic(spec))
     return rosters["data"], rosters["research"]
 
 

@@ -30,7 +30,7 @@ from .allocation import (
     knapsack_select,
     sharpe_weights,
 )
-from .backtest import signals_to_weights
+from .backtest import ordered_sum, signals_to_weights
 from .errors import (
     AgentUnavailableError,
     ConfigurationError,
@@ -317,8 +317,8 @@ class ContestEngine:
             if judger is not None:
                 judged = self.judged[agent_id]
                 judged.append((judger.logical_soundness, judger.evidence_quality))
-                self.judger_means[agent_id] = (sum(v[0] for v in judged) / len(judged),
-                                               sum(v[1] for v in judged) / len(judged))
+                self.judger_means[agent_id] = (ordered_sum(v[0] for v in judged) / len(judged),
+                                               ordered_sum(v[1] for v in judged) / len(judged))
                 entry["soundness"] = judger.logical_soundness
                 entry["quality"] = judger.evidence_quality
             if len(window) >= 2:

@@ -2,9 +2,10 @@
 
 A MarketStore is immutable once built: bars are indexed by (symbol, date)
 and the trading calendar is the sorted set of distinct bar dates. Views
-produced by ``view_until`` expose the same read API but refuse any query
-past their cutoff date, which is how downstream consumers are kept from
-reading the future.
+produced by ``view_until`` share its ``calendar``, ``symbols`` and ``close``,
+add the trailing reads agents make (returns, the momentum table, the bars
+sent to external agents), and refuse any query past their cutoff date,
+which is how downstream consumers are kept from reading the future.
 """
 
 from __future__ import annotations

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 from .agents import Observation, TextualFactor, TradingSignal
+from .backtest import ANNUALIZATION, ordered_sum
 from .errors import InsufficientHistoryError
 from .market import MarketStore, price_change
 
-ANNUALIZATION = math.sqrt(252.0)
 STD_FLOOR = 1e-4
 
 
@@ -50,19 +50,18 @@ def zi_trade(obs: Observation, store: MarketStore, t: dt.date) -> float:
 
 def factor_score(factor: TextualFactor, store: MarketStore) -> float:
     """Factor value proxy: total ZI reward over its observations."""
-    return sum(zi_trade(obs, store, factor.date) for obs in factor.observations)
+    return ordered_sum(zi_trade(obs, store, factor.date) for obs in factor.observations)
 
 
-def realized_sharpe(returns, annualize: bool = True) -> float:
-    """Mean over std of a daily return window, std floored at 1e-4."""
+def realized_sharpe(returns) -> float:
+    """Annualized mean over std of a daily return window, std floored at 1e-4."""
     n = len(returns)
     if n < 2:
         raise InsufficientHistoryError(f"need >= 2 returns, got {n}")
-    mean = sum(returns) / n
-    var = sum((r - mean) ** 2 for r in returns) / n
+    mean = ordered_sum(returns) / n
+    var = ordered_sum((r - mean) ** 2 for r in returns) / n
     std = max(math.sqrt(var), STD_FLOOR)
-    sr = mean / std
-    return sr * ANNUALIZATION if annualize else sr
+    return mean / std * ANNUALIZATION
 
 
 def researcher_score(

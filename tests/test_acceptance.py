@@ -21,7 +21,6 @@ from scipy import stats
 
 from tradecontest.agents import (
     Observation,
-    SyntheticAgentSpec,
     SyntheticDataAgent,
     SyntheticResearchAgent,
     TextualFactor,
@@ -278,12 +277,11 @@ def test_criterion_6_data_contest_finds_skill():
                              PlantedEffect("SYM001", -0.012),
                              PlantedEffect("SYM002", 0.015, start_day=120)),
         ))
-        data = [SyntheticDataAgent(SyntheticAgentSpec(
-            agent_id=f"d{i:02d}", kind="data", noise_seed=1000 + i,
-            skill=0.8 if i < 4 else 0.0, obs_per_day=3)) for i in range(16)]
-        research = [SyntheticResearchAgent(SyntheticAgentSpec(
-            agent_id=f"r{i}", kind="research", noise_seed=2000 + i,
-            belief_bias="momentum")) for i in range(2)]
+        data = [SyntheticDataAgent(
+            agent_id=f"d{i:02d}", noise_seed=1000 + i,
+            skill=0.8 if i < 4 else 0.0, obs_per_day=3) for i in range(16)]
+        research = [SyntheticResearchAgent(
+            agent_id=f"r{i}", noise_seed=2000 + i, belief="momentum") for i in range(2)]
         config = ContestConfig(predictor=PredictorSpec(kind="gbdt"),
                                seed=42, budget=300)
         records = list(run_full(config, store, data, research))
@@ -312,15 +310,14 @@ def test_criterion_7_researcher_contest_weights_skill():
             n_symbols=8, n_days=200, seed=707, daily_vol=0.008,
             planted_effects=(PlantedEffect("SYM000", 0.01),),
         ))
-        data = [SyntheticDataAgent(SyntheticAgentSpec(
-            agent_id=f"d{i}", kind="data", noise_seed=3000 + i, skill=1.0,
-            obs_per_day=2)) for i in range(4)]
-        research = [SyntheticResearchAgent(SyntheticAgentSpec(
-            agent_id="rskill", kind="research", noise_seed=4000,
-            belief_bias="momentum"))]
-        research += [SyntheticResearchAgent(SyntheticAgentSpec(
-            agent_id=f"rnoise{i}", kind="research", noise_seed=4100 + i,
-            belief_bias="random")) for i in range(3)]
+        data = [SyntheticDataAgent(
+            agent_id=f"d{i}", noise_seed=3000 + i, skill=1.0,
+            obs_per_day=2) for i in range(4)]
+        research = [SyntheticResearchAgent(
+            agent_id="rskill", noise_seed=4000, belief="momentum")]
+        research += [SyntheticResearchAgent(
+            agent_id=f"rnoise{i}", noise_seed=4100 + i,
+            belief="random") for i in range(3)]
 
         def run_cr(**overrides):
             config = ContestConfig(predictor=PredictorSpec(kind="gbdt"),
@@ -450,16 +447,12 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
 
 def test_criterion_10_temporal_safety_fuzz():
     with criterion("10. future perturbations never change the past") as d:
-        data = [SyntheticDataAgent(SyntheticAgentSpec(
-            agent_id=f"d{i}", kind="data", noise_seed=500 + i,
-            skill=0.6 if i < 2 else 0.0, obs_per_day=2)) for i in range(5)]
+        data = [SyntheticDataAgent(
+            agent_id=f"d{i}", noise_seed=500 + i,
+            skill=0.6 if i < 2 else 0.0, obs_per_day=2) for i in range(5)]
         research = [
-            SyntheticResearchAgent(SyntheticAgentSpec(
-                agent_id="r0", kind="research", noise_seed=600,
-                belief_bias="momentum")),
-            SyntheticResearchAgent(SyntheticAgentSpec(
-                agent_id="r1", kind="research", noise_seed=601,
-                belief_bias="random")),
+            SyntheticResearchAgent(agent_id="r0", noise_seed=600, belief="momentum"),
+            SyntheticResearchAgent(agent_id="r1", noise_seed=601, belief="random"),
         ]
         configs = [
             (ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=3), 45),

@@ -23,7 +23,8 @@ from tradecontest.agents import (
     ExternalDataAgent,
     ExternalResearchAgent,
     Observation,
-    SyntheticAgentSpec,
+    SyntheticDataAgent,
+    SyntheticResearchAgent,
     TextualFactor,
     TradingSignal,
     build_request,
@@ -31,8 +32,6 @@ from tradecontest.agents import (
     parse_factor_response,
     parse_signal_response,
     render_portfolio_text,
-    synthetic_data_agent,
-    synthetic_research_agent,
     token_count,
 )
 from tradecontest.allocation import FactorPortfolio, empty_portfolio
@@ -83,7 +82,7 @@ class TestContracts:
 
     def test_skill_bounds(self):
         with pytest.raises(ValueError):
-            SyntheticAgentSpec(agent_id="a", kind="data", noise_seed=1, skill=1.5)
+            SyntheticDataAgent(agent_id="a", noise_seed=1, skill=1.5)
 
     def test_token_count_rule(self):
         assert token_count(["abcd", "ef"]) == 2  # ceil(6 / 4)
@@ -92,19 +91,17 @@ class TestContracts:
 
 class TestSyntheticDataAgent:
     def test_deterministic(self, drift_store):
-        spec = SyntheticAgentSpec(agent_id="d0", kind="data", noise_seed=42,
-                                  skill=0.5, obs_per_day=3)
+        agent = SyntheticDataAgent(agent_id="d0", noise_seed=42, skill=0.5, obs_per_day=3)
         t = drift_store.calendar[20]
         view = view_until(drift_store, t)
-        a = synthetic_data_agent(spec, view, t)
-        b = synthetic_data_agent(spec, view, t)
+        a = agent.produce(view, t)
+        b = agent.produce(view, t)
         assert a == b
 
     def test_zero_obs(self, drift_store):
-        spec = SyntheticAgentSpec(agent_id="d0", kind="data", noise_seed=1,
-                                  skill=0.0, obs_per_day=0)
+        agent = SyntheticDataAgent(agent_id="d0", noise_seed=1, skill=0.0, obs_per_day=0)
         t = drift_store.calendar[5]
-        factor = synthetic_data_agent(spec, view_until(drift_store, t), t)
+        factor = agent.produce(view_until(drift_store, t), t)
         assert factor.observations == ()
         assert factor.token_length == 0
 
@@ -116,13 +113,12 @@ class TestSyntheticDataAgent:
             planted_effects=(PlantedEffect("SYM000", 0.02),),
         )
         store = generate_synthetic(spec_market)
-        agent = SyntheticAgentSpec(agent_id="d0", kind="data", noise_seed=7,
-                                   skill=1.0, obs_per_day=1)
+        agent = SyntheticDataAgent(agent_id="d0", noise_seed=7, skill=1.0, obs_per_day=1)
         matches = 0
         total = 0
         for i in range(10, len(store.calendar) - 1):
             t = store.calendar[i]
-            factor = synthetic_data_agent(agent, view_until(store, t), t)
+            factor = agent.produce(view_until(store, t), t)
             for obs in factor.observations:
                 for sym, rating in obs.rated_symbols:
                     if sym != "SYM000" or rating == 0:
@@ -134,21 +130,19 @@ class TestSyntheticDataAgent:
         assert matches / total >= 0.9
 
     def test_factor_dated_at_request_day(self, drift_store):
-        spec = SyntheticAgentSpec(agent_id="d0", kind="data", noise_seed=3,
-                                  skill=0.2, obs_per_day=2)
+        agent = SyntheticDataAgent(agent_id="d0", noise_seed=3, skill=0.2, obs_per_day=2)
         t = drift_store.calendar[15]
-        factor = synthetic_data_agent(spec, view_until(drift_store, t), t)
+        factor = agent.produce(view_until(drift_store, t), t)
         assert factor.date == t
         assert 1 <= factor.token_length <= 4096
 
     def test_outputs_only_reference_visible_symbols(self, drift_store):
-        spec = SyntheticAgentSpec(agent_id="d0", kind="data", noise_seed=9,
-                                  skill=0.7, obs_per_day=4)
+        agent = SyntheticDataAgent(agent_id="d0", noise_seed=9, skill=0.7, obs_per_day=4)
         rng = np.random.default_rng(0)
         for _ in range(20):
             i = int(rng.integers(2, len(drift_store.calendar)))
             t = drift_store.calendar[i]
-            factor = synthetic_data_agent(spec, view_until(drift_store, t), t)
+            factor = agent.produce(view_until(drift_store, t), t)
             for obs in factor.observations:
                 for sym, _ in obs.rated_symbols:
                     assert sym in drift_store.symbols
@@ -168,29 +162,25 @@ def _portfolio_with(symbols, date, ratings=None):
 class TestSyntheticResearchAgent:
     def test_singleton_portfolio_buys_it(self, drift_store):
         t = drift_store.calendar[20]
-        spec = SyntheticAgentSpec(agent_id="r0", kind="research", noise_seed=5,
-                                  belief_bias="momentum")
+        agent = SyntheticResearchAgent(agent_id="r0", noise_seed=5, belief="momentum")
         portfolio = _portfolio_with(["SYM001"], t)
-        signal = synthetic_research_agent(spec, portfolio, view_until(drift_store, t), t)
+        signal = agent.produce(portfolio, view_until(drift_store, t), t)
         assert signal.action == "buy"
         assert signal.symbol == "SYM001"
         assert signal.evidence
 
     def test_empty_portfolio_holds(self, drift_store):
         t = drift_store.calendar[20]
-        spec = SyntheticAgentSpec(agent_id="r0", kind="research", noise_seed=5)
-        signal = synthetic_research_agent(spec, empty_portfolio(t),
-                                          view_until(drift_store, t), t)
+        agent = SyntheticResearchAgent(agent_id="r0", noise_seed=5)
+        signal = agent.produce(empty_portfolio(t), view_until(drift_store, t), t)
         assert signal.action == "hold"
 
     def test_deterministic(self, drift_store):
         t = drift_store.calendar[30]
-        spec = SyntheticAgentSpec(agent_id="r0", kind="research", noise_seed=11,
-                                  belief_bias="random")
+        agent = SyntheticResearchAgent(agent_id="r0", noise_seed=11, belief="random")
         portfolio = _portfolio_with(["SYM000", "SYM002"], t)
         view = view_until(drift_store, t)
-        assert synthetic_research_agent(spec, portfolio, view, t) == \
-            synthetic_research_agent(spec, portfolio, view, t)
+        assert agent.produce(portfolio, view, t) == agent.produce(portfolio, view, t)
 
     def test_momentum_vs_reversal(self, drift_store):
         # SYM000 carries +2%/day drift, so momentum chases it and reversal
@@ -198,12 +188,10 @@ class TestSyntheticResearchAgent:
         t = drift_store.calendar[30]
         view = view_until(drift_store, t)
         portfolio = _portfolio_with(["SYM000", "SYM001", "SYM002"], t)
-        mom = synthetic_research_agent(
-            SyntheticAgentSpec(agent_id="r0", kind="research", noise_seed=1,
-                               belief_bias="momentum"), portfolio, view, t)
-        rev = synthetic_research_agent(
-            SyntheticAgentSpec(agent_id="r1", kind="research", noise_seed=1,
-                               belief_bias="reversal"), portfolio, view, t)
+        mom = SyntheticResearchAgent(agent_id="r0", noise_seed=1, belief="momentum") \
+            .produce(portfolio, view, t)
+        rev = SyntheticResearchAgent(agent_id="r1", noise_seed=1, belief="reversal") \
+            .produce(portfolio, view, t)
         assert mom.symbol == "SYM000"
         assert rev.symbol != "SYM000"
 
@@ -211,22 +199,19 @@ class TestSyntheticResearchAgent:
         t = drift_store.calendar[30]
         portfolio = _portfolio_with(["SYM001", "ZZZ"], t, ratings=[1, 2])
         for belief in ("momentum", "reversal"):
-            spec = SyntheticAgentSpec(agent_id="r0", kind="research", noise_seed=1,
-                                      belief_bias=belief)
-            signal = synthetic_research_agent(spec, portfolio, view_until(drift_store, t), t)
+            agent = SyntheticResearchAgent(agent_id="r0", noise_seed=1, belief=belief)
+            signal = agent.produce(portfolio, view_until(drift_store, t), t)
             assert signal.symbol == "SYM001"
             assert "among 2 mentioned instruments" in signal.evidence[0]
 
     def test_no_view_uses_sentiment(self):
         t = D(2025, 1, 6)
         portfolio = _portfolio_with(["AAA", "BBB"], t, ratings=[2, -2])
-        spec = SyntheticAgentSpec(agent_id="r0", kind="research", noise_seed=2,
-                                  belief_bias="momentum")
-        signal = synthetic_research_agent(spec, portfolio, None, t)
+        agent = SyntheticResearchAgent(agent_id="r0", noise_seed=2, belief="momentum")
+        signal = agent.produce(portfolio, None, t)
         assert signal.symbol == "AAA"
-        rev = synthetic_research_agent(
-            SyntheticAgentSpec(agent_id="r1", kind="research", noise_seed=2,
-                               belief_bias="reversal"), portfolio, None, t)
+        rev = SyntheticResearchAgent(agent_id="r1", noise_seed=2, belief="reversal") \
+            .produce(portfolio, None, t)
         assert rev.symbol == "BBB"
 
 

@@ -26,6 +26,30 @@ def brute_force_best(items, budget):
     return best
 
 
+def uncapped_knapsack(items, budget):
+    """The selection by the dynamic program over every capacity up to
+    ``budget``: (agent ids, total tokens, total utility added left to right)."""
+    cand = [it for it in items if it.utility > 0 and it.tokens <= budget]
+    cand.sort(key=lambda it: (-(it.utility / it.tokens), it.agent_id))
+    dp = np.zeros(budget + 1)
+    keep = np.zeros((len(cand), budget + 1), dtype=bool)
+    for i, it in enumerate(cand):
+        shifted = np.concatenate([np.full(it.tokens, -np.inf), dp[: budget + 1 - it.tokens]])
+        take = shifted + it.utility
+        keep[i] = take > dp
+        dp = np.where(keep[i], take, dp)
+    chosen, w = [], budget
+    for i in range(len(cand) - 1, -1, -1):
+        if keep[i, w]:
+            chosen.append(cand[i])
+            w -= cand[i].tokens
+    chosen.sort(key=lambda it: it.agent_id)
+    utility = 0.0
+    for it in chosen:
+        utility += it.utility
+    return tuple(it.agent_id for it in chosen), sum(it.tokens for it in chosen), utility
+
+
 class TestKnapsack:
     def test_worked_example(self):
         items = [KnapsackItem("i1", 5.0, 10), KnapsackItem("i2", 4.0, 8),
@@ -77,6 +101,23 @@ class TestKnapsack:
             portfolio = knapsack_select(items, budget)
             assert portfolio.total_utility == pytest.approx(
                 brute_force_best(items, budget), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([1e16, 3.0, 1.0, 1e-16, 0.0, -1.0])
+                              | st.floats(-5, 5), st.integers(1, 30)), max_size=8),
+           st.integers(0, 300))
+    @example([(1e16, 3), (1.0, 2), (1.0, 1)], 200)  # adding 1.0 leaves 1e16 as it is
+    def test_capped_capacity_matches_the_uncapped_program(self, pairs, budget):
+        items = [KnapsackItem(f"a{i}", u, n) for i, (u, n) in enumerate(pairs)]
+        portfolio = knapsack_select(items, budget)
+        got = (tuple(a for a, _ in portfolio.selected), portfolio.total_tokens,
+               portfolio.total_utility)
+        assert got == uncapped_knapsack(items, budget)
+
+    def test_budget_past_every_candidate_takes_them_all(self):
+        items = [KnapsackItem("a", 2.0, 7), KnapsackItem("b", 1.0, 3),
+                 KnapsackItem("c", -1.0, 4)]
+        assert knapsack_select(items, 2**62) == knapsack_select(items, 10)
 
     def test_duplicate_ids_rejected(self):
         items = [KnapsackItem("a", 1.0, 1), KnapsackItem("a", 2.0, 1)]

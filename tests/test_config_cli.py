@@ -276,6 +276,12 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
     (replace_with_a_directory, "config file is a directory"),
     (append_a_0xff_byte, "config file is not valid UTF-8"),
     ({"validate_ric": {"source": "ledger", "ledger": "."}}, "validate_ric.ledger: is a directory: ."),
+    ({"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "belief": "bogus"}]}},
+     "agents.data[0]: unknown belief"),
+    ({"agents": {**TWO_AGENTS, "research": [{"agent_id": "r0", "skill": 2}]}},
+     "agents.research[0]: skill"),
+    ({"agents": {**TWO_AGENTS, "research": [{"agent_id": "r0", "obs_per_day": -1}]}},
+     "agents.research[0]: obs_per_day"),
 ], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
         "planted-no-drift", "lookback-0", "lookback-negative", "bool-as-string",
         "int-with-fraction", "int-as-bool", "float-as-bool", "unknown-contest-key",
@@ -287,7 +293,8 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
         "start_price-inf", "ric-phi-nan", "ric-phi-inf", "ric-agents-0", "ric-days-negative",
         "ric-m-0", "ric-n-0", "ric-M-0", "ric-N-negative", "ric-source-typo",
         "ric-panel-kind-ar2", "one-day-window", "csv-path-missing", "csv-path-a-directory",
-        "config-a-directory", "config-not-utf8", "ric-ledger-a-directory"])
+        "config-a-directory", "config-not-utf8", "ric-ledger-a-directory",
+        "data-belief-bogus", "research-skill-2", "research-obs_per_day-negative"])
 def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
     # only validate-ric reads validate_ric.ledger
     command = "validate-ric" if where.startswith("validate_ric.ledger") else "backtest"
@@ -312,6 +319,20 @@ def test_lossless_numbers_still_load():
 
 
 class TestCmdBacktest:
+    def test_budget_past_every_factor_gives_the_default_budgets_ledger(self, tmp_path):
+        # the knapsack's table is as wide as the tokens it can choose from,
+        # not as the budget, so a budget of 2**62 runs like any budget that
+        # covers every factor
+        ledgers = []
+        for budget in (16_384, 2**62):
+            run = tmp_path / str(budget)
+            run.mkdir()
+            cfg_path = write_config(run / "run.yaml",
+                                    contest={"predictor": "baseline", "budget": budget})
+            assert main(["backtest", str(cfg_path)]) == 0
+            ledgers.append((run / "out" / "ledger.jsonl").read_bytes())
+        assert ledgers[0] == ledgers[1]
+
     def test_writes_all_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.yaml")
         assert main(["backtest", str(cfg_path)]) == 0

@@ -5,11 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tradecontest.agents import (
-    SyntheticAgentSpec,
-    SyntheticDataAgent,
-    SyntheticResearchAgent,
-)
+from tradecontest.agents import SyntheticDataAgent, SyntheticResearchAgent
 from tradecontest import engine as eng
 from tradecontest.engine import (
     ContestConfig,
@@ -29,17 +25,17 @@ from tradecontest.prediction import PredictorModel, PredictorSpec, features_from
 
 
 def data_agent(agent_id, skill=0.0, seed=None, obs=2):
-    return SyntheticDataAgent(SyntheticAgentSpec(
-        agent_id=agent_id, kind="data",
+    return SyntheticDataAgent(
+        agent_id=agent_id,
         noise_seed=seed if seed is not None else hash(agent_id) % 10_000,
-        skill=skill, obs_per_day=obs))
+        skill=skill, obs_per_day=obs)
 
 
 def research_agent(agent_id, belief="momentum", seed=None):
-    return SyntheticResearchAgent(SyntheticAgentSpec(
-        agent_id=agent_id, kind="research",
+    return SyntheticResearchAgent(
+        agent_id=agent_id,
         noise_seed=seed if seed is not None else hash(agent_id) % 10_000,
-        belief_bias=belief))
+        belief=belief)
 
 
 def ledger_line(record) -> str:

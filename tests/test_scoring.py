@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tradecontest.agents import Observation, TextualFactor, TradingSignal
+from tradecontest.backtest import ordered_sum
 from tradecontest.errors import InsufficientHistoryError, MissingDataError
 from tradecontest.market import Bar, MarketStore
 from tradecontest.scoring import (
@@ -154,6 +155,22 @@ class TestResearcherScore:
         a = realized_sharpe(returns)
         b = realized_sharpe(list(reversed(returns)))
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_sums_add_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the mean is 0.0; a compensated
+        # sum, as the builtin is from Python 3.12, would keep the 1.0
+        returns = [1e16, 1.0, -1e16]
+        mean = 0.0
+        for r in returns:
+            mean += r
+        mean /= len(returns)
+        var = 0.0
+        for r in returns:
+            var += (r - mean) ** 2
+        var /= len(returns)
+        expected = mean / max(math.sqrt(var), 1e-4) * math.sqrt(252)
+        assert realized_sharpe(returns) == expected == 0.0
+        assert ordered_sum([]) == 0 and type(ordered_sum([])) is int
 
 
 class TestStubJudger:
