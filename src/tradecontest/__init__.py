@@ -23,7 +23,7 @@ from .backtest import (
     new_state,
     signals_to_weights,
 )
-from .engine import ContestConfig, DailyRecord, run_full
+from .engine import ContestConfig, ContestRules, DailyRecord, run_full
 from .market import (
     Bar,
     MarketStore,
@@ -36,7 +36,6 @@ from .market import (
 )
 from .prediction import (
     PredictorModel,
-    PredictorSpec,
     rank_ic,
     train,
     validate_momentum,

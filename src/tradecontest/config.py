@@ -7,14 +7,19 @@ outputs byte for byte and ablation variants stay paired.
 
 The section dataclasses are the schema: each field is one YAML key,
 named as in the file, with its type and default. ``from_dict`` and
-``to_dict`` walk those fields, so a key is declared in exactly one place.
-Where the program already has a type for a section (``BacktestRules``,
-``PlantedEffect``), that type is the section.
+``to_dict`` walk those fields, so a key is declared in exactly one place,
+and each section's own checks run as it is loaded. Where the program has
+a type for a section, that type is the section: ``contest`` is
+``engine.ContestRules``, ``backtest`` is ``backtest.BacktestRules``, each
+``data.planted`` entry is ``market.PlantedEffect``, and ``data`` extends
+``market.SyntheticSpec`` with the data source. The root keys and the
+``period``, ``agents`` and ``validate_ric`` sections are declared here.
 """
 
 import dataclasses
 import datetime as dt
 import math
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -30,10 +35,9 @@ from .agents import (
     parse_endpoint,
 )
 from .backtest import BacktestRules
-from .engine import ContestConfig
+from .engine import ContestConfig, ContestRules
 from .errors import ConfigurationError, CsvFormatError
-from .market import MarketStore, PlantedEffect, SyntheticSpec, generate_synthetic, ingest_csv
-from .prediction import PredictorSpec
+from .market import MarketStore, SyntheticSpec, generate_synthetic, ingest_csv
 from .seeding import child_seed
 
 DEFAULT_DATA_AGENTS = 16
@@ -50,16 +54,9 @@ def _date(value, where: str) -> dt.date:
 
 
 @dataclass(frozen=True)
-class DataSection:
+class DataSection(SyntheticSpec):
     kind: str = "synthetic"  # synthetic | csv
     csv_path: str | None = None
-    n_symbols: int = 10
-    n_days: int = 250
-    daily_vol: float = 0.02
-    limit_pct: float = 0.10
-    start: dt.date = dt.date(2024, 1, 2)
-    start_price: float = 100.0
-    planted: tuple[PlantedEffect, ...] = ()
 
     def validate(self, where: str):
         if self.kind not in ("synthetic", "csv"):
@@ -132,24 +129,6 @@ class AgentsSection:
 
 
 @dataclass(frozen=True)
-class ContestSection:
-    m: int = 5
-    n_data: int = 3
-    n_research: int = 5
-    budget: int = 16_384
-    predictor: str = "gbdt"
-    n_trees: int = 50
-    max_depth: int = 3
-    learning_rate: float = 0.1
-    research_rebalance_daily: bool = False
-
-    def validate(self, where: str):
-        if self.predictor not in ("baseline", "gbdt"):
-            raise ConfigurationError(
-                f"{where}.predictor: must be baseline or gbdt, got {self.predictor!r}")
-
-
-@dataclass(frozen=True)
 class RicPanel:
     kind: str = "ar1"  # ar1 | noise
     phi: float = 0.6
@@ -162,6 +141,10 @@ class RicPanel:
         if not math.isfinite(self.phi):
             raise ConfigurationError(f"{where}.phi: must be a finite number, got {self.phi!r}")
         _at_least_1(self, ("agents", "days"), where)
+        cells = sys.maxsize // 8  # NumPy caps an array's bytes at its index type
+        if self.agents * self.days > cells:
+            raise ConfigurationError(f"{where}: agents * days must be at most {cells} "
+                                     f"(a float64 array's limit), got {self.agents} * {self.days}")
 
 
 @dataclass(frozen=True)
@@ -201,7 +184,7 @@ class RunConfig:
     data: DataSection = field(default_factory=DataSection)
     period: PeriodSection = field(default_factory=PeriodSection)
     agents: AgentsSection = field(default_factory=AgentsSection)
-    contest: ContestSection = field(default_factory=ContestSection)
+    contest: ContestRules = field(default_factory=ContestRules)
     backtest: BacktestRules = field(default_factory=BacktestRules)
     validate_ric: ValidateRicSection = field(default_factory=ValidateRicSection)
 
@@ -272,7 +255,7 @@ def _convert(tp, value, where: str):
         raise ConfigurationError(f"{where}: expected {tp.__name__}, got {value!r}")
     try:
         return tp(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
         raise ConfigurationError(f"{where}: expected {tp.__name__}, got {value!r}") from None
 
 
@@ -326,17 +309,7 @@ def build_store(config: RunConfig) -> MarketStore:
         except UnicodeDecodeError:  # decoded a block at a time: no line is known
             raise CsvFormatError(f"{data.csv_path}: not valid UTF-8") from None
     try:
-        spec = SyntheticSpec(
-            n_symbols=data.n_symbols,
-            n_days=data.n_days,
-            seed=child_seed(config.seed, "market"),
-            daily_vol=data.daily_vol,
-            limit_pct=data.limit_pct,
-            start=data.start,
-            start_price=data.start_price,
-            planted_effects=data.planted,
-        )
-        return generate_synthetic(spec)
+        return generate_synthetic(data, child_seed(config.seed, "market"))
     except ValueError as exc:
         raise ConfigurationError(f"data: {exc}") from exc
 
@@ -368,28 +341,12 @@ def build_agents(config: RunConfig):
 
 
 def contest_config(config: RunConfig, store: MarketStore, **overrides) -> ContestConfig:
-    period, contest = config.period, config.contest
+    """The ``contest`` section plus the run's seed, training window and ablation switches."""
+    period = config.period
     train_window = None
     if period.train_start is not None and period.train_end is not None:
         train_window = sum(
             1 for d in store.calendar if period.train_start <= d <= period.train_end
         )
-    try:
-        predictor = PredictorSpec(
-            kind=contest.predictor, n_trees=contest.n_trees,
-            max_depth=contest.max_depth, learning_rate=contest.learning_rate,
-        )
-        params = dict(
-            m=contest.m,
-            n_data=contest.n_data,
-            n_research=contest.n_research,
-            budget=contest.budget,
-            predictor=predictor,
-            seed=config.seed,
-            research_rebalance_daily=contest.research_rebalance_daily,
-            train_window_days=train_window,
-        )
-        params.update(overrides)
-        return ContestConfig(**params)
-    except ValueError as exc:
-        raise ConfigurationError(f"contest: {exc}") from exc
+    return ContestConfig(**dataclasses.asdict(config.contest), seed=config.seed,
+                         train_window_days=train_window, **overrides)

@@ -12,6 +12,7 @@ or stay silent simply score as absent; the run never crashes on them.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from array import array
 from bisect import bisect_right
 from collections import deque
@@ -41,7 +42,6 @@ from .market import MarketStore, price_change, view_until
 from .prediction import (
     MIN_TRAIN_PAIRS,
     PredictorModel,
-    PredictorSpec,
     baseline_model,
     clipped_utility,
     features_from_window,
@@ -59,19 +59,20 @@ AGENT_FAILURES = (AgentUnavailableError, ProtocolError)
 
 
 @dataclass(frozen=True)
-class ContestConfig:
+class ContestRules:
+    """The ``contest`` section of a run config: the trailing score window
+    ``m``, the two rebalance horizons, the token budget of the data team's
+    factor portfolio, and the predictor with its tree settings."""
+
     m: int = 5
     n_data: int = 3
     n_research: int = 5
     budget: int = 16_384
-    predictor: PredictorSpec = field(default_factory=lambda: PredictorSpec(kind="gbdt"))
-    seed: int = 0
-    no_data_contest: bool = False
-    no_research_contest: bool = False
-    no_judger: bool = False
-    no_deep_inputs: bool = False
+    predictor: str = "gbdt"  # baseline | gbdt
+    n_trees: int = 50
+    max_depth: int = 3
+    learning_rate: float = 0.1
     research_rebalance_daily: bool = False
-    train_window_days: int | None = None
 
     def __post_init__(self):
         if self.m < 2:
@@ -80,6 +81,28 @@ class ContestConfig:
             raise ValueError("rebalance horizons must be >= 1")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
+        if self.predictor not in ("baseline", "gbdt"):
+            raise ValueError(f"predictor must be baseline or gbdt, got {self.predictor!r}")
+        if not 1 <= self.n_trees <= 50:
+            raise ValueError("n_trees must be in [1, 50]")
+        if not 1 <= self.max_depth <= 3:
+            raise ValueError("max_depth must be in [1, 3]")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, "
+                             f"got {self.learning_rate!r}")
+
+
+@dataclass(frozen=True)
+class ContestConfig(ContestRules):
+    """The contest rules plus what a run supplies: the root seed, the
+    ablation switches, and how many trailing rows the predictor fits on."""
+
+    seed: int = 0
+    no_data_contest: bool = False
+    no_research_contest: bool = False
+    no_judger: bool = False
+    no_deep_inputs: bool = False
+    train_window_days: int | None = None
 
     @property
     def warmup_days(self) -> int:
@@ -197,8 +220,8 @@ def _fit_or_baseline(config: ContestConfig, rows: dict[str, _TrainingRows]) -> P
     chosen = [r for _, r in sorted(rows.items()) if r.targets]
     X = [np.array(r.features).reshape(len(r.targets) // 2, -1)[window] for r in chosen]
     targets = [np.array(r.targets).reshape(-1, 2)[window] for r in chosen]
-    if config.predictor.kind == "gbdt" and sum(map(len, X)) >= MIN_TRAIN_PAIRS:
-        return train(config.predictor, np.vstack(X), np.vstack(targets))
+    if config.predictor == "gbdt" and sum(map(len, X)) >= MIN_TRAIN_PAIRS:
+        return train(config, np.vstack(X), np.vstack(targets))
     return baseline_model()
 
 
@@ -267,7 +290,7 @@ class ContestEngine:
         self.data_agents = sorted(data_agents, key=lambda a: a.agent_id)
         self.research_agents = sorted(research_agents, key=lambda a: a.agent_id)
 
-        gbdt = config.predictor.kind == "gbdt"
+        gbdt = config.predictor == "gbdt"
         self.data = _Contest([a.agent_id for a in self.data_agents], config.m, config.n_data,
                              gbdt and not config.no_data_contest)
         self.research = _Contest([a.agent_id for a in self.research_agents], config.m,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import csv
 import datetime as dt
+import itertools
 import json
 import math
 from array import array
@@ -70,22 +71,28 @@ class PlantedEffect:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters for the deterministic synthetic market generator."""
+    """Parameters of the deterministic synthetic market generator; each is
+    one key of a config's ``data`` section, whose type extends this one."""
 
-    n_symbols: int
-    n_days: int
-    seed: int
-    daily_vol: float
+    n_symbols: int = 10
+    n_days: int = 250
+    daily_vol: float = 0.02
     limit_pct: float = 0.10
     start: dt.date = dt.date(2024, 1, 2)
     start_price: float = 100.0
-    planted_effects: tuple[PlantedEffect, ...] = ()
+    planted: tuple[PlantedEffect, ...] = ()
 
     def __post_init__(self):
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
         if self.n_days < 1:
             raise ValueError("n_days must be >= 1")
+        # the weekdays from start to the calendar's last day, 9999-12-31
+        days = dt.date.max.toordinal() - self.start.toordinal() + 1
+        room = days // 7 * 5 + sum((self.start.weekday() + i) % 7 < 5 for i in range(days % 7))
+        if self.n_days > room:
+            raise ValueError(f"n_days must be at most {room}, the weekdays from {self.start} "
+                             f"to {dt.date.max}; got {self.n_days}")
         if not (math.isfinite(self.daily_vol) and self.daily_vol >= 0):
             raise ValueError(f"daily_vol must be a finite number >= 0, got {self.daily_vol!r}")
         if not (0 < self.limit_pct <= 1):
@@ -392,29 +399,25 @@ def write_csv(store: MarketStore, path) -> None:
 
 def business_days(start: dt.date, n: int) -> list[dt.date]:
     """The first n weekdays on or after ``start``."""
-    out = []
-    d = start
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += dt.timedelta(days=1)
-    return out
+    days = map(dt.date.fromordinal, itertools.count(start.toordinal()))
+    return list(itertools.islice((d for d in days if d.weekday() < 5), n))
 
 
-def generate_synthetic(spec: SyntheticSpec) -> MarketStore:
+def generate_synthetic(spec: SyntheticSpec, seed: int) -> MarketStore:
     """Deterministic multiplicative random walk with a daily move limit.
 
     Raw daily returns are ``daily_vol * z + drift`` (z standard normal,
     drift from any planted effect active that day), then clamped to
     ``[-limit_pct, +limit_pct]`` so the move-limit logic downstream has
-    real limit days to act on. Identical specs give bit-identical stores.
+    real limit days to act on. The same spec and seed give bit-identical
+    stores.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     days = business_days(spec.start, spec.n_days)
     symbols = [f"SYM{i:03d}" for i in range(spec.n_symbols)]
     drift = np.zeros((spec.n_days, spec.n_symbols))
     sym_index = {s: i for i, s in enumerate(symbols)}
-    for eff in spec.planted_effects:
+    for eff in spec.planted:
         if eff.symbol not in sym_index:
             raise ValueError(f"planted effect references unknown symbol {eff.symbol}")
         drift[max(eff.start_day, 0):, sym_index[eff.symbol]] += eff.drift

@@ -51,25 +51,6 @@ def features_from_window(window) -> tuple[float, float, float, float]:
     return mean, math.sqrt(ss / m), window[-1], sxy / sxx
 
 
-@dataclass(frozen=True)
-class PredictorSpec:
-    kind: str = "baseline"  # baseline | gbdt
-    n_trees: int = 50
-    max_depth: int = 3
-    learning_rate: float = 0.1
-
-    def __post_init__(self):
-        if self.kind not in ("baseline", "gbdt"):
-            raise ValueError(f"unknown predictor kind {self.kind!r}")
-        if self.n_trees > 50 or self.n_trees < 1:
-            raise ValueError("n_trees must be in [1, 50]")
-        if self.max_depth > 3 or self.max_depth < 1:
-            raise ValueError("max_depth must be in [1, 3]")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be a finite number > 0, "
-                             f"got {self.learning_rate!r}")
-
-
 @dataclass
 class PredictorModel:
     """Trained utility predictor.
@@ -97,15 +78,16 @@ def baseline_model() -> PredictorModel:
     return PredictorModel(kind="baseline")
 
 
-def train(model_spec: PredictorSpec, X, targets) -> PredictorModel:
+def train(rules, X, targets) -> PredictorModel:
     """Fit the gbdt predictor, one ensemble per target, on feature rows
-    ``X`` and their (future mean, future std) ``targets``."""
+    ``X`` and their (future mean, future std) ``targets``, with the tree
+    settings of ``rules`` (an ``engine.ContestRules``)."""
     X = np.asarray(X, dtype=np.float64)
     if len(X) < MIN_TRAIN_PAIRS:
         raise TrainingError(f"need >= {MIN_TRAIN_PAIRS} training pairs, got {len(X)}")
     mu_model, sigma_model = (
-        GradientBoostedRegressor(n_trees=model_spec.n_trees, max_depth=model_spec.max_depth,
-                                 learning_rate=model_spec.learning_rate).fit(X, y)
+        GradientBoostedRegressor(n_trees=rules.n_trees, max_depth=rules.max_depth,
+                                 learning_rate=rules.learning_rate).fit(X, y)
         for y in np.array(targets, dtype=np.float64).T.copy()
     )
     return PredictorModel(kind="gbdt", mu_model=mu_model, sigma_model=sigma_model)

@@ -36,16 +36,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def drift_store() -> MarketStore:
     """Small market with one strongly drifting symbol."""
     spec = SyntheticSpec(
-        n_symbols=5, n_days=80, seed=1234, daily_vol=0.004,
-        planted_effects=(PlantedEffect("SYM000", 0.02),),
+        n_symbols=5, n_days=80, daily_vol=0.004,
+        planted=(PlantedEffect("SYM000", 0.02),),
     )
-    return generate_synthetic(spec)
+    return generate_synthetic(spec, 1234)
 
 
 @pytest.fixture()
 def tiny_store() -> MarketStore:
-    spec = SyntheticSpec(n_symbols=3, n_days=12, seed=7, daily_vol=0.01)
-    return generate_synthetic(spec)
+    spec = SyntheticSpec(n_symbols=3, n_days=12, daily_vol=0.01)
+    return generate_synthetic(spec, 7)
 
 
 def bar_map(store: MarketStore) -> dict[tuple[str, dt.date], Bar]:

@@ -45,7 +45,6 @@ from tradecontest.market import (
     perturb_after,
 )
 from tradecontest.prediction import (
-    PredictorSpec,
     ar1_score_panel,
     rank_ic,
     validate_momentum,
@@ -272,17 +271,17 @@ def test_criterion_5_momentum_validation():
 def test_criterion_6_data_contest_finds_skill():
     with criterion("6. data contest selects planted skill") as d:
         store = generate_synthetic(SyntheticSpec(
-            n_symbols=10, n_days=250, seed=606, daily_vol=0.01,
-            planted_effects=(PlantedEffect("SYM000", 0.012),
-                             PlantedEffect("SYM001", -0.012),
-                             PlantedEffect("SYM002", 0.015, start_day=120)),
-        ))
+            n_symbols=10, n_days=250, daily_vol=0.01,
+            planted=(PlantedEffect("SYM000", 0.012),
+                     PlantedEffect("SYM001", -0.012),
+                     PlantedEffect("SYM002", 0.015, start_day=120)),
+        ), 606)
         data = [SyntheticDataAgent(
             agent_id=f"d{i:02d}", noise_seed=1000 + i,
             skill=0.8 if i < 4 else 0.0, obs_per_day=3) for i in range(16)]
         research = [SyntheticResearchAgent(
             agent_id=f"r{i}", noise_seed=2000 + i, belief="momentum") for i in range(2)]
-        config = ContestConfig(predictor=PredictorSpec(kind="gbdt"),
+        config = ContestConfig(predictor="gbdt",
                                seed=42, budget=300)
         records = list(run_full(config, store, data, research))
 
@@ -307,9 +306,9 @@ def test_criterion_6_data_contest_finds_skill():
 def test_criterion_7_researcher_contest_weights_skill():
     with criterion("7. researcher contest rewards the skilled agent") as d:
         store = generate_synthetic(SyntheticSpec(
-            n_symbols=8, n_days=200, seed=707, daily_vol=0.008,
-            planted_effects=(PlantedEffect("SYM000", 0.01),),
-        ))
+            n_symbols=8, n_days=200, daily_vol=0.008,
+            planted=(PlantedEffect("SYM000", 0.01),),
+        ), 707)
         data = [SyntheticDataAgent(
             agent_id=f"d{i}", noise_seed=3000 + i, skill=1.0,
             obs_per_day=2) for i in range(4)]
@@ -320,7 +319,7 @@ def test_criterion_7_researcher_contest_weights_skill():
             belief="random") for i in range(3)]
 
         def run_cr(**overrides):
-            config = ContestConfig(predictor=PredictorSpec(kind="gbdt"),
+            config = ContestConfig(predictor="gbdt",
                                    seed=77, **overrides)
             records = list(run_full(config, store, data, research))
             state = new_state(1_000_000.0)
@@ -350,8 +349,8 @@ def test_criterion_8_backtest_rule_compliance():
         recon_worst = 0.0
         for seed in range(40):
             store = generate_synthetic(SyntheticSpec(
-                n_symbols=8, n_days=250, seed=9000 + seed, daily_vol=0.09,
-                limit_pct=0.10))
+                n_symbols=8, n_days=250, daily_vol=0.09,
+                limit_pct=0.10), 9000 + seed)
             rng = np.random.default_rng(seed)
             state = new_state(1_000_000.0)
             oracle_settled = {s: 0.0 for s in store.symbols}
@@ -455,15 +454,15 @@ def test_criterion_10_temporal_safety_fuzz():
             SyntheticResearchAgent(agent_id="r1", noise_seed=601, belief="random"),
         ]
         configs = [
-            (ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=3), 45),
-            (ContestConfig(predictor=PredictorSpec(kind="gbdt"), seed=3), 5),
+            (ContestConfig(predictor="baseline", seed=3), 45),
+            (ContestConfig(predictor="gbdt", seed=3), 5),
         ]
         rng = np.random.default_rng(20250110)
         trials = 0
         for config, n_trials in configs:
             store = generate_synthetic(SyntheticSpec(
-                n_symbols=6, n_days=70, seed=88, daily_vol=0.01,
-                planted_effects=(PlantedEffect("SYM000", 0.012),)))
+                n_symbols=6, n_days=70, daily_vol=0.01,
+                planted=(PlantedEffect("SYM000", 0.012),)), 88)
             base = list(run_full(config, store, data, research))
             base_json = [json.dumps(r.to_dict(), sort_keys=True) for r in base]
             for _ in range(n_trials):

@@ -45,7 +45,6 @@ from tradecontest.market import (
     price_change,
     view_until,
 )
-from tradecontest.prediction import PredictorSpec
 
 from conftest import bar_map
 
@@ -109,10 +108,10 @@ class TestSyntheticDataAgent:
         # one hard-drifting symbol; the informed path should rate it in the
         # direction the price actually moves next day
         spec_market = SyntheticSpec(
-            n_symbols=4, n_days=60, seed=88, daily_vol=0.002,
-            planted_effects=(PlantedEffect("SYM000", 0.02),),
+            n_symbols=4, n_days=60, daily_vol=0.002,
+            planted=(PlantedEffect("SYM000", 0.02),),
         )
-        store = generate_synthetic(spec_market)
+        store = generate_synthetic(spec_market, 88)
         agent = SyntheticDataAgent(agent_id="d0", noise_seed=7, skill=1.0, obs_per_day=1)
         matches = 0
         total = 0
@@ -564,12 +563,12 @@ class TestRequestBytes:
     def test_pinned_run_request_bytes(self, monkeypatch):
         lines = []
         monkeypatch.setattr(agents_mod, "_call_subprocess", fake_endpoint(lines))
-        store = generate_synthetic(SyntheticSpec(n_symbols=4, n_days=24, seed=5, daily_vol=0.01))
+        store = generate_synthetic(SyntheticSpec(n_symbols=4, n_days=24, daily_vol=0.01), 5)
         data = [ExternalDataAgent("x0", "agent", lookback=3),
                 ExternalDataAgent('xé"1', "agent", lookback=40)]
         research = [ExternalResearchAgent("r0", "agent", lookback=5)]
         for deep_inputs_cut in (False, True):
-            config = ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=3,
+            config = ContestConfig(predictor="baseline", seed=3,
                                    no_deep_inputs=deep_inputs_cut)
             list(run_full(config, store, data, research))
         assert len(lines) == 144

@@ -196,92 +196,118 @@ EXTERNAL = {"kind": "external", "agent_id": "x0", "endpoint": "true"}
 NAN = float("nan")  # written by yaml.safe_dump as .nan
 
 
-@pytest.mark.parametrize("overrides, where", [
-    ({"contest": {"predictor": "baseline", "m": "abc"}}, "contest.m: expected int"),
-    ({"contest": {"predictor": "baseline", "n_trees": 99}}, "contest: n_trees"),
-    ({"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "skill": 2.0}]}},
+@pytest.mark.parametrize("command, overrides, where", [
+    ("backtest", {"contest": {"predictor": "baseline", "m": "abc"}}, "contest.m: expected int"),
+    ("backtest", {"contest": {"predictor": "baseline", "n_trees": 99}}, "contest: n_trees"),
+    ("backtest", {"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "skill": 2.0}]}},
      "agents.data[0]: skill"),
-    ({"agents": {**TWO_AGENTS, "research": [{"agent_id": "r0", "belief": "bogus"}]}},
+    ("backtest", {"agents": {**TWO_AGENTS, "research": [{"agent_id": "r0", "belief": "bogus"}]}},
      "agents.research[0]: unknown belief"),
-    ({"backtest": {"initial_cash": 0}}, "backtest: initial cash"),
-    ({"data": PLANTED_NO_DRIFT}, "data.planted[0].drift: required"),
-    ({"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "lookback": 0}]}},
+    ("backtest", {"backtest": {"initial_cash": 0}}, "backtest: initial cash"),
+    ("backtest", {"data": PLANTED_NO_DRIFT}, "data.planted[0].drift: required"),
+    ("backtest", {"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "lookback": 0}]}},
      "agents.data[0].lookback: must be >= 1"),
-    ({"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "lookback": -2}]}},
+    ("backtest", {"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "lookback": -2}]}},
      "agents.research[0].lookback: must be >= 1"),
-    ({"contest": {"predictor": "baseline", "research_rebalance_daily": "false"}},
+    ("backtest", {"contest": {"predictor": "baseline", "research_rebalance_daily": "false"}},
      "contest.research_rebalance_daily: expected bool, got 'false'"),
-    ({"contest": {"predictor": "baseline", "m": 2.7}}, "contest.m: expected int, got 2.7"),
-    ({"contest": {"predictor": "baseline", "m": True}}, "contest.m: expected int, got True"),
-    ({"backtest": {"fee": True}}, "backtest.fee: expected float, got True"),
-    ({"contest": {"predictor": "baseline", "n_tree": 20}}, "contest.n_tree: unknown key"),
-    ({"sed": 3}, "sed: unknown key"),
-    ({"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "skil": 0.5}]}},
+    ("backtest", {"contest": {"predictor": "baseline", "m": 2.7}},
+     "contest.m: expected int, got 2.7"),
+    ("backtest", {"contest": {"predictor": "baseline", "m": True}},
+     "contest.m: expected int, got True"),
+    ("backtest", {"backtest": {"fee": True}}, "backtest.fee: expected float, got True"),
+    ("backtest", {"contest": {"predictor": "baseline", "n_tree": 20}},
+     "contest.n_tree: unknown key"),
+    ("backtest", {"sed": 3}, "sed: unknown key"),
+    ("backtest", {"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "skil": 0.5}]}},
      "agents.data[0].skil: unknown key"),
-    ({"validate_ric": {"panel": {"phi": 0.5, "day": 10}}}, "validate_ric.panel.day: unknown key"),
-    ({"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "endpoint": "   "}]}},
+    ("backtest", {"validate_ric": {"panel": {"phi": 0.5, "day": 10}}},
+     "validate_ric.panel.day: unknown key"),
+    ("backtest", {"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "endpoint": "   "}]}},
      "agents.data[0].endpoint: blank command"),
-    ({"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "endpoint": 'awk "'}]}},
+    ("backtest", {"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "endpoint": 'awk "'}]}},
      "agents.research[0].endpoint: No closing quotation"),
-    ({"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "timeout": 0}]}},
+    ("backtest", {"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "timeout": 0}]}},
      "agents.data[0].timeout: must be a positive number of seconds, got 0.0"),
-    ({"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "timeout": -1.5}]}},
+    ("backtest", {"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "timeout": -1.5}]}},
      "agents.research[0].timeout: must be a positive number of seconds, got -1.5"),
-    ({"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "timeout": float("inf")}]}},
+    ("backtest", {"agents": {**TWO_AGENTS, "data": [{**EXTERNAL, "timeout": float("inf")}]}},
      "agents.data[0].timeout: must be a positive number of seconds, got inf"),
-    ({"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "timeout": 1e7}]}},
+    ("backtest", {"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "timeout": 1e7}]}},
      "agents.research[0].timeout: must be a positive number of seconds, got 10000000.0 "
      "(at most 2147483)"),
-    ({"backtest": {"fee": -0.5}}, "backtest: fee must be a finite number >= 0, got -0.5"),
-    ({"backtest": {"fee": NAN}}, "backtest: fee must be a finite number >= 0, got nan"),
-    ({"backtest": {"initial_cash": NAN}},
+    ("backtest", {"backtest": {"fee": -0.5}},
+     "backtest: fee must be a finite number >= 0, got -0.5"),
+    ("backtest", {"backtest": {"fee": NAN}},
+     "backtest: fee must be a finite number >= 0, got nan"),
+    ("backtest", {"backtest": {"initial_cash": NAN}},
      "backtest: initial cash must be positive and finite, got nan"),
-    ({"backtest": {"initial_cash": float("inf")}},
+    ("backtest", {"backtest": {"initial_cash": float("inf")}},
      "backtest: initial cash must be positive and finite, got inf"),
-    ({"backtest": {"limit_pct": 0}}, "backtest: limit_pct must be in (0, 1], got 0.0"),
-    ({"backtest": {"limit_pct": NAN}}, "backtest: limit_pct must be in (0, 1], got nan"),
-    ({"contest": {"predictor": "baseline", "m": 1}}, "contest: m must be >= 2"),
-    ({"contest": {"predictor": "baseline", "n_data": 0}},
+    ("backtest", {"backtest": {"limit_pct": 0}}, "backtest: limit_pct must be in (0, 1], got 0.0"),
+    ("backtest", {"backtest": {"limit_pct": NAN}},
+     "backtest: limit_pct must be in (0, 1], got nan"),
+    ("backtest", {"contest": {"predictor": "baseline", "m": 1}}, "contest: m must be >= 2"),
+    ("backtest", {"contest": {"predictor": "baseline", "n_data": 0}},
      "contest: rebalance horizons must be >= 1"),
-    ({"contest": {"predictor": "baseline", "budget": -1}}, "contest: budget must be >= 0"),
-    ({"contest": {"predictor": "baseline", "learning_rate": NAN}},
+    ("backtest", {"contest": {"predictor": "baseline", "budget": -1}},
+     "contest: budget must be >= 0"),
+    ("backtest", {"contest": {"predictor": "baseline", "learning_rate": NAN}},
      "contest: learning_rate must be a finite number > 0, got nan"),
-    ({"contest": {"predictor": "baseline", "learning_rate": 0}},
+    ("backtest", {"contest": {"predictor": "baseline", "learning_rate": 0}},
      "contest: learning_rate must be a finite number > 0, got 0.0"),
-    ({"contest": {"predictor": "baseline", "learning_rate": -0.1}},
+    ("backtest", {"contest": {"predictor": "baseline", "learning_rate": -0.1}},
      "contest: learning_rate must be a finite number > 0, got -0.1"),
-    ({"data": {"kind": "synthetic", "daily_vol": NAN}},
+    ("backtest", {"data": {"kind": "synthetic", "daily_vol": NAN}},
      "data: daily_vol must be a finite number >= 0, got nan"),
-    ({"data": {"kind": "synthetic", "start_price": float("inf")}},
+    ("backtest", {"data": {"kind": "synthetic", "start_price": float("inf")}},
      "data: start_price must be a finite number > 0, got inf"),
-    ({"validate_ric": {"panel": {"phi": NAN}}},
+    ("backtest", {"validate_ric": {"panel": {"phi": NAN}}},
      "validate_ric.panel.phi: must be a finite number, got nan"),
-    ({"validate_ric": {"panel": {"phi": float("-inf")}}},
+    ("backtest", {"validate_ric": {"panel": {"phi": float("-inf")}}},
      "validate_ric.panel.phi: must be a finite number, got -inf"),
-    ({"validate_ric": {"panel": {"agents": 0}}}, "validate_ric.panel.agents: must be >= 1, got 0"),
-    ({"validate_ric": {"panel": {"days": -5}}}, "validate_ric.panel.days: must be >= 1, got -5"),
-    ({"validate_ric": {"windows": {"m": 0}}}, "validate_ric.windows.m: must be >= 1, got 0"),
-    ({"validate_ric": {"windows": {"n": 0}}}, "validate_ric.windows.n: must be >= 1, got 0"),
-    ({"validate_ric": {"windows": {"M": 0}}}, "validate_ric.windows.M: must be >= 1, got 0"),
-    ({"validate_ric": {"windows": {"N": -1}}}, "validate_ric.windows.N: must be >= 1, got -1"),
-    ({"validate_ric": {"source": "panle"}},
+    ("backtest", {"validate_ric": {"panel": {"agents": 0}}},
+     "validate_ric.panel.agents: must be >= 1, got 0"),
+    ("backtest", {"validate_ric": {"panel": {"days": -5}}},
+     "validate_ric.panel.days: must be >= 1, got -5"),
+    ("backtest", {"validate_ric": {"windows": {"m": 0}}},
+     "validate_ric.windows.m: must be >= 1, got 0"),
+    ("backtest", {"validate_ric": {"windows": {"n": 0}}},
+     "validate_ric.windows.n: must be >= 1, got 0"),
+    ("backtest", {"validate_ric": {"windows": {"M": 0}}},
+     "validate_ric.windows.M: must be >= 1, got 0"),
+    ("backtest", {"validate_ric": {"windows": {"N": -1}}},
+     "validate_ric.windows.N: must be >= 1, got -1"),
+    ("backtest", {"validate_ric": {"source": "panle"}},
      "validate_ric.source: must be panel or ledger, got 'panle'"),
-    ({"validate_ric": {"panel": {"kind": "ar2"}}},
+    ("backtest", {"validate_ric": {"panel": {"kind": "ar2"}}},
      "validate_ric.panel.kind: must be ar1 or noise, got 'ar2'"),
-    ({"period": {"test_start": "2024-03-01", "test_end": "2024-03-01"}},
+    ("backtest", {"period": {"test_start": "2024-03-01", "test_end": "2024-03-01"}},
      "period: evaluation window from 2024-03-01 holds 1 trading day(s); need at least 2"),
-    ({"data": {"kind": "csv", "csv_path": "no/such/bars.csv"}},
+    ("backtest", {"data": {"kind": "csv", "csv_path": "no/such/bars.csv"}},
      "data.csv_path: file not found: no/such/bars.csv"),
-    ({"data": {"kind": "csv", "csv_path": "."}}, "data.csv_path: is a directory: ."),
-    (replace_with_a_directory, "config file is a directory"),
-    (append_a_0xff_byte, "config file is not valid UTF-8"),
-    ({"validate_ric": {"source": "ledger", "ledger": "."}}, "validate_ric.ledger: is a directory: ."),
-    ({"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "belief": "bogus"}]}},
+    ("backtest", {"data": {"kind": "csv", "csv_path": "."}}, "data.csv_path: is a directory: ."),
+    ("backtest", replace_with_a_directory, "config file is a directory"),
+    ("backtest", append_a_0xff_byte, "config file is not valid UTF-8"),
+    ("validate-ric", {"validate_ric": {"source": "ledger", "ledger": "."}},
+     "validate_ric.ledger: is a directory: ."),
+    ("backtest", {"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "belief": "bogus"}]}},
      "agents.data[0]: unknown belief"),
-    ({"agents": {**TWO_AGENTS, "research": [{"agent_id": "r0", "skill": 2}]}},
+    ("backtest", {"agents": {**TWO_AGENTS, "research": [{"agent_id": "r0", "skill": 2}]}},
      "agents.research[0]: skill"),
-    ({"agents": {**TWO_AGENTS, "research": [{"agent_id": "r0", "obs_per_day": -1}]}},
+    ("backtest", {"agents": {**TWO_AGENTS, "research": [{"agent_id": "r0", "obs_per_day": -1}]}},
      "agents.research[0]: obs_per_day"),
+    ("backtest", {"backtest": {"fee": 10**400}}, "backtest.fee: expected float, got 1000"),
+    ("gen-data", {"data": {"kind": "synthetic", "n_days": 3_000_000}},
+     "data: n_days must be at most 2080839, the weekdays from 2024-01-02 to 9999-12-31"),
+    ("validate-ric", {"validate_ric": {"panel": {"days": 2**62}}},
+     "validate_ric.panel: agents * days must be at most 1152921504606846975"),
+    ("gen-data", {"contest": {"m": 1}}, "contest: m must be >= 2"),
+    ("validate-ric", {"contest": {"m": 1}}, "contest: m must be >= 2"),
+    ("gen-data", {"contest": {"predictor": "xgb"}},
+     "contest: predictor must be baseline or gbdt, got 'xgb'"),
+    ("backtest", {"data": {"kind": "csv", "csv_path": "no/such/bars.csv", "n_symbols": 0}},
+     "data: n_symbols must be >= 1"),
 ], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
         "planted-no-drift", "lookback-0", "lookback-negative", "bool-as-string",
         "int-with-fraction", "int-as-bool", "float-as-bool", "unknown-contest-key",
@@ -294,17 +320,19 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
         "ric-m-0", "ric-n-0", "ric-M-0", "ric-N-negative", "ric-source-typo",
         "ric-panel-kind-ar2", "one-day-window", "csv-path-missing", "csv-path-a-directory",
         "config-a-directory", "config-not-utf8", "ric-ledger-a-directory",
-        "data-belief-bogus", "research-skill-2", "research-obs_per_day-negative"])
-def test_invalid_value_exits_2(tmp_path, capsys, overrides, where):
-    # only validate-ric reads validate_ric.ledger
-    command = "validate-ric" if where.startswith("validate_ric.ledger") else "backtest"
+        "data-belief-bogus", "research-skill-2", "research-obs_per_day-negative",
+        "float-too-large", "n_days-past-the-calendar", "ric-panel-too-big", "gen-data-m-1",
+        "validate-ric-m-1", "gen-data-predictor-xgb", "csv-n_symbols-0"])
+def test_invalid_value_exits_2(tmp_path, capsys, command, overrides, where):
+    # gen-data's CSV would be written to out, which must not appear
+    args = ["--out", str(tmp_path / "out")] if command == "gen-data" else []
     if callable(overrides):  # a damaged config file, named in the message
         cfg_path = write_config(tmp_path / "run.yaml")
         overrides(cfg_path)
         where = f"{where}: {cfg_path}"
     else:
         cfg_path = write_config(tmp_path / "run.yaml", **overrides)
-    assert main([command, str(cfg_path)]) == 2
+    assert main([command, str(cfg_path), *args]) == 2
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
@@ -465,8 +493,8 @@ class TestCmdBacktest:
         # as above, but SYM000 has no bar on the day before test_start: its
         # first-day move is measured from its last close before, as on later days
         store = generate_synthetic(SyntheticSpec(
-            n_symbols=2, n_days=40, seed=5, daily_vol=0.01,
-            planted_effects=(PlantedEffect("SYM000", 0.5),)))
+            n_symbols=2, n_days=40, daily_vol=0.01,
+            planted=(PlantedEffect("SYM000", 0.5),)), 5)
         gap, test_start = store.calendar[19], store.calendar[20]
         bars_path = tmp_path / "bars.csv"
         write_csv(MarketStore([b for b in store.iter_bars()

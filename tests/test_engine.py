@@ -21,7 +21,7 @@ from tradecontest.market import (
     generate_synthetic,
     perturb_after,
 )
-from tradecontest.prediction import PredictorModel, PredictorSpec, features_from_window
+from tradecontest.prediction import PredictorModel, features_from_window
 
 
 def data_agent(agent_id, skill=0.0, seed=None, obs=2):
@@ -44,9 +44,9 @@ def ledger_line(record) -> str:
 
 def small_market(seed=33, n_days=70):
     return generate_synthetic(SyntheticSpec(
-        n_symbols=6, n_days=n_days, seed=seed, daily_vol=0.01,
-        planted_effects=(PlantedEffect("SYM000", 0.012),),
-    ))
+        n_symbols=6, n_days=n_days, daily_vol=0.01,
+        planted=(PlantedEffect("SYM000", 0.012),),
+    ), seed)
 
 
 def small_rosters():
@@ -58,7 +58,7 @@ def small_rosters():
     return data, research
 
 
-BASELINE = ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=9)
+BASELINE = ContestConfig(predictor="baseline", seed=9)
 
 
 class TestRunFull:
@@ -128,7 +128,7 @@ class TestRunFull:
         records = list(run_full(BASELINE, store, data, research))
         reb = [i for i, r in enumerate(records) if r.research_rebalance]
         assert all(b - a == BASELINE.n_research for a, b in zip(reb, reb[1:]))
-        daily_cfg = ContestConfig(predictor=PredictorSpec(kind="baseline"),
+        daily_cfg = ContestConfig(predictor="baseline",
                                   seed=9, research_rebalance_daily=True)
         daily = list(run_full(daily_cfg, store, data, research))
         assert all(r.research_rebalance for r in daily)
@@ -178,7 +178,7 @@ class TestAblations:
     def test_no_data_contest_respects_budget_and_changes_selection(self):
         store = small_market()
         data, research = small_rosters()
-        cfg = ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=9,
+        cfg = ContestConfig(predictor="baseline", seed=9,
                             no_data_contest=True, budget=120)
         records = list(run_full(cfg, store, data, research))
         assert all(
@@ -190,7 +190,7 @@ class TestAblations:
     def test_no_research_contest_single_agent_weight(self):
         store = small_market()
         data, research = small_rosters()
-        cfg = ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=9,
+        cfg = ContestConfig(predictor="baseline", seed=9,
                             no_research_contest=True)
         records = list(run_full(cfg, store, data, research))
         for record in records:
@@ -202,7 +202,7 @@ class TestAblations:
     def test_no_judger_drops_judger_components(self):
         store = small_market()
         data, research = small_rosters()
-        cfg = ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=9,
+        cfg = ContestConfig(predictor="baseline", seed=9,
                             no_judger=True)
         records = list(run_full(cfg, store, data, research))
         for record in records:
@@ -212,7 +212,7 @@ class TestAblations:
     def test_no_deep_inputs_still_produces_signals(self):
         store = small_market()
         data, research = small_rosters()
-        cfg = ContestConfig(predictor=PredictorSpec(kind="baseline"), seed=9,
+        cfg = ContestConfig(predictor="baseline", seed=9,
                             no_deep_inputs=True)
         records = list(run_full(cfg, store, data, research))
         assert any(s.action == "buy" for r in records for s in r.signals)
@@ -272,7 +272,7 @@ class TestIcPairs:
     def test_gbdt_kicks_in_with_enough_history(self):
         store = small_market(n_days=90)
         data, research = small_rosters()
-        cfg = ContestConfig(predictor=PredictorSpec(kind="gbdt"), seed=9)
+        cfg = ContestConfig(predictor="gbdt", seed=9)
         records = list(run_full(cfg, store, data, research))
         kinds = {r.model_kinds.get("data") for r in records if r.data_rebalance}
         assert "gbdt" in kinds
@@ -400,7 +400,7 @@ class TestTrainingRows:
         data, research = small_rosters()
         data[0] = Flaky(data[0])
         research[1] = Flaky(research[1])
-        cfg = ContestConfig(predictor=PredictorSpec(kind="gbdt", n_trees=5), seed=9,
+        cfg = ContestConfig(predictor="gbdt", n_trees=5, seed=9,
                             train_window_days=cap, no_judger=no_judger)
         checked = run_checking_rows(monkeypatch, cfg, store, data, research)
         assert checked.count("data") >= 10 and checked.count("research") >= 5
@@ -446,7 +446,7 @@ class TestOneFeatureFunction:
         monkeypatch.setattr(eng._Contest, "utilities", utilities)
         store = small_market(n_days=80)
         data, research = small_rosters()
-        cfg = ContestConfig(m=m, predictor=PredictorSpec(kind="gbdt", n_trees=2), seed=9)
+        cfg = ContestConfig(m=m, predictor="gbdt", n_trees=2, seed=9)
         engine = ContestEngine(cfg, store, data, research)
         for i, t in enumerate(store.calendar):
             engine.run_contest_day(i, t, cfg.warmup_days)

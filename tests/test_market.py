@@ -112,21 +112,21 @@ class TestIngestCsv:
 
 class TestGenerateSynthetic:
     def test_deterministic(self):
-        spec = SyntheticSpec(n_symbols=4, n_days=30, seed=9, daily_vol=0.02)
-        a = generate_synthetic(spec)
-        b = generate_synthetic(spec)
+        spec = SyntheticSpec(n_symbols=4, n_days=30, daily_vol=0.02)
+        a = generate_synthetic(spec, 9)
+        b = generate_synthetic(spec, 9)
         assert list(a.iter_bars()) == list(b.iter_bars())
 
     def test_zero_vol_constant_closes(self):
-        spec = SyntheticSpec(n_symbols=2, n_days=8, seed=3, daily_vol=0.0)
-        store = generate_synthetic(spec)
+        spec = SyntheticSpec(n_symbols=2, n_days=8, daily_vol=0.0)
+        store = generate_synthetic(spec, 3)
         closes = [store.close("SYM001", d) for d in store.calendar]
         assert closes == [100.0] * 8
 
     def test_limit_clamp(self):
-        spec = SyntheticSpec(n_symbols=6, n_days=120, seed=5, daily_vol=0.15,
+        spec = SyntheticSpec(n_symbols=6, n_days=120, daily_vol=0.15,
                              limit_pct=0.10)
-        store = generate_synthetic(spec)
+        store = generate_synthetic(spec, 5)
         hit = 0
         for sym in store.symbols:
             closes = np.array([store.close(sym, d) for d in store.calendar])
@@ -137,10 +137,10 @@ class TestGenerateSynthetic:
 
     def test_planted_drift_raises_mean_return(self):
         spec = SyntheticSpec(
-            n_symbols=5, n_days=100, seed=21, daily_vol=0.01,
-            planted_effects=(PlantedEffect("SYM002", 0.02),),
+            n_symbols=5, n_days=100, daily_vol=0.01,
+            planted=(PlantedEffect("SYM002", 0.02),),
         )
-        store = generate_synthetic(spec)
+        store = generate_synthetic(spec, 21)
 
         def mean_ret(sym):
             closes = np.array([store.close(sym, d) for d in store.calendar])
@@ -152,12 +152,12 @@ class TestGenerateSynthetic:
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            SyntheticSpec(n_symbols=0, n_days=5, seed=1, daily_vol=0.01)
+            SyntheticSpec(n_symbols=0, n_days=5, daily_vol=0.01)
         with pytest.raises(ValueError):
-            SyntheticSpec(n_symbols=1, n_days=5, seed=1, daily_vol=0.01, limit_pct=0.0)
+            SyntheticSpec(n_symbols=1, n_days=5, daily_vol=0.01, limit_pct=0.0)
         for vol in (float("nan"), float("inf"), -0.01):
             with pytest.raises(ValueError, match="daily_vol"):
-                SyntheticSpec(n_symbols=1, n_days=5, seed=1, daily_vol=vol)
+                SyntheticSpec(n_symbols=1, n_days=5, daily_vol=vol)
 
     def test_planted_start_day_is_keyword_only(self):
         assert PlantedEffect("SYM000", 0.02) == PlantedEffect("SYM000", 0.02, start_day=0)
@@ -165,14 +165,14 @@ class TestGenerateSynthetic:
             PlantedEffect("SYM000", 0, 0.02)  # the old (symbol, start_day, drift) order
 
 
-def reference_synthetic(spec):
+def reference_synthetic(spec, seed):
     """The per-bar generator the columnar one replaced: one ``Bar`` per
     (day, symbol), day-major, each checked as it is built."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     days = business_days(spec.start, spec.n_days)
     symbols = [f"SYM{i:03d}" for i in range(spec.n_symbols)]
     drift = np.zeros((spec.n_days, spec.n_symbols))
-    for eff in spec.planted_effects:
+    for eff in spec.planted:
         drift[max(eff.start_day, 0):, symbols.index(eff.symbol)] += eff.drift
     z = rng.standard_normal((spec.n_days, spec.n_symbols))
     intraday = rng.uniform(0.0, max(spec.daily_vol, 1e-4) / 2.0, (spec.n_days, 2, spec.n_symbols))
@@ -194,25 +194,25 @@ def reference_synthetic(spec):
     return MarketStore(bars)
 
 
-@pytest.mark.parametrize("spec", [
-    SyntheticSpec(n_symbols=4, n_days=30, seed=9, daily_vol=0.02),
-    SyntheticSpec(n_symbols=5, n_days=60, seed=21, daily_vol=0.01, start_price=7,
-                  planted_effects=(PlantedEffect("SYM002", 0.02, start_day=10),)),
-    SyntheticSpec(n_symbols=2, n_days=8, seed=3, daily_vol=0.0),
-    SyntheticSpec(n_symbols=3, n_days=1500, seed=3, daily_vol=0.5, limit_pct=1.0),
+@pytest.mark.parametrize("spec, seed", [
+    (SyntheticSpec(n_symbols=4, n_days=30, daily_vol=0.02), 9),
+    (SyntheticSpec(n_symbols=5, n_days=60, daily_vol=0.01, start_price=7,
+                   planted=(PlantedEffect("SYM002", 0.02, start_day=10),)), 21),
+    (SyntheticSpec(n_symbols=2, n_days=8, daily_vol=0.0), 3),
+    (SyntheticSpec(n_symbols=3, n_days=1500, daily_vol=0.5, limit_pct=1.0), 3),
     # lows below zero: the first bad bar, day-major, names the fault
-    SyntheticSpec(n_symbols=4, n_days=30, seed=3, daily_vol=5.0),
-    SyntheticSpec(n_symbols=4, n_days=30, seed=3, daily_vol=3.0, limit_pct=1.0),
+    (SyntheticSpec(n_symbols=4, n_days=30, daily_vol=5.0), 3),
+    (SyntheticSpec(n_symbols=4, n_days=30, daily_vol=3.0, limit_pct=1.0), 3),
 ], ids=["plain", "planted", "flat", "long-wild", "negative-low", "negative-low-later"])
-def test_generate_synthetic_matches_the_per_bar_generator(spec):
+def test_generate_synthetic_matches_the_per_bar_generator(spec, seed):
     try:
-        want = reference_synthetic(spec)
+        want = reference_synthetic(spec, seed)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            generate_synthetic(spec)
+            generate_synthetic(spec, seed)
         assert str(got.value) == str(exc)
         return
-    assert list(generate_synthetic(spec).iter_bars()) == list(want.iter_bars())
+    assert list(generate_synthetic(spec, seed).iter_bars()) == list(want.iter_bars())
 
 
 class TestPriceChange:
@@ -498,6 +498,19 @@ def test_business_days_skips_weekends():
     assert days == [D(2024, 1, 5), D(2024, 1, 8), D(2024, 1, 9), D(2024, 1, 10)]
 
 
+@pytest.mark.parametrize("start", [D.fromordinal(D.max.toordinal() - k) for k in range(15)])
+def test_synthetic_calendar_ends_by_the_last_date(start):
+    # a spec takes exactly the weekdays left from its start to 9999-12-31
+    days = map(D.fromordinal, range(start.toordinal(), D.max.toordinal() + 1))
+    weekdays = [d for d in days if d.weekday() < 5]
+    room = len(weekdays)
+    if room:
+        SyntheticSpec(n_days=room, start=start)
+        assert business_days(start, room) == weekdays
+    with pytest.raises(ValueError, match=f"n_days must be at most {room},"):
+        SyntheticSpec(n_days=room + 1, start=start)
+
+
 def test_duplicate_bar_in_store():
     with pytest.raises(DuplicateBarError):
         MarketStore([_bar(D(2025, 1, 2)), _bar(D(2025, 1, 2))])
@@ -747,10 +760,10 @@ class TestOnePass:
         assert counts == {"Bar": 0, "open": 1}
 
     def test_synthetic(self, counts):
-        generate_synthetic(SyntheticSpec(n_symbols=5, n_days=40, seed=2, daily_vol=0.03))
+        generate_synthetic(SyntheticSpec(n_symbols=5, n_days=40, daily_vol=0.03), 2)
         assert counts["Bar"] == 0
         with pytest.raises(ValueError, match="prices must be positive"):
-            generate_synthetic(SyntheticSpec(n_symbols=4, n_days=30, seed=3, daily_vol=5.0))
+            generate_synthetic(SyntheticSpec(n_symbols=4, n_days=30, daily_vol=5.0), 3)
         assert counts["Bar"] == 1
 
 

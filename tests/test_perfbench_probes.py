@@ -58,8 +58,8 @@ def test_csv_source_counts_the_ingested_bars(tmp_path):
     # the benchmark's CSV workload: set-up is ingest_csv, and market.bars
     # walks the store's iter_bars once the run is done
     bars_path = tmp_path / "bars.csv"
-    write_csv(generate_synthetic(SyntheticSpec(n_symbols=4, n_days=30, seed=3,
-                                               daily_vol=0.01)), bars_path)
+    write_csv(generate_synthetic(SyntheticSpec(n_symbols=4, n_days=30, daily_vol=0.01), 3),
+              bars_path)
     rows = len(bars_path.read_text().splitlines()) - 1
     layers = traced_layers(tmp_path, 30, {"predictor": "baseline"},
                            {"kind": "csv", "csv_path": str(bars_path)})

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tradecontest.engine import ContestConfig, _Contest
+from tradecontest.engine import ContestConfig, ContestRules, _Contest
 from tradecontest.errors import (
     InsufficientCrossSectionError,
     InsufficientHistoryError,
@@ -18,7 +18,6 @@ from tradecontest.errors import (
 from tradecontest.gbdt import GradientBoostedRegressor
 from tradecontest.prediction import (
     PredictorModel,
-    PredictorSpec,
     ar1_score_panel,
     baseline_model,
     clipped_utility,
@@ -53,7 +52,7 @@ class TestExtractFeatures:
 
     def test_insufficient_history(self):
         contest = contest_with({"short": [1, 2, 3], "long": [1, 2, 3, 4, 5]})
-        utilities, kind = contest.utilities(ContestConfig(m=5, predictor=PredictorSpec()), {})
+        utilities, kind = contest.utilities(ContestConfig(m=5, predictor="baseline"), {})
         assert kind == "baseline" and set(utilities) == {"long"}
 
     def test_window_ends_at_t(self, monkeypatch):
@@ -62,7 +61,7 @@ class TestExtractFeatures:
         monkeypatch.setattr(PredictorModel, "predict_batch",
                             lambda model, X: served.append(X) or (X[:, 0], X[:, 1]))
         contest = contest_with({"a": [1, 2, 3, 4, 100], "b": [5, 6, 7]})
-        contest.utilities(ContestConfig(m=3, predictor=PredictorSpec()),
+        contest.utilities(ContestConfig(m=3, predictor="baseline"),
                           {"a": (0.5, 1.0), "b": (0.25, 0.75)})
         [X] = served
         assert X.tolist() == [[*features_from_window([3.0, 4.0, 100.0]), 0.5, 1.0],
@@ -114,7 +113,7 @@ class TestTrainPredict:
 
     def test_too_few_pairs(self):
         with pytest.raises(TrainingError):
-            train(PredictorSpec(kind="gbdt"), *toy_history(10))
+            train(ContestRules(), *toy_history(10))
 
     def test_gbdt_fits_identity_map(self):
         rng = np.random.default_rng(3)
@@ -127,17 +126,17 @@ class TestTrainPredict:
 
     def test_gbdt_deterministic(self):
         rows, targets = toy_history(80)
-        spec = PredictorSpec(kind="gbdt")
-        a = train(spec, rows, targets)
-        b = train(spec, rows, targets)
+        rules = ContestRules()
+        a = train(rules, rows, targets)
+        b = train(rules, rows, targets)
         x = [0.3, 0.4, 0.1, 0.0]
         assert utility(a, x) == utility(b, x)
 
     def test_tree_limits_enforced(self):
         with pytest.raises(ValueError):
-            PredictorSpec(kind="gbdt", n_trees=51)
+            ContestRules(n_trees=51)
         with pytest.raises(ValueError):
-            PredictorSpec(kind="gbdt", max_depth=4)
+            ContestRules(max_depth=4)
 
 
 class ReferenceTree:
