@@ -20,6 +20,7 @@ import subprocess
 import time
 import urllib.error
 import urllib.request
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import AgentUnavailableError, ProtocolError
@@ -36,6 +37,9 @@ MOMENTUM_WINDOW = 5
 MAX_REPLY_BYTES = 1 << 20  # longest reply body an external agent may send
 MAX_TIMEOUT_S = 2_147_483  # poll waits at most 2**31 - 1 ms
 _STDERR_KEEP = 1024  # bytes of an agent's stderr kept for the error message
+AGENT_FAILURES = (AgentUnavailableError, ProtocolError)  # what makes an agent absent
+MAX_CHILDREN = 32  # agent processes one stage runs at once; the rest wait their turn
+_REAP_POLL_S = 0.005  # how often a child without a pidfd is polled once its pipes close
 
 
 @dataclass(frozen=True)
@@ -337,93 +341,160 @@ def parse_endpoint(endpoint: str) -> str | tuple[str, ...]:
     return argv
 
 
-def _exchange(proc: subprocess.Popen, line: bytes, deadline: float):
-    """Write ``line`` to the child's stdin while draining its stdout and
-    stderr, in one poll loop that runs until the three pipes are closed and
-    the child has exited. Returns (stdout, the head of stderr), or None
-    once ``deadline`` passes. A child that exits without reading its
-    request is not itself an error."""
-    out, err = bytearray(), bytearray()
-    pending = memoryview(line)
-    os.set_blocking(proc.stdin.fileno(), False)
-    try:  # readable once the child exits; without one, wait() after the pipes close
-        pidfd = os.pidfd_open(proc.pid)
-    except (AttributeError, OSError):
-        pidfd = None
+class _Child:
+    """One command-line agent's process in a stage's poll loop: the request
+    bytes still to write, the reply and stderr head read so far, and the
+    fds the loop still watches."""
+
+    def __init__(self, argv: tuple[str, ...], line: bytes, timeout: float):
+        self.timeout = timeout
+        self.deadline = time.monotonic() + timeout  # counted from this child's own start
+        self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE)
+        self.pending = memoryview(line)
+        self.out, self.err = bytearray(), bytearray()
+        self.error: AgentUnavailableError | ProtocolError | None = None
+        self.pidfd: int | None = None
+        self.watched: list = []
+
+    def watch(self, sel: selectors.BaseSelector) -> None:
+        """Register the child's pipes, and its pidfd where the platform has
+        one; done once the child is in the loop's list, which reaps it."""
+        proc = self.proc
+        os.set_blocking(proc.stdin.fileno(), False)
+        try:  # readable once the child exits; without one, poll() after the pipes close
+            self.pidfd = os.pidfd_open(proc.pid)
+        except (AttributeError, OSError):
+            pass
+        for fileobj in (proc.stdin, proc.stdout, proc.stderr, self.pidfd):
+            if fileobj is not None:
+                sel.register(fileobj, selectors.EVENT_WRITE if fileobj is proc.stdin
+                             else selectors.EVENT_READ, self)
+                self.watched.append(fileobj)
+
+    def _unwatch(self, sel: selectors.BaseSelector, fileobj) -> None:
+        sel.unregister(fileobj)
+        self.watched.remove(fileobj)
+
+    def on_ready(self, key: selectors.SelectorKey, sel: selectors.BaseSelector) -> None:
+        """Write what the child's stdin takes, read what one of its pipes
+        holds, or reap it once its pidfd says it has exited. A child that
+        exits without reading its request is not itself an error."""
+        proc = self.proc
+        if key.fileobj is proc.stdin:
+            try:
+                self.pending = self.pending[os.write(key.fd, self.pending):]
+            except BlockingIOError:
+                return
+            except BrokenPipeError:
+                self.pending = self.pending[:0]
+            if not self.pending:
+                self._unwatch(sel, proc.stdin)
+                proc.stdin.close()
+        elif key.fd == self.pidfd:
+            self._unwatch(sel, self.pidfd)
+            proc.wait()  # the child has exited: this only reaps it
+        elif chunk := os.read(key.fd, 1 << 16):
+            if key.fileobj is proc.stdout:
+                self.out += chunk
+                if len(self.out) > MAX_REPLY_BYTES:
+                    self.error = ProtocolError(f"agent reply exceeds {MAX_REPLY_BYTES} bytes")
+            else:
+                self.err += chunk[:_STDERR_KEEP - len(self.err)]
+        else:
+            self._unwatch(sel, key.fileobj)
+
+    def done(self) -> bool:
+        """True once the child has closed its pipes and been reaped, or its
+        call has failed: over the size bound, or past its deadline."""
+        if not self.watched and self.proc.poll() is not None:
+            return True
+        if self.error is None and time.monotonic() >= self.deadline:
+            self.error = AgentUnavailableError(f"agent process timed out after {self.timeout}s")
+        return self.error is not None
+
+    def close(self, sel: selectors.BaseSelector) -> None:
+        """Stop watching the child, kill it if it still runs, reap it, and
+        close its pipes and pidfd."""
+        for fileobj in self.watched:
+            sel.unregister(fileobj)
+        self.watched = []
+        proc = self.proc
+        if proc.returncode is None:
+            proc.kill()
+        proc.wait()
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()
+        if self.pidfd is not None:
+            os.close(self.pidfd)
+
+    def reply(self) -> str | AgentUnavailableError | ProtocolError:
+        """The first line the child printed, or the error that ended its call."""
+        if self.error is not None:
+            return self.error
+        if self.proc.returncode != 0:
+            return AgentUnavailableError(
+                f"agent process exited {self.proc.returncode}: "
+                f"{self.err.decode(errors='replace')[:200]}")
+        out = self.out.decode(errors="replace").strip()
+        if not out:
+            return AgentUnavailableError("agent process produced no response line")
+        return out.splitlines()[0]
+
+
+def _poll_wait(running) -> float:
+    """Seconds the stage's poll may block: up to the nearest deadline, and
+    at most _REAP_POLL_S while a child without a pidfd waits to be reaped."""
+    now = time.monotonic()
+    wait = min((c.deadline for c in running), default=now) - now
+    if any(not c.watched for c in running):
+        wait = min(wait, _REAP_POLL_S)
+    return max(wait, 0.0)
+
+
+def _call_subprocesses(calls) -> list[str | AgentUnavailableError | ProtocolError]:
+    """Run each (argv, request line in bytes, timeout) call as a child
+    process, up to MAX_CHILDREN at once, and return in call order the first
+    line each child printed, or the error that ended its call.
+
+    One poll loop on this thread writes every request, drains every stdout
+    and stderr, and reaps every child. Each child's deadline counts from its
+    own start, and one that passes it or sends more than MAX_REPLY_BYTES is
+    killed alone. Every child started is reaped before this returns or
+    raises."""
+    replies: list = [None] * len(calls)
+    queue = deque(enumerate(calls))
+    running: dict[_Child, int] = {}
     with selectors.PollSelector() as sel:
-        sel.register(proc.stdin, selectors.EVENT_WRITE)
-        sel.register(proc.stdout, selectors.EVENT_READ, out)
-        sel.register(proc.stderr, selectors.EVENT_READ, err)
-        if pidfd is not None:
-            sel.register(pidfd, selectors.EVENT_READ)
         try:
-            while sel.get_map():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                for key, _ in sel.select(remaining):
-                    if key.fileobj is proc.stdin:
-                        try:
-                            pending = pending[os.write(key.fd, pending):]
-                        except BlockingIOError:
-                            continue
-                        except BrokenPipeError:
-                            pending = pending[:0]
-                        if not pending:
-                            sel.unregister(proc.stdin)
-                            proc.stdin.close()
-                    elif key.fd == pidfd:
-                        sel.unregister(pidfd)
-                        proc.wait()  # the child has exited: this only reaps it
-                    elif chunk := os.read(key.fd, 1 << 16):
-                        if key.data is out:
-                            out += chunk
-                            if len(out) > MAX_REPLY_BYTES:
-                                raise ProtocolError(
-                                    f"agent reply exceeds {MAX_REPLY_BYTES} bytes")
-                        else:
-                            err += chunk[:_STDERR_KEEP - len(err)]
-                    else:
-                        sel.unregister(key.fileobj)
+            while queue or running:
+                while queue and len(running) < MAX_CHILDREN:
+                    i, (argv, line, timeout) = queue.popleft()
+                    try:
+                        child = _Child(argv, line, timeout)
+                    except OSError as exc:
+                        replies[i] = AgentUnavailableError(f"agent process failed to start: {exc}")
+                        continue
+                    running[child] = i
+                    child.watch(sel)
+                for key, _ in sel.select(_poll_wait(running)):
+                    key.data.on_ready(key, sel)
+                for child in [c for c in running if c.done()]:
+                    child.close(sel)
+                    replies[running.pop(child)] = child.reply()
         finally:
-            if pidfd is not None:
-                os.close(pidfd)
-    if pidfd is None:
-        try:
-            proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
-        except subprocess.TimeoutExpired:
-            return None
-    return bytes(out), bytes(err)
+            for child in running:
+                child.close(sel)
+    return replies
 
 
 def _call_subprocess(command: tuple[str, ...], line: str, timeout: float) -> str:
     """Run ``command`` (an argv), send ``line`` on its stdin and return the
-    first line it prints; the whole call is bounded by ``timeout`` seconds
-    and the reply by MAX_REPLY_BYTES."""
-    deadline = time.monotonic() + timeout
-    try:
-        proc = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE)
-    except OSError as exc:
-        raise AgentUnavailableError(f"agent process failed to start: {exc}") from exc
-    with proc:
-        try:
-            result = _exchange(proc, line.encode(), deadline)
-        finally:
-            if proc.returncode is None:  # timed out, over the size bound, or interrupted
-                proc.kill()
-                proc.wait()
-    if result is None:
-        raise AgentUnavailableError(f"agent process timed out after {timeout}s")
-    out, err = result
-    if proc.returncode != 0:
-        raise AgentUnavailableError(
-            f"agent process exited {proc.returncode}: {err.decode(errors='replace')[:200]}"
-        )
-    out = out.decode(errors="replace").strip()
-    if not out:
-        raise AgentUnavailableError("agent process produced no response line")
-    return out.splitlines()[0]
+    first line it prints: the one-child case of _call_subprocesses."""
+    reply, = _call_subprocesses([(command, line.encode(), timeout)])
+    if isinstance(reply, Exception):
+        raise reply
+    return reply
 
 
 def _call_http(url: str, line: str, timeout: float) -> str:
@@ -443,6 +514,19 @@ def _call_http(url: str, line: str, timeout: float) -> str:
     return body.splitlines()[0]
 
 
+def _parse_reply(raw: str, request: AgentRequest):
+    """The validated reply to ``request`` in the line ``raw``."""
+    try:
+        payload = json.loads(raw)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ProtocolError(f"malformed JSON from agent: {exc}") from exc
+    parse = parse_factor_response if request.kind == "data" else parse_signal_response
+    reply = parse(payload)
+    if reply.agent_id != request.agent_id:
+        raise ProtocolError(f"reply from {reply.agent_id!r} to a request for {request.agent_id!r}")
+    return reply
+
+
 def external_agent_call(endpoint, request: AgentRequest, timeout: float = 60.0):
     """Send one request line, read one response line, validate, return.
 
@@ -458,15 +542,7 @@ def external_agent_call(endpoint, request: AgentRequest, timeout: float = 60.0):
         raw = _call_http(endpoint, line, timeout)
     else:
         raw = _call_subprocess(endpoint, line, timeout)
-    try:
-        payload = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ProtocolError(f"malformed JSON from agent: {exc}") from exc
-    parse = parse_factor_response if request.kind == "data" else parse_signal_response
-    reply = parse(payload)
-    if reply.agent_id != request.agent_id:
-        raise ProtocolError(f"reply from {reply.agent_id!r} to a request for {request.agent_id!r}")
-    return reply
+    return _parse_reply(raw, request)
 
 
 @dataclass
@@ -480,23 +556,50 @@ class _ExternalAgent:
         check_call_bounds(self.timeout, self.lookback)
         self._target = parse_endpoint(self.endpoint)  # split once, not per call
 
+    def produce(self, *args):
+        """This agent's reply to ``self.request(*args)``, called alone."""
+        return external_agent_call(self._target, self.request(*args), timeout=self.timeout)
+
 
 class ExternalDataAgent(_ExternalAgent):
-    def produce(self, view: MarketView, t: dt.date) -> TextualFactor:
-        req = build_request("data", self.agent_id, view, t, lookback=self.lookback)
-        return external_agent_call(self._target, req, timeout=self.timeout)
+    def request(self, view: MarketView, t: dt.date) -> AgentRequest:
+        return build_request("data", self.agent_id, view, t, lookback=self.lookback)
 
 
 class ExternalResearchAgent(_ExternalAgent):
-    def produce(self, portfolio, view: MarketView | None, t: dt.date) -> TradingSignal:
+    def request(self, portfolio, view: MarketView | None, t: dt.date) -> AgentRequest:
         text = render_portfolio_text(portfolio)
-        if view is not None:
-            req = build_request("research", self.agent_id, view, t,
-                                portfolio_text=text, lookback=self.lookback)
-        else:
-            req = AgentRequest(kind="research", date=t, agent_id=self.agent_id,
-                               universe=(), factor_portfolio=text)
-        return external_agent_call(self._target, req, timeout=self.timeout)
+        if view is None:
+            return AgentRequest(kind="research", date=t, agent_id=self.agent_id,
+                                universe=(), factor_portfolio=text)
+        return build_request("research", self.agent_id, view, t,
+                             portfolio_text=text, lookback=self.lookback)
+
+
+def produce_all(agents, *args) -> list:
+    """``agent.produce(*args)`` of each agent, in agent order, or the error
+    of AGENT_FAILURES it failed with. Command-line agents run at once,
+    through _call_subprocesses; every other agent, synthetic or http(s),
+    runs inline, in order."""
+    outputs: list = []
+    spawned = []  # (position in outputs, agent, request)
+    for agent in agents:
+        if isinstance(agent, _ExternalAgent) and not isinstance(agent._target, str):
+            spawned.append((len(outputs), agent, agent.request(*args)))
+            outputs.append(None)
+            continue
+        try:
+            outputs.append(agent.produce(*args))
+        except AGENT_FAILURES as exc:
+            outputs.append(exc)
+    replies = _call_subprocesses([(agent._target, (request.to_json() + "\n").encode(),
+                                   agent.timeout) for _, agent, request in spawned])
+    for (i, _, request), raw in zip(spawned, replies):
+        try:
+            outputs[i] = raw if isinstance(raw, Exception) else _parse_reply(raw, request)
+        except ProtocolError as exc:
+            outputs[i] = exc
+    return outputs
 
 
 def render_portfolio_text(portfolio) -> str:

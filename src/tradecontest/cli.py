@@ -348,6 +348,10 @@ def main(argv=None) -> int:
     except TradeContestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an output path the OS refuses; input faults are raised above
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

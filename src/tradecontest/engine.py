@@ -22,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from .agents import CASH_SYMBOL, TextualFactor, TradingSignal
+from .agents import AGENT_FAILURES, CASH_SYMBOL, TextualFactor, TradingSignal, produce_all
 from .allocation import (
     CapitalWeights,
     FactorPortfolio,
@@ -32,12 +32,7 @@ from .allocation import (
     sharpe_weights,
 )
 from .backtest import ordered_sum, signals_to_weights
-from .errors import (
-    AgentUnavailableError,
-    ConfigurationError,
-    MissingDataError,
-    ProtocolError,
-)
+from .errors import ConfigurationError, MissingDataError
 from .market import MarketStore, price_change, view_until
 from .prediction import (
     MIN_TRAIN_PAIRS,
@@ -54,8 +49,6 @@ from .scoring import (
     stub_judger,
 )
 from .seeding import stream
-
-AGENT_FAILURES = (AgentUnavailableError, ProtocolError)
 
 
 @dataclass(frozen=True)
@@ -256,18 +249,16 @@ class _Contest:
                 for i, a in enumerate(agents)}, model.kind
 
 
-def _collect(agents, call, t: dt.date, absent: list[str]) -> dict:
-    """Each agent's output for day t, by agent id; an agent that fails or
-    dates its output otherwise is absent."""
+def _collect(agents, args: tuple, t: dt.date, absent: list[str]) -> dict:
+    """Each agent's output of ``produce(*args)`` for day t, by agent id, its
+    command-line agents run at once (``agents.produce_all``); an agent that
+    fails or dates its output otherwise is absent."""
     out = {}
-    for agent in agents:
-        try:
-            output = call(agent)
-            if output.date != t:
-                raise ProtocolError(f"{agent.agent_id}: output dated {output.date}, expected {t}")
-            out[agent.agent_id] = output
-        except AGENT_FAILURES:
+    for agent, output in zip(agents, produce_all(agents, *args)):
+        if isinstance(output, AGENT_FAILURES) or output.date != t:
             absent.append(agent.agent_id)
+        else:
+            out[agent.agent_id] = output
     return out
 
 
@@ -406,7 +397,7 @@ class ContestEngine:
     def run_contest_day(self, i: int, t: dt.date, eval_idx: int) -> DailyRecord:
         absent: list[str] = []
         view = view_until(self.store, t)
-        factors_t = _collect(self.data_agents, lambda agent: agent.produce(view, t), t, absent)
+        factors_t = _collect(self.data_agents, (view, t), t, absent)
         factor_scores, researcher_scores = self._resolve_scores(i, t, absent)
         self.data.pending = {t: factors_t}  # older outputs are dropped unresolved
 
@@ -422,9 +413,7 @@ class ContestEngine:
         portfolio = self.active_portfolio if self.active_portfolio is not None \
             else empty_portfolio(t)
         research_view = None if self.config.no_deep_inputs else view
-        signals_t = _collect(
-            self.research_agents, lambda agent: agent.produce(portfolio, research_view, t),
-            t, absent)
+        signals_t = _collect(self.research_agents, (portfolio, research_view, t), t, absent)
         self.research.pending = {t: signals_t}
 
         research_reb = i >= self.config.m and (

@@ -2,7 +2,8 @@
 
 Reads one request line from stdin and answers per the mode in argv[1]:
 ok mirrors a valid response for the request kind (echoing its agent id),
-the rest simulate specific misbehaviors.
+slow sleeps SLOW_S seconds (or argv[2]) and then answers as ok, the rest
+simulate specific misbehaviors.
 """
 
 import json
@@ -11,6 +12,7 @@ import sys
 import time
 
 FLOOD_BYTES = 3 << 20  # more than the engine's reply bound
+SLOW_S = 1.0
 
 
 def main():
@@ -32,6 +34,8 @@ def main():
     if mode == "flood":
         sys.stdout.write("x" * FLOOD_BYTES + "\n")
         return
+    if mode == "slow":
+        time.sleep(float(sys.argv[2]) if len(sys.argv) > 2 else SLOW_S)
 
     if req["kind"] == "data":
         payload = {

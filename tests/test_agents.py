@@ -3,6 +3,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+import os
 import sys
 import threading
 import time
@@ -35,7 +36,7 @@ from tradecontest.agents import (
     token_count,
 )
 from tradecontest.allocation import FactorPortfolio, empty_portfolio
-from tradecontest.engine import ContestConfig, run_full
+from tradecontest.engine import ContestConfig, _collect, run_full
 from tradecontest.errors import AgentUnavailableError, ProtocolError
 from tradecontest.market import (
     MarketStore,
@@ -47,6 +48,7 @@ from tradecontest.market import (
 )
 
 from conftest import bar_map
+from stub_agent import SLOW_S
 
 STUB = f"{sys.executable} {Path(__file__).parent / 'stub_agent.py'}"
 
@@ -375,6 +377,83 @@ class TestExternalProtocol:
         assert time.monotonic() - start < 10
 
 
+def stage_agents(*modes, timeout=20.0):
+    """One external data agent per stub mode, ids ``x<i>-<mode>``."""
+    return [ExternalDataAgent(f"x{i}-{mode.split()[0]}", f"{STUB} {mode}", timeout=timeout)
+            for i, mode in enumerate(modes)]
+
+
+def run_stage(store, agents):
+    """The engine's data stage on day 5 of ``store``: (outputs by agent id,
+    absent agent ids, seconds taken)."""
+    t = store.calendar[5]
+    absent = []
+    start = time.monotonic()
+    out = _collect(agents, (view_until(store, t), t), t, absent)
+    return out, absent, time.monotonic() - start
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestConcurrentStage:
+    def test_slow_agents_run_at_once(self, tiny_store):
+        _, _, one = run_stage(tiny_store, stage_agents("slow"))
+        out, absent, four = run_stage(tiny_store, stage_agents(*["slow"] * 4))
+        assert sorted(out) == ["x0-slow", "x1-slow", "x2-slow", "x3-slow"] and not absent
+        assert one >= SLOW_S and four < 2 * one  # one after another they take 4 * one
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("pidfd", [True, False], ids=["pidfd", "no-pidfd"])
+    def test_a_failing_agent_is_absent_alone(self, tiny_store, monkeypatch, pidfd):
+        if not pidfd:
+            monkeypatch.delattr(agents_mod.os, "pidfd_open", raising=False)
+        timeout = 3.0
+        agents = stage_agents("ok", "hang", "flood", "crash", "linger", "ok", timeout=timeout)
+        agents.append(ExternalDataAgent("x6-missing", "/nonexistent/agent", timeout=timeout))
+        out, absent, took = run_stage(tiny_store, agents)
+        assert sorted(out) == ["x0-ok", "x5-ok"]
+        assert all(f.date == tiny_store.calendar[5] for f in out.values())
+        assert absent == ["x1-hang", "x2-flood", "x3-crash", "x4-linger", "x6-missing"]
+        # hang and linger each run to their deadline, at the same time
+        assert timeout <= took < timeout + 2.0
+        assert_no_child_left()
+
+    def test_more_agents_than_the_cap_wait_their_turn(self, tiny_store, monkeypatch):
+        monkeypatch.setattr(agents_mod, "MAX_CHILDREN", 2)
+        procs, live_at_start = [], []
+        popen = agents_mod.subprocess.Popen
+
+        def counting_popen(*args, **kwargs):
+            live_at_start.append(sum(p.returncode is None for p in procs))
+            procs.append(popen(*args, **kwargs))
+            return procs[-1]
+
+        monkeypatch.setattr(agents_mod.subprocess, "Popen", counting_popen)
+        out, absent, took = run_stage(tiny_store, stage_agents(*["slow 0.3"] * 5))
+        assert len(out) == 5 and not absent
+        assert live_at_start == [0, 1, 1, 1, 1]  # each start waits for a reaped child
+        assert took >= 3 * 0.3
+        assert_no_child_left()
+
+    def test_an_exception_in_the_loop_still_reaps_every_child(self, tiny_store, monkeypatch):
+        def interrupted(self, key, sel):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(agents_mod._Child, "on_ready", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_stage(tiny_store, stage_agents("hang", "hang", "ok"))
+        assert_no_child_left()
+
+    def test_inline_and_spawned_agents_keep_agent_order(self, tiny_store):
+        agents = [SyntheticDataAgent("s0", noise_seed=1), *stage_agents("ok"),
+                  SyntheticDataAgent("s2", noise_seed=2)]
+        out, absent, _ = run_stage(tiny_store, agents)
+        assert list(out) == ["s0", "x0-ok", "s2"] and not absent
+
+
 @contextmanager
 def serve(reply):
     """An HTTP agent on localhost answering each POST with ``reply(request)``."""
@@ -493,9 +572,13 @@ def reference_line(kind, agent_id, store, t, portfolio_text=None, lookback=30):
 
 
 def fake_endpoint(lines):
-    """A stand-in for ``_call_subprocess`` that records each request line
-    and answers it validly, echoing the agent id and date."""
-    def answer(command, line, timeout):
+    """A stand-in for ``_call_subprocesses``, the seam every command-line
+    agent call goes through, that records each request line and answers it
+    validly, echoing the agent id and date."""
+    def answer_all(calls):
+        return [answer(line.decode()) for _, line, _ in calls]
+
+    def answer(line):
         lines.append(line)
         req = json.loads(line)
         head = {"agent_id": req["agent_id"], "date": req["date"]}
@@ -505,7 +588,7 @@ def fake_endpoint(lines):
         sym = req["universe"][0] if req["universe"] else "CASH"
         return json.dumps({**head, "symbol": sym, "action": "buy" if req["universe"] else "hold",
                            "evidence": ["e"], "limitation": ""})
-    return answer
+    return answer_all
 
 
 # sha256 of every request line of the run in test_pinned_run_request_bytes,
@@ -562,7 +645,7 @@ class TestRequestBytes:
 
     def test_pinned_run_request_bytes(self, monkeypatch):
         lines = []
-        monkeypatch.setattr(agents_mod, "_call_subprocess", fake_endpoint(lines))
+        monkeypatch.setattr(agents_mod, "_call_subprocesses", fake_endpoint(lines))
         store = generate_synthetic(SyntheticSpec(n_symbols=4, n_days=24, daily_vol=0.01), 5)
         data = [ExternalDataAgent("x0", "agent", lookback=3),
                 ExternalDataAgent('xé"1', "agent", lookback=40)]

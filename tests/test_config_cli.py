@@ -708,6 +708,21 @@ class TestCmdValidateRic:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, out_flag, out, reason", [
+    ("backtest", "--output-dir", "a-file/run", "Not a directory"),
+    ("ablate", "--output-dir", "a-file/run", "Not a directory"),
+    ("validate-ric", "--output-dir", "a-file/run", "Not a directory"),
+    ("gen-data", "--out", "no/such/dir/x.csv", "No such file or directory"),
+])
+def test_output_path_the_os_refuses_exits_1(tmp_path, capsys, command, out_flag, out, reason):
+    cfg_path = write_config(tmp_path / "run.yaml")
+    (tmp_path / "a-file").write_text("")
+    extra = ["--variant", "no_judger"] if command == "ablate" else []
+    out_path = tmp_path / out
+    assert main([command, str(cfg_path), out_flag, str(out_path), *extra]) == 1
+    assert capsys.readouterr().err == f"error: {out_path}: {reason}\n"
+
+
 class TestGenDataAndReport:
     def test_gen_data_round_trip(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.yaml")
