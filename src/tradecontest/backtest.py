@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UndefinedCorrelationError
+from .errors import InvariantError, UndefinedCorrelationError
 from .prediction import rank_ic
 
 DEFAULT_FEE = 0.001
@@ -219,10 +219,13 @@ def apply_day(state: PortfolioState, target_weights: dict[str, float],
             ledger.costs += cost
             state.fills.append(Fill(date=t, symbol=symbol, side="buy", shares=shares,
                                     price=price, value=value, cost=cost))
-        if state.cash < 0:  # float dust from the scale division
-            state.cash = 0.0 if state.cash > -1e-9 else state.cash
+        # float dust from the scaled buys: a few roundings per buy, each up
+        # to an ulp of the day's money
+        dust = max(1e-9, 4 * (len(buy_plan) + 1) * math.ulp(nav_pre))
+        if -dust < state.cash < 0:
+            state.cash = 0.0
     if state.cash < 0:
-        raise AssertionError(f"cash went negative: {state.cash}")
+        raise InvariantError(f"{t}: cash went negative: {state.cash}")
 
     state.prev_closes.update(closes)
 

@@ -65,7 +65,8 @@ def run_contest_backtest(config: cfgmod.RunConfig, ledger_path: Path | None = No
     prev_portfolio_date = None
     if ledger_path:
         ledger_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(ledger_path, "w") if ledger_path else contextlib.nullcontext() as ledger:
+    with contextlib.closing(records), \
+            open(ledger_path, "w") if ledger_path else contextlib.nullcontext() as ledger:
         for record in records:
             if not ic_records:
                 # the move limit of the first evaluation day is measured, as

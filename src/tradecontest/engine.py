@@ -18,7 +18,6 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .errors import ConfigurationError, MissingDataError
 from .market import MarketStore, price_change, view_until
 from .prediction import (
     MIN_TRAIN_PAIRS,
+    FitWorker,
     PredictorModel,
     baseline_model,
     clipped_utility,
@@ -205,16 +205,18 @@ class _TrainingRows:
         self.targets.extend((future.mean(), future.std()))
 
 
-def _fit_or_baseline(config: ContestConfig, rows: dict[str, _TrainingRows]) -> PredictorModel:
-    """Fit on each agent's latest ``train_window_days`` rows, or fall back
-    to the baseline when the predictor is the baseline or rows are few."""
+def _fit_or_baseline(config: ContestConfig, rows: dict[str, _TrainingRows],
+                     worker: FitWorker | None) -> PredictorModel:
+    """Fit on each agent's latest ``train_window_days`` rows, with ``worker``
+    taking one ensemble, or fall back to the baseline when the predictor is
+    the baseline or rows are few."""
     cap = config.train_window_days
     window = slice(None if cap is None else -cap, None)
     chosen = [r for _, r in sorted(rows.items()) if r.targets]
     X = [np.array(r.features).reshape(len(r.targets) // 2, -1)[window] for r in chosen]
     targets = [np.array(r.targets).reshape(-1, 2)[window] for r in chosen]
     if config.predictor == "gbdt" and sum(map(len, X)) >= MIN_TRAIN_PAIRS:
-        return train(config, np.vstack(X), np.vstack(targets))
+        return train(config, np.vstack(X), np.vstack(targets), worker)
     return baseline_model()
 
 
@@ -235,10 +237,11 @@ class _Contest:
         if agent_id in self.rows:
             self.rows[agent_id].add(values, extra)
 
-    def utilities(self, config: ContestConfig, extras: dict) -> tuple[dict[str, float], str]:
+    def utilities(self, config: ContestConfig, extras: dict,
+                  worker: FitWorker | None = None) -> tuple[dict[str, float], str]:
         """Predicted utility of each agent with at least m scores, from its
         latest m scores and its extra columns; and the model's kind."""
-        model = _fit_or_baseline(config, self.rows)
+        model = _fit_or_baseline(config, self.rows, worker)
         agents = [a for a in sorted(self.scores) if len(self.scores[a]) >= config.m]
         if not agents:
             return {}, model.kind
@@ -263,10 +266,12 @@ def _collect(agents, args: tuple, t: dt.date, absent: list[str]) -> dict:
 
 
 class ContestEngine:
-    """Stateful day-by-day runner; run_full drives it over a calendar."""
+    """Stateful day-by-day runner; run_full drives it over a calendar. A
+    ``worker`` fits one of each model's two ensembles; without one, the
+    engine fits both."""
 
     def __init__(self, config: ContestConfig, store: MarketStore,
-                 data_agents, research_agents):
+                 data_agents, research_agents, worker: FitWorker | None = None):
         ids = [a.agent_id for a in data_agents] + [a.agent_id for a in research_agents]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("agent ids must be unique across the roster")
@@ -278,6 +283,7 @@ class ContestEngine:
             raise ConfigurationError("market store has an empty calendar")
         self.config = config
         self.store = store
+        self.worker = worker
         self.data_agents = sorted(data_agents, key=lambda a: a.agent_id)
         self.research_agents = sorted(research_agents, key=lambda a: a.agent_id)
 
@@ -364,7 +370,7 @@ class ContestEngine:
             )
             return {}, "random"
 
-        utilities, model_kind = self.data.utilities(self.config, {})
+        utilities, model_kind = self.data.utilities(self.config, {}, self.worker)
         items = [
             KnapsackItem(agent_id=a, utility=u, tokens=factors_t[a].token_length,
                          factor=factors_t[a])
@@ -385,7 +391,8 @@ class ContestEngine:
             self.active_weights = CapitalWeights(date=t, weights={pick: 1.0})
             return {}, "random"
 
-        utilities, model_kind = self.research.utilities(self.config, self.judger_means)
+        utilities, model_kind = self.research.utilities(self.config, self.judger_means,
+                                                        self.worker)
         if not utilities:
             self.active_weights = None
             return {}, model_kind
@@ -453,7 +460,7 @@ def run_full(config: ContestConfig, store: MarketStore, data_agents,
     ``eval_start``, which only accumulate resolved score history, run with
     the first record taken. Identical inputs give identical ledgers.
     """
-    engine = ContestEngine(config, store, data_agents, research_agents)
+    engine = ContestEngine(config, store, data_agents, research_agents, FitWorker())
     calendar = store.calendar
     required = config.warmup_days
     if eval_start is None:
@@ -479,8 +486,20 @@ def run_full(config: ContestConfig, store: MarketStore, data_agents,
             f"period: evaluation window from {eval_start} holds "
             f"{max(end - eval_idx, 0)} trading day(s); need at least 2")
 
-    days = (engine.run_contest_day(i, t, eval_idx) for i, t in enumerate(calendar[:end]))
-    return islice(days, eval_idx, None)
+    return _records(engine, eval_idx, end)
+
+
+def _records(engine: ContestEngine, eval_idx: int, end: int) -> Iterator[DailyRecord]:
+    """Run the calendar's days before ``end`` in order, yielding the records
+    from ``eval_idx`` on; the engine's worker is reaped when they end or
+    are closed."""
+    try:
+        for i, t in enumerate(engine.store.calendar[:end]):
+            record = engine.run_contest_day(i, t, eval_idx)
+            if i >= eval_idx:
+                yield record
+    finally:
+        engine.worker.close()
 
 
 # -- ledger post-processing ---------------------------------------------

@@ -47,3 +47,7 @@ class TrainingError(TradeContestError):
 
 class ConfigurationError(TradeContestError):
     """A run configuration is invalid or internally inconsistent."""
+
+
+class InvariantError(TradeContestError):
+    """An exchange rule that must hold on every day was broken."""

@@ -8,6 +8,8 @@ import pytest
 from tradecontest.agents import TradingSignal
 from tradecontest.allocation import CapitalWeights
 from tradecontest.backtest import (
+    BacktestRules,
+    PortfolioState,
     apply_day,
     compute_metrics,
     max_drawdown,
@@ -17,6 +19,7 @@ from tradecontest.backtest import (
 )
 from tradecontest.cli import _metrics_dict
 from tradecontest.config import RunConfig
+from tradecontest.errors import InvariantError
 
 D = dt.date
 DAYS = [D(2025, 1, 2), D(2025, 1, 3), D(2025, 1, 6), D(2025, 1, 7)]
@@ -110,6 +113,34 @@ class TestApplyDay:
             ledger = state.days[-1]
             assert abs(ledger.nav_post - (ledger.nav_pre - ledger.costs)) \
                 <= 1e-9 * max(1.0, ledger.nav_post)
+
+    def test_scaled_buys_at_a_nav_of_3_2e6_leave_no_negative_cash(self):
+        # the state before 2024-11-04 of configs/demo.yaml under seed 2,
+        # daily_vol 0.0075, the baseline predictor and budget 256: one sell
+        # and two buys scaled to the cash, whose roundings at this NAV went
+        # 2.4 ulps below zero, past an absolute 1e-9 bound
+        t = D(2024, 11, 4)
+        state = PortfolioState(
+            cash=467718.2086625956,
+            unsettled={"SYM003": {D(2024, 11, 1): 25619.020142486508}},
+            marks={"SYM003": 106.3813315233217},
+            prev_closes={"SYM003": 106.3813315233217, "SYM011": 102.56779852267275,
+                         "SYM000": 631.4171647731059})
+        closes = {"SYM003": 105.1176476103122, "SYM011": 102.9621770844245,
+                  "SYM000": 640.9851495359454}
+        targets = {"SYM000": 0.852066751632419, "SYM011": 0.14793324836758098}
+        apply_day(state, targets, closes, t, BacktestRules())
+        day = state.days[-1]
+        assert 3.1e6 < day.nav_pre < 3.2e6
+        assert [(f.side, f.symbol) for f in state.fills] == \
+            [("sell", "SYM003"), ("buy", "SYM000"), ("buy", "SYM011")]
+        assert state.cash == 0.0
+        assert abs(day.nav_post - (day.nav_pre - day.costs)) <= 1e-9 * day.nav_post
+
+    def test_negative_cash_is_an_invariant_error_naming_the_day(self):
+        state = PortfolioState(cash=-1.0)
+        with pytest.raises(InvariantError, match="^2025-01-02: cash went negative: -1.0$"):
+            apply_day(state, {}, {"AAA": 10.0}, DAYS[0])
 
 
 class TestSignalsToWeights:

@@ -4,6 +4,7 @@ import datetime as dt
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import yaml
 
 from tradecontest import cli as cli_mod
 from tradecontest import config as cfgmod
+from tradecontest.backtest import PortfolioState
 from tradecontest.cli import _write_run_outputs, main, run_contest_backtest
 from tradecontest.engine import ContestEngine
 from tradecontest.errors import ConfigurationError, TradeContestError
@@ -410,6 +412,16 @@ class TestCmdBacktest:
         [line] = capsys.readouterr().err.splitlines()
         assert line == f"error: {bars}: not valid UTF-8"
         assert not (tmp_path / "out").exists()
+
+    def test_a_broken_exchange_invariant_is_an_error_line_naming_the_day(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli_mod, "new_state", lambda cash: PortfolioState(cash=-1.0))
+        cfg_path = write_config(tmp_path / "run.yaml")
+        assert main(["backtest", str(cfg_path)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        # the first evaluation day fails, before its ledger line is written
+        assert re.fullmatch(r"error: \d{4}-\d\d-\d\d: cash went negative: -1\.0", line)
+        assert (tmp_path / "out" / "ledger.jsonl").read_bytes() == b""
 
     @pytest.mark.parametrize("owner, name, k", [
         (ContestEngine, "run_contest_day", 0), (ContestEngine, "run_contest_day", 7),

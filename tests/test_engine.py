@@ -359,13 +359,13 @@ def run_checking_rows(monkeypatch, config, store, data, research):
     passed, fits = [], []
     real_train, real_fit = eng.train, eng._fit_or_baseline
 
-    def train(spec, X, targets):
+    def train(spec, X, targets, worker):
         passed.append((X, targets))
-        return real_train(spec, X, targets)
+        return real_train(spec, X, targets, worker)
 
-    def fit(cfg, rows):
+    def fit(cfg, rows, worker):
         passed.clear()
-        model = real_fit(cfg, rows)
+        model = real_fit(cfg, rows, worker)
         side = "data" if rows is engine.data.rows else "research"
         fits.append((len(records), side, list(passed)))
         return model
@@ -431,13 +431,13 @@ class TestOneFeatureFunction:
             batches.append(X)
             return real_predict(model, X)
 
-        def utilities(contest, config, extras):
+        def utilities(contest, config, extras, worker):
             # the served rows are those of the agents with m scores, in id
             # order, each anchored on its newest score
             anchors = [(a, len(v) - 1) for a, v in sorted(contest.scores.items())
                        if len(v) >= config.m]
             batches.clear()
-            out = real_utilities(contest, config, extras)
+            out = real_utilities(contest, config, extras, worker)
             for key, row in zip(anchors, batches[0] if anchors else ()):
                 served[key] = tuple(row[:4])
             return out
