@@ -22,6 +22,7 @@ import urllib.error
 import urllib.request
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import AgentUnavailableError, ProtocolError
 from .market import MarketView
@@ -100,13 +101,16 @@ def token_count(texts) -> int:
 @dataclass(frozen=True)
 class _SyntheticAgent:
     """A deterministic stand-in agent: its output is a function of its
-    fields, the day and the view alone, so runs replay bit-exactly."""
+    fields, the day and the view alone, so runs replay bit-exactly. It is
+    also a synthetic entry of a config's ``agents`` section, where a
+    missing ``noise_seed`` is derived from the run's seed."""
 
+    kind: ClassVar[str] = "synthetic"
     agent_id: str
-    noise_seed: int
     skill: float = 0.0
     obs_per_day: int = 3
     belief: str = "momentum"  # momentum | reversal | random
+    noise_seed: int | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.skill <= 1.0):
@@ -332,12 +336,16 @@ def check_call_bounds(timeout: float, lookback: int | None = None) -> None:
 
 def parse_endpoint(endpoint: str) -> str | tuple[str, ...]:
     """An http(s) URL as given, or a command line split into the child's
-    argv; ValueError if the command is blank or cannot be split."""
+    argv; ValueError, its message starting ``endpoint:``, if the command is
+    blank or cannot be split."""
     if endpoint.startswith(("http://", "https://")):
         return endpoint
-    argv = tuple(shlex.split(endpoint))
+    try:
+        argv = tuple(shlex.split(endpoint))
+    except ValueError as exc:
+        raise ValueError(f"endpoint: {exc}") from None
     if not argv:
-        raise ValueError("blank command")
+        raise ValueError("endpoint: blank command")
     return argv
 
 
@@ -488,15 +496,6 @@ def _call_subprocesses(calls) -> list[str | AgentUnavailableError | ProtocolErro
     return replies
 
 
-def _call_subprocess(command: tuple[str, ...], line: str, timeout: float) -> str:
-    """Run ``command`` (an argv), send ``line`` on its stdin and return the
-    first line it prints: the one-child case of _call_subprocesses."""
-    reply, = _call_subprocesses([(command, line.encode(), timeout)])
-    if isinstance(reply, Exception):
-        raise reply
-    return reply
-
-
 def _call_http(url: str, line: str, timeout: float) -> str:
     req = urllib.request.Request(
         url, data=line.encode(), headers={"Content-Type": "application/json"},
@@ -541,12 +540,18 @@ def external_agent_call(endpoint, request: AgentRequest, timeout: float = 60.0):
     if isinstance(endpoint, str):
         raw = _call_http(endpoint, line, timeout)
     else:
-        raw = _call_subprocess(endpoint, line, timeout)
+        raw, = _call_subprocesses([(endpoint, line.encode(), timeout)])
+        if isinstance(raw, Exception):
+            raise raw
     return _parse_reply(raw, request)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ExternalAgent:
+    """An agent behind an endpoint, and an external entry of a config's
+    ``agents`` section."""
+
+    kind: ClassVar[str] = "external"
     agent_id: str
     endpoint: str
     timeout: float = 60.0
@@ -554,7 +559,8 @@ class _ExternalAgent:
 
     def __post_init__(self):
         check_call_bounds(self.timeout, self.lookback)
-        self._target = parse_endpoint(self.endpoint)  # split once, not per call
+        # split once, not per call
+        object.__setattr__(self, "_target", parse_endpoint(self.endpoint))
 
     def produce(self, *args):
         """This agent's reply to ``self.request(*args)``, called alone."""

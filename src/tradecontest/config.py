@@ -11,9 +11,10 @@ named as in the file, with its type and default. ``from_dict`` and
 and each section's own checks run as it is loaded. Where the program has
 a type for a section, that type is the section: ``contest`` is
 ``engine.ContestRules``, ``backtest`` is ``backtest.BacktestRules``, each
-``data.planted`` entry is ``market.PlantedEffect``, and ``data`` extends
-``market.SyntheticSpec`` with the data source. The root keys and the
-``period``, ``agents`` and ``validate_ric`` sections are declared here.
+``data.planted`` entry is ``market.PlantedEffect``, ``data`` extends
+``market.SyntheticSpec`` with the data source, and each ``agents`` entry
+is the agent it names, of the type its ``kind`` key picks. The root keys
+and the ``period`` and ``validate_ric`` sections are declared here.
 """
 
 import dataclasses
@@ -31,8 +32,6 @@ from .agents import (
     ExternalResearchAgent,
     SyntheticDataAgent,
     SyntheticResearchAgent,
-    check_call_bounds,
-    parse_endpoint,
 )
 from .backtest import BacktestRules
 from .engine import ContestConfig, ContestRules
@@ -87,45 +86,14 @@ class PeriodSection:
                 raise ConfigurationError(f"{where}: test_end before test_start")
 
 
-# the keys each agent kind writes back; None values are left out
-_ENTRY_KEYS = {
-    "synthetic": ("kind", "agent_id", "skill", "obs_per_day", "belief", "noise_seed"),
-    "external": ("kind", "agent_id", "endpoint", "timeout", "lookback"),
-}
-
-
-@dataclass(frozen=True)
-class AgentEntry:
-    agent_id: str
-    kind: str = "synthetic"  # synthetic | external
-    skill: float = 0.0
-    obs_per_day: int = 3
-    belief: str = "momentum"
-    endpoint: str | None = None
-    timeout: float = 60.0
-    lookback: int = 30
-    noise_seed: int | None = None
-
-    def validate(self, where: str):
-        if self.kind not in _ENTRY_KEYS:
-            raise ConfigurationError(f"{where}.kind: must be synthetic or external")
-        if self.kind == "external":
-            if not self.endpoint:
-                raise ConfigurationError(f"{where}.endpoint: required for external agents")
-            try:
-                parse_endpoint(self.endpoint)
-            except ValueError as exc:
-                raise ConfigurationError(f"{where}.endpoint: {exc}") from None
-        try:
-            check_call_bounds(self.timeout, self.lookback)
-        except ValueError as exc:
-            raise ConfigurationError(f"{where}.{exc}") from None
+DataAgent = SyntheticDataAgent | ExternalDataAgent
+ResearchAgent = SyntheticResearchAgent | ExternalResearchAgent
 
 
 @dataclass(frozen=True)
 class AgentsSection:
-    data: tuple[AgentEntry, ...] = ()
-    research: tuple[AgentEntry, ...] = ()
+    data: tuple[DataAgent, ...] = ()
+    research: tuple[ResearchAgent, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -194,11 +162,11 @@ def default_roster(seed: int) -> AgentsSection:
     data = []
     for i in range(DEFAULT_DATA_AGENTS):
         skill = 0.8 if i < 4 else 0.0
-        data.append(AgentEntry(agent_id=f"data{i:02d}", skill=skill))
+        data.append(SyntheticDataAgent(agent_id=f"data{i:02d}", skill=skill))
     beliefs = ["momentum", "momentum", "momentum", "reversal", "reversal", "reversal",
                "random", "random"]
     research = [
-        AgentEntry(agent_id=f"res{i:02d}", belief=beliefs[i])
+        SyntheticResearchAgent(agent_id=f"res{i:02d}", belief=beliefs[i])
         for i in range(DEFAULT_RESEARCH_AGENTS)
     ]
     return AgentsSection(data=tuple(data), research=tuple(research))
@@ -211,7 +179,8 @@ def _path(where: str, key) -> str:
 def _load(cls, raw, where: str):
     """Build section ``cls`` from its YAML mapping; a missing or null key
     takes the field's default, and a key the section lacks is an error.
-    A ValueError from the section's own checks is reported at its path."""
+    A ValueError from the section's own checks is reported at the key its
+    message starts with (``timeout: ...``), or else at the section's path."""
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{where or 'config root'}: must be a mapping")
     fields = dataclasses.fields(cls)
@@ -230,15 +199,34 @@ def _load(cls, raw, where: str):
     try:
         section = cls(**values)
     except ValueError as exc:
+        key, _, rest = str(exc).partition(": ")
+        if key in names:
+            raise ConfigurationError(f"{_path(where, key)}: {rest}") from None
         raise ConfigurationError(f"{where or 'config root'}: {exc}") from None
     if hasattr(section, "validate"):
         section.validate(where)
     return section
 
 
+def _load_kind(members, raw, where: str):
+    """The member of ``members`` that ``raw``'s ``kind`` key names (the
+    first when it has none), built from the rest of ``raw``."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where}: must be a mapping")
+    kind = members[0].kind if raw.get("kind") is None else raw["kind"]
+    tp = next((t for t in members if t.kind == kind), None)
+    if tp is None:
+        raise ConfigurationError(
+            f"{where}.kind: must be {' or '.join(t.kind for t in members)}")
+    return _load(tp, {k: v for k, v in raw.items() if k != "kind"}, where)
+
+
 def _convert(tp, value, where: str):
     if isinstance(tp, types.UnionType):  # X | None: the null case never gets here
-        tp = next(t for t in typing.get_args(tp) if t is not type(None))
+        members = [t for t in typing.get_args(tp) if t is not type(None)]
+        if len(members) > 1:  # an agents entry
+            return _load_kind(members, value, where)
+        tp = members[0]
     if dataclasses.is_dataclass(tp):
         return _load(tp, value, where)
     if typing.get_origin(tp) is tuple:
@@ -268,9 +256,9 @@ def from_dict(raw: dict) -> RunConfig:
 
 def to_dict(value):
     """The YAML form of a config or of any part of it."""
-    if isinstance(value, AgentEntry):
-        keys = _ENTRY_KEYS[value.kind]
-        return {k: to_dict(getattr(value, k)) for k in keys if getattr(value, k) is not None}
+    if isinstance(value, DataAgent | ResearchAgent):  # its kind, and the keys it sets
+        return {"kind": value.kind, **{k: v for k, v in dataclasses.asdict(value).items()
+                                       if v is not None}}
     if dataclasses.is_dataclass(value):
         return {f.name: to_dict(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, tuple):
@@ -314,30 +302,15 @@ def build_store(config: RunConfig) -> MarketStore:
         raise ConfigurationError(f"data: {exc}") from exc
 
 
-_AGENT_CLASSES = {  # side -> (synthetic, external)
-    "data": (SyntheticDataAgent, ExternalDataAgent),
-    "research": (SyntheticResearchAgent, ExternalResearchAgent),
-}
-
-
 def build_agents(config: RunConfig):
-    rosters = {}
-    for side, (synthetic, external) in _AGENT_CLASSES.items():
-        agents = rosters[side] = []
-        for i, entry in enumerate(getattr(config.agents, side)):
-            if entry.kind == "external":
-                agents.append(external(agent_id=entry.agent_id, endpoint=entry.endpoint,
-                                       timeout=entry.timeout, lookback=entry.lookback))
-                continue
-            seed = entry.noise_seed if entry.noise_seed is not None \
-                else child_seed(config.seed, "agent", entry.agent_id)
-            try:
-                agents.append(synthetic(agent_id=entry.agent_id, noise_seed=seed,
-                                        skill=entry.skill, obs_per_day=entry.obs_per_day,
-                                        belief=entry.belief))
-            except ValueError as exc:
-                raise ConfigurationError(f"agents.{side}[{i}]: {exc}") from exc
-    return rosters["data"], rosters["research"]
+    """The roster's data and research agents, each synthetic one without a
+    ``noise_seed`` given one derived from the run's seed and its id."""
+    def seeded(agent):
+        if getattr(agent, "noise_seed", 0) is not None:  # seeded, or external
+            return agent
+        return dataclasses.replace(
+            agent, noise_seed=child_seed(config.seed, "agent", agent.agent_id))
+    return [seeded(a) for a in config.agents.data], [seeded(a) for a in config.agents.research]
 
 
 def contest_config(config: RunConfig, store: MarketStore, **overrides) -> ContestConfig:

@@ -281,6 +281,9 @@ class ContestEngine:
             raise ConfigurationError("need at least one research agent")
         if not store.calendar:
             raise ConfigurationError("market store has an empty calendar")
+        for agent in (*data_agents, *research_agents):
+            if getattr(agent, "noise_seed", 0) is None:
+                raise ConfigurationError(f"synthetic agent {agent.agent_id} has no noise_seed")
         self.config = config
         self.store = store
         self.worker = worker

@@ -343,8 +343,8 @@ class TestExternalProtocol:
             external_agent_call(f"{STUB} wrong-id", self._request(kind), timeout=20)
 
     def test_nesting_too_deep_to_parse(self, monkeypatch):
-        monkeypatch.setattr(agents_mod, "_call_subprocess",
-                            lambda command, line, timeout: "[" * 100_000)
+        monkeypatch.setattr(agents_mod, "_call_subprocesses",
+                            lambda calls: ["[" * 100_000 for _ in calls])
         with pytest.raises(ProtocolError, match="malformed JSON"):
             external_agent_call("agent", self._request("data"), timeout=20)
 

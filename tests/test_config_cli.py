@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import hashlib
 import importlib.util
 import json
 import re
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -28,10 +30,14 @@ from tradecontest.market import (
 STUB = f"{sys.executable} {Path(__file__).parent / 'stub_agent.py'}"
 
 
-def perfbench_checks():
-    """The benchmark's independent run checker, loaded from its file as is."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+REPO = Path(__file__).resolve().parent.parent
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark (``checks``, ``workloads``), loaded from
+    its file as is."""
+    path = REPO / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -179,10 +185,11 @@ def assert_no_default_left(full, default, where=""):
 class TestFullSchemaRoundTrip:
     def test_every_key_survives(self, tmp_path):
         assert_no_default_left(FULL_CONFIG, cfgmod.to_dict(cfgmod.RunConfig()))
-        for entry in [*FULL_CONFIG["agents"]["data"], *FULL_CONFIG["agents"]["research"]]:
-            default = cfgmod.AgentEntry(agent_id="", kind=entry["kind"])
-            for key, value in entry.items():
-                assert key == "kind" or value != getattr(default, key), key
+        for side, union in (("data", cfgmod.DataAgent), ("research", cfgmod.ResearchAgent)):
+            for entry in FULL_CONFIG["agents"][side]:
+                [agent_type] = [t for t in typing.get_args(union) if t.kind == entry["kind"]]
+                for f in dataclasses.fields(agent_type):
+                    assert f.name not in entry or entry[f.name] != f.default, f.name
         path = tmp_path / "full.yaml"
         path.write_text(yaml.safe_dump(FULL_CONFIG))
         config = cfgmod.load_config(path)
@@ -310,6 +317,20 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
      "contest: predictor must be baseline or gbdt, got 'xgb'"),
     ("backtest", {"data": {"kind": "csv", "csv_path": "no/such/bars.csv", "n_symbols": 0}},
      "data: n_symbols must be >= 1"),
+    ("gen-data", {"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "skill": 2.0}]}},
+     "agents.data[0]: skill must be in [0, 1]"),
+    ("validate-ric", {"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "skill": 2.0}]}},
+     "agents.data[0]: skill must be in [0, 1]"),
+    ("gen-data", {"agents": {**TWO_AGENTS, "research": [{"agent_id": "r0", "belief": "bogus"}]}},
+     "agents.research[0]: unknown belief 'bogus'"),
+    ("validate-ric", {"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "belief": "bogus"}]}},
+     "agents.data[0]: unknown belief 'bogus'"),
+    ("backtest", {"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "endpoint": "true"}]}},
+     "agents.data[0].endpoint: unknown key"),
+    ("backtest", {"agents": {**TWO_AGENTS, "research": [{**EXTERNAL, "skill": 0.5}]}},
+     "agents.research[0].skill: unknown key"),
+    ("backtest", {"agents": {**TWO_AGENTS, "data": [{"agent_id": "d0", "kind": "bogus"}]}},
+     "agents.data[0].kind: must be synthetic or external"),
 ], ids=["m-abc", "n_trees-99", "skill-2", "belief-bogus", "initial_cash-0",
         "planted-no-drift", "lookback-0", "lookback-negative", "bool-as-string",
         "int-with-fraction", "int-as-bool", "float-as-bool", "unknown-contest-key",
@@ -324,7 +345,9 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
         "config-a-directory", "config-not-utf8", "ric-ledger-a-directory",
         "data-belief-bogus", "research-skill-2", "research-obs_per_day-negative",
         "float-too-large", "n_days-past-the-calendar", "ric-panel-too-big", "gen-data-m-1",
-        "validate-ric-m-1", "gen-data-predictor-xgb", "csv-n_symbols-0"])
+        "validate-ric-m-1", "gen-data-predictor-xgb", "csv-n_symbols-0", "gen-data-skill-2",
+        "validate-ric-skill-2", "gen-data-belief-bogus", "validate-ric-belief-bogus",
+        "synthetic-with-endpoint", "external-with-skill", "agent-kind-bogus"])
 def test_invalid_value_exits_2(tmp_path, capsys, command, overrides, where):
     # gen-data's CSV would be written to out, which must not appear
     args = ["--out", str(tmp_path / "out")] if command == "gen-data" else []
@@ -338,6 +361,17 @@ def test_invalid_value_exits_2(tmp_path, capsys, command, overrides, where):
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workload", ["demo-gbdt", "long-baseline", "external-agents", "demo.yaml"])
+def test_benchmark_configs_load_and_round_trip(tmp_path, workload):
+    # a stricter schema must not refuse a benchmark workload's config
+    if workload == "demo.yaml":
+        raw = yaml.safe_load((REPO / "configs" / workload).read_text())
+    else:
+        raw = perfbench_module("workloads").WORKLOADS[workload](1, tmp_path)
+    config = cfgmod.from_dict(raw)
+    assert cfgmod.from_dict(cfgmod.to_dict(config)) == config
 
 
 def test_lossless_numbers_still_load():
@@ -532,7 +566,7 @@ class TestCmdBacktest:
         # the checker audits every portfolio, each written in full once and
         # referenced by date on the lines after it
         _write_run_outputs(out, state, metrics)
-        checks = perfbench_checks()
+        checks = perfbench_module("checks")
         rules = checks.Rules(initial_cash=config.backtest.initial_cash, fee=config.backtest.fee,
                              limit_pct=config.backtest.limit_pct, budget=config.contest.budget)
         report = checks.check_run(out, bars_path, rules)

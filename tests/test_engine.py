@@ -75,6 +75,12 @@ class TestRunFull:
         with pytest.raises(ConfigurationError):
             run_full(BASELINE, store, data, [])
 
+    def test_unseeded_synthetic_agent_rejected(self):
+        store = small_market()
+        data, research = small_rosters()
+        with pytest.raises(ConfigurationError, match="synthetic agent d9 has no noise_seed"):
+            ContestEngine(BASELINE, store, [*data, SyntheticDataAgent(agent_id="d9")], research)
+
     def test_short_warmup_names_required_length(self):
         store = small_market()
         data, research = small_rosters()
