@@ -16,10 +16,9 @@ import math
 import os
 import selectors
 import shlex
+import shutil
 import subprocess
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar
@@ -354,10 +353,12 @@ class _Child:
     bytes still to write, the reply and stderr head read so far, and the
     fds the loop still watches."""
 
-    def __init__(self, argv: tuple[str, ...], line: bytes, timeout: float):
+    def __init__(self, argv: tuple[str, ...], executable: str | None, line: bytes,
+                 timeout: float):
         self.timeout = timeout
         self.deadline = time.monotonic() + timeout  # counted from this child's own start
-        self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        self.proc = subprocess.Popen(argv, executable=executable, bufsize=0,
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                      stderr=subprocess.PIPE)
         self.pending = memoryview(line)
         self.out, self.err = bytearray(), bytearray()
@@ -461,9 +462,10 @@ def _poll_wait(running) -> float:
 
 
 def _call_subprocesses(calls) -> list[str | AgentUnavailableError | ProtocolError]:
-    """Run each (argv, request line in bytes, timeout) call as a child
-    process, up to MAX_CHILDREN at once, and return in call order the first
-    line each child printed, or the error that ended its call.
+    """Run each (argv, executable, request line in bytes, timeout) call as a
+    child process, up to MAX_CHILDREN at once, and return in call order the
+    first line each child printed, or the error that ended its call. An
+    ``executable`` of None is looked up on the PATH at the spawn.
 
     One poll loop on this thread writes every request, drains every stdout
     and stderr, and reaps every child. Each child's deadline counts from its
@@ -477,9 +479,9 @@ def _call_subprocesses(calls) -> list[str | AgentUnavailableError | ProtocolErro
         try:
             while queue or running:
                 while queue and len(running) < MAX_CHILDREN:
-                    i, (argv, line, timeout) = queue.popleft()
+                    i, (argv, executable, line, timeout) = queue.popleft()
                     try:
-                        child = _Child(argv, line, timeout)
+                        child = _Child(argv, executable, line, timeout)
                     except OSError as exc:
                         replies[i] = AgentUnavailableError(f"agent process failed to start: {exc}")
                         continue
@@ -497,6 +499,9 @@ def _call_subprocesses(calls) -> list[str | AgentUnavailableError | ProtocolErro
 
 
 def _call_http(url: str, line: str, timeout: float) -> str:
+    import urllib.error  # only http(s) agents need them
+    import urllib.request
+
     req = urllib.request.Request(
         url, data=line.encode(), headers={"Content-Type": "application/json"},
     )
@@ -540,7 +545,7 @@ def external_agent_call(endpoint, request: AgentRequest, timeout: float = 60.0):
     if isinstance(endpoint, str):
         raw = _call_http(endpoint, line, timeout)
     else:
-        raw, = _call_subprocesses([(endpoint, line.encode(), timeout)])
+        raw, = _call_subprocesses([(endpoint, None, line.encode(), timeout)])
         if isinstance(raw, Exception):
             raise raw
     return _parse_reply(raw, request)
@@ -559,8 +564,11 @@ class _ExternalAgent:
 
     def __post_init__(self):
         check_call_bounds(self.timeout, self.lookback)
-        # split once, not per call
-        object.__setattr__(self, "_target", parse_endpoint(self.endpoint))
+        # split, and the command found on the PATH, once, not per call
+        target = parse_endpoint(self.endpoint)
+        object.__setattr__(self, "_target", target)
+        object.__setattr__(self, "_executable",
+                           None if isinstance(target, str) else shutil.which(target[0]))
 
     def produce(self, *args):
         """This agent's reply to ``self.request(*args)``, called alone."""
@@ -582,6 +590,11 @@ class ExternalResearchAgent(_ExternalAgent):
                              portfolio_text=text, lookback=self.lookback)
 
 
+def spawns(agent) -> bool:
+    """True for a command-line agent: each of its calls starts a process."""
+    return isinstance(agent, _ExternalAgent) and not isinstance(agent._target, str)
+
+
 def produce_all(agents, *args) -> list:
     """``agent.produce(*args)`` of each agent, in agent order, or the error
     of AGENT_FAILURES it failed with. Command-line agents run at once,
@@ -590,7 +603,7 @@ def produce_all(agents, *args) -> list:
     outputs: list = []
     spawned = []  # (position in outputs, agent, request)
     for agent in agents:
-        if isinstance(agent, _ExternalAgent) and not isinstance(agent._target, str):
+        if spawns(agent):
             spawned.append((len(outputs), agent, agent.request(*args)))
             outputs.append(None)
             continue
@@ -598,8 +611,9 @@ def produce_all(agents, *args) -> list:
             outputs.append(agent.produce(*args))
         except AGENT_FAILURES as exc:
             outputs.append(exc)
-    replies = _call_subprocesses([(agent._target, (request.to_json() + "\n").encode(),
-                                   agent.timeout) for _, agent, request in spawned])
+    replies = _call_subprocesses([(agent._target, agent._executable,
+                                   (request.to_json() + "\n").encode(), agent.timeout)
+                                  for _, agent, request in spawned])
     for (i, _, request), raw in zip(spawned, replies):
         try:
             outputs[i] = raw if isinstance(raw, Exception) else _parse_reply(raw, request)

@@ -7,6 +7,9 @@ The data contest rebuilds the factor portfolio on its rebalance cadence;
 research agents consume the active portfolio and are themselves scored,
 predicted, and capital-weighted on their own cadence. Agents that fail
 or stay silent simply score as absent; the run never crashes on them.
+Each day runs in two stages: the data team's, which reads only the market
+and the data team's own history and can run ahead in a forked data
+process, then the rest.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import AGENT_FAILURES, CASH_SYMBOL, TextualFactor, TradingSignal, produce_all
+from .agents import (
+    AGENT_FAILURES,
+    CASH_SYMBOL,
+    TextualFactor,
+    TradingSignal,
+    produce_all,
+    spawns,
+)
 from .allocation import (
     CapitalWeights,
     FactorPortfolio,
@@ -32,6 +42,7 @@ from .allocation import (
 )
 from .backtest import ordered_sum, signals_to_weights
 from .errors import ConfigurationError, MissingDataError
+from .forked import Forked
 from .market import MarketStore, price_change, view_until
 from .prediction import (
     MIN_TRAIN_PAIRS,
@@ -147,6 +158,20 @@ class DailyRecord:
             "model_kinds": self.model_kinds,
             "absent": sorted(set(self.absent)),
         }
+
+
+@dataclass
+class DataDay:
+    """The data team's stage of one day: the factors its agents produced,
+    the scores of the day before's factors that resolved, the data agents
+    absent from either, and, on a data rebalance, the data utilities with
+    the kind of model that predicted them."""
+
+    date: dt.date
+    factors: dict[str, TextualFactor]
+    scores: dict[str, float]
+    absent: list[str]
+    utilities: tuple[dict[str, float], str] | None
 
 
 def _portfolio_dict(portfolio: FactorPortfolio | None):
@@ -305,25 +330,58 @@ class ContestEngine:
         self.active_portfolio: FactorPortfolio | None = None
         self.active_weights: CapitalWeights | None = None
 
-    # -- per-day stages -------------------------------------------------
+    # -- the data stage -------------------------------------------------
 
-    def _resolve_scores(self, i: int, t: dt.date, absent: list[str]) -> tuple[dict, dict]:
-        """Score day t-1 factors and researcher returns, now that t's close
-        is known."""
-        factor_scores: dict[str, float] = {}
+    def data_stage(self, i: int, t: dt.date, eval_idx: int, view) -> DataDay:
+        """Day t's data stage: the data agents' factors, the scores of day
+        t-1's factors now that t's close is known and, on a data rebalance,
+        each data agent's predicted utility. It reads only the market and
+        the data team's own history."""
+        absent: list[str] = []
+        factors = _collect(self.data_agents, (view, t), t, absent)
+        scores: dict[str, float] = {}
+        if i > 0:
+            t_prev = self.store.calendar[i - 1]
+            for agent_id, factor in sorted(self.data.pending.get(t_prev, {}).items()):
+                try:
+                    q = factor_score(factor, self.store)
+                except MissingDataError:
+                    absent.append(agent_id)
+                    continue
+                self.data.resolve(agent_id, q, None)
+                scores[agent_id] = q
+        self.data.pending = {t: factors}  # older outputs are dropped unresolved
+        utilities = None
+        if i >= self.config.m and (i - eval_idx) % self.config.n_data == 0:
+            utilities = ({}, "random") if self.config.no_data_contest \
+                else self.data.utilities(self.config, {}, self.worker)
+        return DataDay(t, factors, scores, absent, utilities)
+
+    def data_stages(self, eval_idx: int, end: int) -> Iterator[DataDay | Exception]:
+        """The data stage of each calendar day before ``end``, in order, as
+        the forked data process runs them, with a fit worker of its own; an
+        exception a stage raises is its day's item, and the last."""
+        self.worker = FitWorker()
+        try:
+            for i, t in enumerate(self.store.calendar[:end]):
+                try:
+                    day = self.data_stage(i, t, eval_idx, view_until(self.store, t))
+                except Exception as exc:
+                    yield exc
+                    return
+                yield day
+        finally:
+            self.worker.close()
+
+    # -- the second stage -----------------------------------------------
+
+    def _resolve_researcher_scores(self, i: int, absent: list[str]) -> dict:
+        """Score day t-1's signals by their returns, now that t's close is
+        known."""
         researcher_scores: dict[str, dict[str, float]] = {}
         if i == 0:
-            return factor_scores, researcher_scores
+            return researcher_scores
         t_prev = self.store.calendar[i - 1]
-        for agent_id, factor in sorted(self.data.pending.get(t_prev, {}).items()):
-            try:
-                q = factor_score(factor, self.store)
-            except MissingDataError:
-                absent.append(agent_id)
-                continue
-            self.data.resolve(agent_id, q, None)
-            factor_scores[agent_id] = q
-
         for agent_id, signal in sorted(self.research.pending.get(t_prev, {}).items()):
             if signal.action == "buy" and signal.symbol != CASH_SYMBOL:
                 try:
@@ -351,9 +409,13 @@ class ContestEngine:
                 entry["sharpe"] = sharpe
             if entry:
                 researcher_scores[agent_id] = entry
-        return factor_scores, researcher_scores
+        return researcher_scores
 
-    def _rebalance_data(self, t: dt.date, factors_t: dict[str, TextualFactor]):
+    def _rebalance_data(self, t: dt.date, factors_t: dict[str, TextualFactor],
+                        utilities: dict[str, float]) -> None:
+        """Rebuild the factor portfolio from day t's factors: the knapsack
+        over their predicted utilities, or, without the data contest, a
+        random pick under the budget."""
         if self.config.no_data_contest:
             rng = stream(self.config.seed, "ablation", "data", t.isoformat())
             ids = sorted(a for a, f in factors_t.items() if f.token_length >= 1)
@@ -371,9 +433,8 @@ class ContestEngine:
                 total_tokens=total,
                 total_utility=0.0,
             )
-            return {}, "random"
+            return
 
-        utilities, model_kind = self.data.utilities(self.config, {}, self.worker)
         items = [
             KnapsackItem(agent_id=a, utility=u, tokens=factors_t[a].token_length,
                          factor=factors_t[a])
@@ -381,7 +442,6 @@ class ContestEngine:
             if a in factors_t and factors_t[a].token_length >= 1
         ]
         self.active_portfolio = knapsack_select(items, self.config.budget, date=t)
-        return utilities, model_kind
 
     def _rebalance_research(self, t: dt.date, signals_t: dict[str, TradingSignal]):
         if self.config.no_research_contest:
@@ -404,21 +464,28 @@ class ContestEngine:
 
     # -- day driver -------------------------------------------------------
 
-    def run_contest_day(self, i: int, t: dt.date, eval_idx: int) -> DailyRecord:
-        absent: list[str] = []
+    def run_contest_day(self, i: int, t: dt.date, eval_idx: int,
+                        data_days: Iterator[DataDay | None] | None = None) -> DailyRecord:
+        """Day t's record. Its data stage is the next of ``data_days`` where
+        the data process ran it, else it runs here first; then the second
+        stage scores the research team, rebuilds the factor portfolio on a
+        data rebalance, runs the research agents and sets the target
+        weights."""
         view = view_until(self.store, t)
-        factors_t = _collect(self.data_agents, (view, t), t, absent)
-        factor_scores, researcher_scores = self._resolve_scores(i, t, absent)
-        self.data.pending = {t: factors_t}  # older outputs are dropped unresolved
+        data_day = None if data_days is None else next(data_days)
+        if data_day is None:
+            data_day = self.data_stage(i, t, eval_idx, view)
+        absent = [*data_day.absent]
+        researcher_scores = self._resolve_researcher_scores(i, absent)
 
         data_utilities: dict[str, float] = {}
         research_utilities: dict[str, float] = {}
         model_kinds: dict[str, str] = {}
 
-        data_reb = i >= self.config.m and (i - eval_idx) % self.config.n_data == 0
+        data_reb = data_day.utilities is not None
         if data_reb:
-            data_utilities, kind = self._rebalance_data(t, factors_t)
-            model_kinds["data"] = kind
+            data_utilities, model_kinds["data"] = data_day.utilities
+            self._rebalance_data(t, data_day.factors, data_utilities)
 
         portfolio = self.active_portfolio if self.active_portfolio is not None \
             else empty_portfolio(t)
@@ -439,7 +506,7 @@ class ContestEngine:
 
         return DailyRecord(
             date=t,
-            factor_scores=factor_scores,
+            factor_scores=data_day.scores,
             researcher_scores=researcher_scores,
             data_utilities=data_utilities,
             research_utilities=research_utilities,
@@ -492,16 +559,50 @@ def run_full(config: ContestConfig, store: MarketStore, data_agents,
     return _records(engine, eval_idx, end)
 
 
+def _data_days(engine: ContestEngine, eval_idx: int,
+               end: int) -> Iterator[DataDay | None]:
+    """The data stage of each calendar day before ``end``, run ahead in a
+    forked data process where a data agent is a command line and
+    ``Forked.start`` can fork; None for each day the caller is to run it.
+    An exception the stage raised is raised on its day. When the process
+    dies or sends anything else, it is reaped, the data team's state is
+    rebuilt from the days it sent, and every later day is None."""
+    # a command-line agent's spawns outweigh handing the day over; a
+    # synthetic data team's work, gbdt fits included, does not
+    process = Forked.start(lambda jobs: engine.data_stages(eval_idx, end)) \
+        if any(spawns(a) for a in engine.data_agents) else None
+    sent: list[dict[str, float]] = []  # the factor scores of each day received
+    try:
+        for _ in range(end):
+            day = None if process is None else process.receive((DataDay, Exception))
+            if isinstance(day, Exception):
+                raise day
+            if day is not None:
+                sent.append(day.scores)
+                engine.data.pending = {day.date: day.factors}
+            elif process is not None:  # receive has reaped it
+                process = None
+                for scores in sent:
+                    for agent_id, q in scores.items():
+                        engine.data.resolve(agent_id, q, None)
+            yield day
+    finally:
+        if process is not None:
+            process.close()
+
+
 def _records(engine: ContestEngine, eval_idx: int, end: int) -> Iterator[DailyRecord]:
     """Run the calendar's days before ``end`` in order, yielding the records
-    from ``eval_idx`` on; the engine's worker is reaped when they end or
-    are closed."""
+    from ``eval_idx`` on; the data process and the engine's worker are
+    reaped when they end or are closed."""
+    data_days = _data_days(engine, eval_idx, end)
     try:
         for i, t in enumerate(engine.store.calendar[:end]):
-            record = engine.run_contest_day(i, t, eval_idx)
+            record = engine.run_contest_day(i, t, eval_idx, data_days)
             if i >= eval_idx:
                 yield record
     finally:
+        data_days.close()
         engine.worker.close()
 
 

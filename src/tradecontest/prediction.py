@@ -9,13 +9,7 @@ momentum validation used to justify the whole approach.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +20,7 @@ from .errors import (
     TrainingError,
     UndefinedCorrelationError,
 )
+from .forked import Forked
 from .gbdt import GradientBoostedRegressor
 from .seeding import stream
 
@@ -84,97 +79,47 @@ def baseline_model() -> PredictorModel:
     return PredictorModel(kind="baseline")
 
 
+def _fits(jobs):
+    for settings, X, y in jobs:
+        yield GradientBoostedRegressor(**settings).fit(X, y)
+
+
 class FitWorker:
     """One forked process that fits an ensemble while its caller fits
     another, owned by one run: forked on the first job, killed and reaped by
-    ``close``. Where it cannot fork, and after it dies, errs or replies with
-    anything but an ensemble, ``submit`` and ``result`` say so, and the
-    caller fits serially. It does so too while the process runs other
-    threads, whose locks a fork could copy while they are held. Both sides
-    run the same numpy code on the same inputs, so a tree fitted here has
-    the bits of one fitted by the caller.
-
-    Jobs and replies are pickles on two ``os.pipe``s, which the command-line
-    agents the run spawns do not inherit. The worker leaves only through
-    ``os._exit``: it never flushes a buffer or runs an exit hook it
-    inherited.
+    ``close``. Where it cannot fork (``forked.can_fork``), and after it
+    dies, errs or replies with anything but an ensemble, ``submit`` and
+    ``result`` say so, and the caller fits serially. Both sides run the
+    same numpy code on the same inputs, so a tree fitted here has the bits
+    of one fitted by the caller.
     """
 
     def __init__(self):
-        self.pid: int | None = None
+        self._child: Forked | None = None
         self._forked = False
 
-    def _fork(self) -> None:
-        if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
-                or len(os.sched_getaffinity(0)) < 2 \
-                or threading.active_count() > 1:
-            return
-        jobs_r, jobs_w = os.pipe()
-        replies_r, replies_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (jobs_r, jobs_w, replies_r, replies_w):
-                os.close(fd)
-            return
-        if pid == 0:
-            try:
-                gc.freeze()  # leave the parent's objects be: no finalizer runs here
-                os.close(jobs_w)
-                os.close(replies_r)
-                with open(jobs_r, "rb") as jobs, open(replies_w, "wb") as replies:
-                    while True:
-                        settings, X, y = pickle.load(jobs)
-                        model = GradientBoostedRegressor(**settings).fit(X, y)
-                        pickle.dump(model, replies, pickle.HIGHEST_PROTOCOL)
-                        replies.flush()
-            finally:  # the jobs pipe closed, or anything else went wrong
-                os._exit(0)
-        os.close(jobs_r)
-        os.close(replies_w)
-        self.pid = pid
-        self._jobs, self._replies = open(jobs_w, "wb"), open(replies_r, "rb")
+    @property
+    def pid(self) -> int | None:
+        return None if self._child is None else self._child.pid
 
     def submit(self, settings: dict, X: np.ndarray, y: np.ndarray) -> bool:
         """Send the job of fitting ``GradientBoostedRegressor(**settings)``
         to ``(X, y)``; False when there is no worker to take it."""
         if not self._forked:
             self._forked = True
-            self._fork()
-        if self.pid is None:
-            return False
-        try:
-            pickle.dump((settings, X, y), self._jobs, pickle.HIGHEST_PROTOCOL)
-            self._jobs.flush()
-        except OSError:
-            self.close()
-            return False
-        return True
+            self._child = Forked.start(_fits)
+        return self._child is not None and self._child.send((settings, X, y))
 
     def result(self) -> GradientBoostedRegressor | None:
         """The submitted job's ensemble; None, and the worker closed, when
         it died, erred or replied with anything else."""
-        try:
-            model = pickle.load(self._replies)
-        except Exception:  # a read or unpickling fault of any kind: the caller fits
-            model = None
-        if not isinstance(model, GradientBoostedRegressor):
-            self.close()
-            return None
-        return model
+        return self._child.receive(GradientBoostedRegressor)
 
     def close(self) -> None:
         """Kill and reap the worker, if one runs; it is not forked again."""
         self._forked = True
-        if self.pid is None:
-            return
-        for pipe in (self._jobs, self._replies):
-            with contextlib.suppress(OSError):  # a flush into a dead worker's pipe
-                pipe.close()
-        with contextlib.suppress(ProcessLookupError, ChildProcessError):
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        self.pid = None
+        if self._child is not None:
+            self._child.close()
 
 
 def train(rules, X, targets, worker: FitWorker | None = None) -> PredictorModel:

@@ -4,6 +4,8 @@ import datetime as dt
 import hashlib
 import json
 import os
+import shlex
+import subprocess
 import sys
 import threading
 import time
@@ -454,6 +456,49 @@ class TestConcurrentStage:
         assert list(out) == ["s0", "x0-ok", "s2"] and not absent
 
 
+class TestExecutable:
+    """A command-line agent's executable is found on the PATH once, as the
+    agent is built, and the child still sees the command as written."""
+
+    def test_a_bare_command_runs_from_the_path_at_load(self, tiny_store, tmp_path, monkeypatch):
+        # a Python under another name, which prints the argv[0] it was given
+        (tmp_path / "echo-argv0").symlink_to(sys.executable)
+        code = ("import json, sys; req = json.loads(sys.stdin.readline()); "
+                "print(json.dumps({'agent_id': req['agent_id'], 'date': req['date'], "
+                "'observations': [{'text': sys.orig_argv[0]}], 'token_length': 1}))")
+        monkeypatch.setenv("PATH", str(tmp_path))
+        agent = ExternalDataAgent("x0", f"echo-argv0 -c {shlex.quote(code)}")
+        assert agent._executable == str(tmp_path / "echo-argv0")
+        monkeypatch.setenv("PATH", "")  # resolved at load: the call does not walk it
+        out, absent, _ = run_stage(tiny_store, [agent])
+        assert not absent and out["x0"].observations[0].text == "echo-argv0"
+        assert_no_child_left()
+
+    def test_a_missing_command_leaves_the_agent_absent(self, tiny_store, monkeypatch):
+        monkeypatch.setenv("PATH", "")
+        agent = ExternalDataAgent("x0", "no-such-agent-command")
+        assert agent._executable is None
+        t = tiny_store.calendar[5]
+        [reply] = agents_mod.produce_all([agent], view_until(tiny_store, t), t)
+        assert isinstance(reply, AgentUnavailableError)
+        assert "agent process failed to start" in str(reply)
+        out, absent, _ = run_stage(tiny_store, [agent])
+        assert not out and absent == ["x0"]
+        assert_no_child_left()
+
+
+def test_importing_the_cli_leaves_urllib_request_unloaded():
+    """Only http(s) agents need ``urllib.request``, so a run without one
+    never pays for its import."""
+    src = Path(agents_mod.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, tradecontest.cli; print('urllib.request' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @contextmanager
 def serve(reply):
     """An HTTP agent on localhost answering each POST with ``reply(request)``."""
@@ -576,7 +621,7 @@ def fake_endpoint(lines):
     agent call goes through, that records each request line and answers it
     validly, echoing the agent id and date."""
     def answer_all(calls):
-        return [answer(line.decode()) for _, line, _ in calls]
+        return [answer(line.decode()) for _, _, line, _ in calls]
 
     def answer(line):
         lines.append(line)
@@ -646,6 +691,8 @@ class TestRequestBytes:
     def test_pinned_run_request_bytes(self, monkeypatch):
         lines = []
         monkeypatch.setattr(agents_mod, "_call_subprocesses", fake_endpoint(lines))
+        # one core: the data agents' calls run in this process, where `lines` records them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         store = generate_synthetic(SyntheticSpec(n_symbols=4, n_days=24, daily_vol=0.01), 5)
         data = [ExternalDataAgent("x0", "agent", lookback=3),
                 ExternalDataAgent('xé"1', "agent", lookback=40)]

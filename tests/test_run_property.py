@@ -70,3 +70,18 @@ def test_every_valid_config_runs_to_its_end(initial_cash, fee, daily_vol, budget
         assert min(cash) >= 0.0
         assert max(residuals) <= 1e-9
         assert run(config_path, Path(tmp) / "b") == (outputs, cash, residuals)
+
+
+def test_a_large_cash_run_keeps_cash_non_negative(tmp_path):
+    """The box's large-cash corner on its own: 1e12 of cash, where one ulp of
+    the NAV is about 1e-4, ends every day with cash >= 0."""
+    config = yaml.safe_load(DEMO.read_text())
+    config["data"]["n_days"] = 120
+    config["contest"]["predictor"] = "baseline"
+    config["backtest"]["initial_cash"] = 1e12
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text(yaml.safe_dump(config))
+    _, cash, residuals = run(config_path, tmp_path / "out")
+    assert len(cash) > 100
+    assert 0.0 <= min(cash) < 1e6  # fully invested on some day
+    assert max(residuals) <= 1e-9
