@@ -291,6 +291,8 @@ def parse_factor_response(payload) -> TextualFactor:
     token_length = _field(payload, "token_length")
     if type(token_length) is not int or token_length < 0:
         raise ProtocolError(f"token_length must be a non-negative integer, got {token_length!r}")
+    # the engine charges at least its own count, whatever the agent reports
+    token_length = max(token_length, token_count(o.text for o in observations))
     if token_length > TOKEN_CAP:
         raise ProtocolError(f"token cap exceeded: {token_length} > {TOKEN_CAP}")
     try:

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 from array import array
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -322,46 +323,119 @@ def price_change(store: MarketStore, symbol: str, t: dt.date) -> float:
 def ingest_csv(path) -> MarketStore:
     """Load a long-format bar file with header date,symbol,open,high,low,close,volume.
 
-    One pass streams the rows into columns; a date text is parsed on the
-    first line that carries it, and the ``Bar`` checks run on whole columns.
-    The first fault in file order raises ``CsvFormatError`` naming its line
-    (the header is line 1, each row the csv reader yields one more line);
-    the ``Bar`` of a row that fails the checks words its message. The file
-    is read as UTF-8; other bytes raise ``UnicodeDecodeError``."""
+    A plain file (see ``_read_plain``) is parsed by numpy's C text reader.
+    Any other file, and any file with a fault, is read again from its start
+    by ``_read_rows``, the row loop, which is the one place that words a
+    fault: the first fault in file order raises ``CsvFormatError`` naming
+    its line (the header is line 1, each row the csv reader yields one more
+    line), and the ``Bar`` of a row that fails the checks words its message.
+    Both give the same store. The file is opened once and read as UTF-8;
+    other bytes raise ``UnicodeDecodeError``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        columns = _read_plain(fh)
+        if columns is None:
+            fh.seek(0)
+            columns = _read_rows(fh)
+    return MarketStore._from_rows(*columns)
+
+
+# about 1,100 lines of the benchmark's wide file: numpy's text reader builds
+# its strings one chunk at a time, never for the whole file (with 1 MiB
+# chunks the freed buffers left the ingest's peak 4 MB higher, at no gain)
+_PLAIN_CHUNK = 1 << 16
+_PLAIN_READ = {"delimiter": ",", "comments": None, "quotechar": None, "ndmin": 2}
+
+
+def _plain(lines: list[str], text: str) -> bool:
+    """Whether csv.reader splits each of ``lines`` (joined in ``text``) at
+    its commas and nowhere else: no quote, NUL or bare CR, and no line past
+    the csv field size limit."""
+    cr, limit = text.count("\r"), csv.field_size_limit()
+    return ('"' not in text and "\0" not in text and (not cr or cr == text.count("\r\n"))
+            and (len(text) < limit or max(map(len, lines)) < limit))
+
+
+def _read_plain(fh):
+    """The ``_read_rows`` columns of a plain file, or None.
+
+    A plain file has a plain header, LF or CRLF line ends, and 7 fields on
+    every line that is not empty; no row may fault. The five numbers are
+    parsed by ``np.loadtxt``, whose accepted texts ``float()`` also accepts,
+    with the same bits; ``float()`` also takes some that it refuses (``1_0``,
+    non-ASCII digits), which make the file not plain."""
+    # a text's code is its number among the distinct texts, in file order
+    day_texts: dict[str, int] = defaultdict(itertools.count().__next__)
+    sym_texts: dict[str, int] = defaultdict(itertools.count().__next__)
+    # C int codes hold half the bytes of the row loop's, and a file with
+    # 2**31 distinct dates or symbols would overflow them: it is not plain
+    day_codes, sym_codes, values = array("i"), array("i"), array("d")
+    try:
+        header = fh.readline()
+        if not (_plain([header], header) and [h.strip().lower() for h in
+                                             header.rstrip("\r\n").split(",")] == CSV_HEADER):
+            return None
+        while lines := fh.readlines(_PLAIN_CHUNK):
+            text = "".join(lines)
+            if not _plain(lines, text):
+                return None
+            if not text.strip("\r\n"):  # empty lines only: loadtxt warns of no data
+                continue
+            nums = np.loadtxt(lines, np.float64, usecols=range(2, 7), **_PLAIN_READ)
+            keys = np.loadtxt(lines, object, usecols=(0, 1), **_PLAIN_READ)
+            # every row has at least 7 fields, so this many commas means 7 each
+            if text.count(",") != 6 * len(nums):
+                return None
+            values.frombytes(nums.tobytes())
+            day_codes.extend(map(day_texts.__getitem__, keys[:, 0].tolist()))
+            sym_codes.extend(map(sym_texts.__getitem__, keys[:, 1].tolist()))
+        days = [dt.date.fromisoformat(d.strip()) for d in day_texts]
+    except (ValueError, OverflowError):  # a fault, UnicodeDecodeError included
+        return None
+    rows = np.frombuffer(values).reshape(-1, 5)
+    if _first_bad_row(rows) is not None:
+        return None
+    return (days, [text.strip() for text in sym_texts], np.frombuffer(day_codes, np.intc),
+            np.frombuffer(sym_codes, np.intc), rows)
+
+
+def _read_rows(fh):
+    """The row loop: days, symbols, their codes and the rows of ``fh``, for
+    ``MarketStore._from_rows``. One pass streams the rows into columns; a
+    date text is parsed on the first line that carries it, and the ``Bar``
+    checks run on whole columns."""
     day_texts: dict[str, int] = {}
     sym_texts: dict[str, int] = {}
     days: list[dt.date] = []
     blanks: list[int] = []  # for each blank row, the number of rows before it
     day_codes, sym_codes, values = array("q"), array("q"), array("d")
     fault = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("empty file") from None
-        except csv.Error as exc:
-            raise CsvFormatError(f"line 1: {exc}") from None
-        if [h.strip().lower() for h in header] != CSV_HEADER:
-            raise CsvFormatError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
-        try:
-            for row in reader:
-                try:
-                    date, symbol, o, h, lo, c, v = row
-                    code = day_texts.get(date)
-                    if code is None:
-                        code = day_texts[date] = len(days)
-                        days.append(dt.date.fromisoformat(date.strip()))
-                    day_codes.append(code)
-                    sym_codes.append(sym_texts.setdefault(symbol, len(sym_texts)))
-                    values.extend((float(o), float(h), float(lo), float(c), float(v)))
-                except ValueError as exc:
-                    if row:
-                        fault = str(exc) if len(row) == 7 else f"expected 7 fields, got {len(row)}"
-                        break
-                    blanks.append(len(values) // 5)
-        except csv.Error as exc:
-            fault = str(exc)
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError("empty file") from None
+    except csv.Error as exc:
+        raise CsvFormatError(f"line 1: {exc}") from None
+    if [h.strip().lower() for h in header] != CSV_HEADER:
+        raise CsvFormatError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+    try:
+        for row in reader:
+            try:
+                date, symbol, o, h, lo, c, v = row
+                code = day_texts.get(date)
+                if code is None:
+                    code = day_texts[date] = len(days)
+                    days.append(dt.date.fromisoformat(date.strip()))
+                day_codes.append(code)
+                sym_codes.append(sym_texts.setdefault(symbol, len(sym_texts)))
+                values.extend((float(o), float(h), float(lo), float(c), float(v)))
+            except ValueError as exc:
+                if row:
+                    fault = str(exc) if len(row) == 7 else f"expected 7 fields, got {len(row)}"
+                    break
+                blanks.append(len(values) // 5)
+    except csv.Error as exc:
+        fault = str(exc)
     rows = np.frombuffer(values).reshape(-1, 5)
     syms = [text.strip() for text in sym_texts]
     if (bad := _first_bad_row(rows)) is not None:
@@ -372,8 +446,7 @@ def ingest_csv(path) -> MarketStore:
     if fault is not None:
         at = len(rows) if bad is None else bad
         raise CsvFormatError(f"line {2 + at + bisect.bisect_right(blanks, at)}: {fault}")
-    return MarketStore._from_rows(days, syms, np.frombuffer(day_codes, np.int64),
-                                  np.frombuffer(sym_codes, np.int64), rows)
+    return days, syms, np.frombuffer(day_codes, np.int64), np.frombuffer(sym_codes, np.int64), rows
 
 
 def _first_bad_row(rows: np.ndarray) -> int | None:
@@ -386,15 +459,17 @@ def _first_bad_row(rows: np.ndarray) -> int | None:
 
 
 def write_csv(store: MarketStore, path) -> None:
+    """Write every bar of ``store``, by symbol and then by date, as a bar file
+    that ``ingest_csv`` reads back to the same store."""
+    dates = [d.isoformat() for d in store.calendar]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for bar in store.iter_bars():
-            writer.writerow(
-                [bar.date.isoformat(), bar.symbol,
-                 repr(bar.open), repr(bar.high), repr(bar.low), repr(bar.close),
-                 repr(bar.volume)]
-            )
+        for s, symbol in enumerate(store.symbols):
+            days = np.flatnonzero(store._has[s])
+            writer.writerows([dates[j], symbol, *map(repr, values)]
+                             for j, values in zip(days.tolist(),
+                                                  store._fields[:, s, days].T.tolist()))
 
 
 def business_days(start: dt.date, n: int) -> list[dt.date]:

@@ -52,6 +52,8 @@ def main():
             payload["observations"][0]["rated_symbols"] = [[req["universe"][0], True]]
         elif mode == "over-token":
             payload["token_length"] = 5000
+        elif mode == "under-token":  # its text counts 5 tokens
+            payload["token_length"] = 1
     else:
         payload = {
             "agent_id": req["agent_id"],

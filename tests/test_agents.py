@@ -38,6 +38,7 @@ from tradecontest.agents import (
     token_count,
 )
 from tradecontest.allocation import FactorPortfolio, empty_portfolio
+from tradecontest.cli import main
 from tradecontest.engine import ContestConfig, _collect, run_full
 from tradecontest.errors import AgentUnavailableError, ProtocolError
 from tradecontest.market import (
@@ -51,6 +52,7 @@ from tradecontest.market import (
 
 from conftest import bar_map
 from stub_agent import SLOW_S
+from test_config_cli import expand_portfolio_refs, write_config
 
 STUB = f"{sys.executable} {Path(__file__).parent / 'stub_agent.py'}"
 
@@ -240,6 +242,13 @@ class TestExternalProtocol:
     def test_token_cap_exceeded(self):
         with pytest.raises(ProtocolError, match="token cap exceeded"):
             external_agent_call(f"{STUB} over-token", self._request("data"), timeout=20)
+
+    def test_the_engine_charges_at_least_the_tokens_it_counts(self):
+        factor = external_agent_call(f"{STUB} under-token", self._request("data"), timeout=20)
+        assert factor.token_length == token_count(["steady volume uptick"]) == 5
+        # a report above the count is charged as reported
+        assert external_agent_call(f"{STUB} ok", self._request("data"), timeout=20) \
+            .token_length == 6
 
     def test_malformed_json(self):
         with pytest.raises(ProtocolError, match="malformed JSON"):
@@ -712,3 +721,33 @@ def test_render_portfolio_text():
     text = render_portfolio_text(portfolio)
     assert "AAA" in text and "d0" in text
     assert render_portfolio_text(None) == ""
+
+
+class TestCountedTokens:
+    """The factor portfolio charges a factor the tokens the engine counts,
+    not the fewer its agent reports: the stub's text counts 5 tokens and it
+    reports 1."""
+
+    def _selected(self, tmp_path, budget):
+        cfg = write_config(
+            tmp_path / "run.yaml",
+            data={"kind": "synthetic", "n_symbols": 4, "n_days": 40, "daily_vol": 0.01,
+                  "planted": [{"symbol": "SYM000", "start_day": 0, "drift": 0.01}]},
+            agents={"data": [{"kind": "external", "agent_id": "x0", "timeout": 30,
+                              "endpoint": f"{STUB} under-token"}],
+                    "research": [{"kind": "synthetic", "agent_id": "r00", "belief": "momentum"}]},
+            contest={"predictor": "baseline", "budget": budget})
+        assert main(["backtest", str(cfg)]) == 0
+        ledger = expand_portfolio_refs((tmp_path / "out" / "ledger.jsonl").read_bytes())
+        return [json.loads(line)["portfolio"] for line in ledger.splitlines()]
+
+    def test_the_ledger_and_the_knapsack_use_the_counted_figure(self, tmp_path):
+        portfolios = self._selected(tmp_path, budget=5)
+        held = [p for p in portfolios if p["selected"]]
+        assert held
+        for p in held:
+            assert [s["factor"]["token_length"] for s in p["selected"]] == [5]
+            assert p["total_tokens"] == 5
+
+    def test_a_budget_under_the_count_selects_nothing(self, tmp_path):
+        assert not any(p["selected"] for p in self._selected(tmp_path, budget=4))

@@ -4,6 +4,8 @@ import csv
 import datetime as dt
 import json
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -767,6 +769,212 @@ class TestOnePass:
         assert counts["Bar"] == 1
 
 
+# --- the plain-file path -------------------------------------------------------
+
+
+@pytest.fixture()
+def row_loops(monkeypatch):
+    """The number of times ingest_csv has run the row loop."""
+    calls = []
+    real = market_mod._read_rows
+
+    def counting(fh):
+        calls.append(fh)
+        return real(fh)
+
+    monkeypatch.setattr(market_mod, "_read_rows", counting)
+    return calls
+
+
+GOOD_LATER = "2025-01-03,AAA,10,10.5,9.5,10.4,100\n"
+
+
+def _many_rows(n, symbol):
+    return "".join(f"{d},{symbol},10,10.5,9.5,10.2,{i}\n"
+                   for i, d in enumerate(business_days(D(2025, 1, 2), n)))
+
+# each case's body after the header, and whether it takes the row loop
+PLAIN_CASES = {
+    "quoted-field": (GOOD + '2025-01-03,"AAA",10,10.5,9.5,10.4,100\n', True),
+    "quoted-comma": (GOOD + '2025-01-03,"A,B",10,10.5,9.5,10.4,100\n', True),
+    "bare-cr": (GOOD + "2025-01-03,AAA,10,10.5,9.5,10.4,100\r2025-01-06,AAA,9,9,9,9,9\n", True),
+    "bare-cr-at-the-end": (GOOD + "2025-01-03,AAA,10,10.5,9.5,10.4,100\r", True),
+    "whitespace-line": (GOOD + "   \n" + GOOD_LATER, True),
+    "tab-line": (GOOD + "\t\n" + GOOD_LATER, True),
+    "nul": (GOOD + "2025-01-03,AAA,10,10.5,9.5,10.4,100\0\n", True),
+    "bom-before-a-date": (GOOD + "\ufeff" + GOOD_LATER, True),
+    "underscore-digits": (GOOD + "2025-01-03,AAA,1_0,10.5,9.5,10.4,1_000\n", True),
+    "non-ascii-digits": (GOOD + "2025-01-03,AAA,10,10.5,9.5,10.4,\u0661\u0660\u0660\n", True),
+    "eight-fields-on-every-row": (GOOD.replace("\n", ",8\n") + GOOD_LATER.replace("\n", ",8\n"),
+                                  True),
+    "a-row-of-six-fields": (GOOD + "2025-01-03,AAA,10,10.5,9.5,10.4\n", True),
+    "empty-number": (GOOD + "2025-01-03,AAA,10,10.5,9.5,,100\n", True),
+    "bad-date": (GOOD + "2025-02-30,AAA,10,10.5,9.5,10.4,100\n", True),
+    "bar-fault": (GOOD + "2025-01-03,AAA,10,9,11,10,1\n", True),
+    "nan-volume": (GOOD + "2025-01-03,AAA,10,10.5,9.5,10.4,nan\n", True),
+    # plain files: no row loop
+    "lf": (GOOD + GOOD_LATER, False),
+    "crlf": ((GOOD + GOOD_LATER).replace("\n", "\r\n"), False),
+    "mixed-line-ends": (GOOD.replace("\n", "\r\n") + GOOD_LATER, False),
+    "tab-padded": ("\t2025-01-02\t,\tAAA\t,\t10\t,10.5\t,\t9.5,10.2,100\t\n" + GOOD_LATER, False),
+    "space-padded": (" 2025-01-02 , AAA , 10 ,10.5,9.5, 10.2 ,+100\n" + GOOD_LATER, False),
+    "bom-in-a-symbol": (GOOD + GOOD_LATER.replace("AAA", "\ufeffAAA"), False),
+    "comment-sign-in-a-symbol": (GOOD + GOOD_LATER.replace("AAA", "A#B"), False),
+    "empty-symbol": (GOOD + GOOD_LATER.replace("AAA", ""), False),
+    "header-only": ("", False),
+    "blank-last-line": (GOOD + GOOD_LATER + "\n", False),
+    "blank-lines-only": ("\n\r\n\n", False),
+    "duplicate": (GOOD + GOOD_LATER + GOOD, False),  # _pack words it
+}
+
+
+class TestPlainFiles:
+    """A plain file is read by numpy's text reader, any other one by the row
+    loop; either way the outcome is the reference's."""
+
+    @pytest.mark.parametrize("body, by_rows", PLAIN_CASES.values(), ids=PLAIN_CASES.keys())
+    def test_same_outcome_on_the_expected_path(self, tmp_path, row_loops, body, by_rows):
+        path = tmp_path / "bars.csv"
+        path.write_bytes((HEADER + body).encode())
+        assert_same_outcome(path)
+        assert len(row_loops) == by_rows
+
+    @pytest.mark.parametrize("header", [
+        "date,symbol,open,high,low,close,volume",  # no line end
+        " Date ,SYMBOL,open,high,low,close, volume\r\n",
+    ])
+    def test_a_plain_header(self, tmp_path, row_loops, header):
+        path = tmp_path / "bars.csv"
+        path.write_text(header + ("\n" + GOOD if header[-1] != "\n" else GOOD), newline="")
+        assert_same_outcome(path)
+        assert row_loops == []
+
+    @pytest.mark.parametrize("header", ['"date",symbol,open,high,low,close,volume\n',
+                                        "date,symbol,open,high,low,close,volume\r"])
+    def test_any_other_header_takes_the_row_loop(self, tmp_path, row_loops, header):
+        path = tmp_path / "bars.csv"
+        path.write_text(header + GOOD, newline="")
+        assert_same_outcome(path)
+        assert len(row_loops) == 1
+
+    @pytest.mark.parametrize("body", ["", "date,symbol\n", "\ufeff" + HEADER + GOOD])
+    def test_a_bad_header_or_an_empty_file(self, tmp_path, row_loops, body):
+        path = tmp_path / "bars.csv"
+        path.write_text(body)
+        with pytest.raises(CsvFormatError, match="^(empty file|bad header)"):
+            ingest_csv(path)
+        assert len(row_loops) == 1
+
+    def test_a_fault_in_a_later_chunk_is_worded_by_the_row_loop(self, tmp_path, row_loops):
+        path = tmp_path / "bars.csv"
+        rows = _many_rows(4000, "AAA")
+        path.write_text(HEADER + rows + "2025-01-03,BBB,10,10.5,9.5,10.2,1_0\n" + "\0\n")
+        assert len(rows) > 2 * market_mod._PLAIN_CHUNK
+        with pytest.raises(CsvFormatError, match="^line 4003: expected 7 fields, got 1$"):
+            ingest_csv(path)
+        assert len(row_loops) == 1
+
+    def test_bytes_past_an_earlier_fault_are_never_decoded(self, tmp_path, row_loops):
+        path = tmp_path / "bars.csv"
+        path.write_bytes((HEADER + MALFORMED["short-row"] + _many_rows(4000, "BBB")).encode()
+                         + b"\xff\n")
+        with pytest.raises(CsvFormatError, match="^line 3: expected 7 fields, got 3$"):
+            ingest_csv(path)
+        assert len(row_loops) == 1
+
+    @pytest.mark.parametrize("at", [0, 5000])
+    def test_bytes_that_are_not_utf8(self, tmp_path, row_loops, monkeypatch, at):
+        path = tmp_path / "bars.csv"
+        path.write_bytes((HEADER + _many_rows(at, "BBB")).encode() + b"2025-01-02,\xff,1,1,1,1,1\n")
+        with pytest.raises(UnicodeDecodeError) as got:
+            ingest_csv(path)
+        monkeypatch.setattr(market_mod, "_read_plain", lambda fh: None)
+        with pytest.raises(UnicodeDecodeError) as want:
+            ingest_csv(path)
+        assert str(got.value) == str(want.value)
+        assert len(row_loops) == 2
+
+    def test_a_line_past_the_field_size_limit(self, tmp_path, row_loops):
+        big = "9" * 140_000  # a number past csv's field size limit of 131,072
+        path = tmp_path / "bars.csv"
+        path.write_text(HEADER + GOOD + f"2025-01-03,AAA,10,10.5,9.5,10.4,{big}\n")
+        with pytest.raises(CsvFormatError, match=r"^line 3: field larger than field limit"):
+            ingest_csv(path)
+        assert len(row_loops) == 1
+
+    def test_numbers_have_the_bits_of_float(self, tmp_path, row_loops):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([rng.uniform(0, 1, 200) * 10.0 ** rng.integers(-300, 300, 200),
+                                 rng.uniform(0.01, 1000.0, 100), [5e-324, 2.2250738585072009e-308,
+                                                                   1.7976931348623157e308]])
+        texts = [f(x) for x in values.tolist() for f in (repr, "{:.17g}".format, "{:e}".format,
+                                                           "{:.25g}".format, "+{:.3f} ".format)]
+        texts += ["0.1", "0.30000000000000004441", "9007199254740993", "1e22", "1E-5", " 7 ",
+                  "\t0.5", "1.00000000000000011102230246251565404236316680908203125",
+                  "4.9406564584124654e-324", "2.4703282292062328e-324", "00012.500"]
+        texts = [t for t in texts if float(t) > 0]
+        volumes = ["-0", "-0.0", "+0", "0e0"] + texts
+        days = business_days(D(2025, 1, 2), len(texts))
+        path = tmp_path / "bars.csv"
+        path.write_text(HEADER + "".join(f"{d},AAA,{t},{t},{t},{t},{v}\n"
+                                         for d, t, v in zip(days, texts, volumes)))
+        store = ingest_csv(path)
+        assert row_loops == []
+        want = np.array([[float(t)] * 4 + [float(v)] for t, v in zip(texts, volumes)])
+        got = store._fields[:, 0, :].T
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_no_warning_on_a_file_without_rows(self, tmp_path, row_loops):
+        path = tmp_path / "bars.csv"
+        path.write_text(HEADER + "\n" * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = ingest_csv(path)
+        assert store.symbols == () and row_loops == []
+
+    def test_a_gen_data_file_is_plain(self, tmp_path, row_loops):
+        path = tmp_path / "bars.csv"
+        store = generate_synthetic(SyntheticSpec(n_symbols=4, n_days=30, daily_vol=0.02), 5)
+        write_csv(store, path)
+        assert path.read_bytes().count(b"\r\n") == 1 + 4 * 30  # csv.writer ends lines in CRLF
+        assert bar_map(ingest_csv(path)) == bar_map(store)
+        assert row_loops == []
+
+
+def _wide_lf_file(path, n_symbols, n_days):
+    """An LF bar file laid out as the benchmark's wide file: by symbol, then
+    by date, four-decimal prices and whole volumes."""
+    rng = np.random.default_rng(3)
+    closes = np.round(50 * np.exp(np.cumsum(rng.normal(0, 0.02, (n_symbols, n_days)), 1)), 4)
+    days = [d.isoformat() for d in business_days(D(2020, 1, 2), n_days)]
+    with open(path, "w", newline="") as fh:
+        fh.write(HEADER)
+        for s in range(n_symbols):
+            fh.writelines(f"{d},W{s:04d},{c!r},{c * 1.01:.4f},{c * 0.99:.4f},{c!r},{1000 + j}\n"
+                          for j, (d, c) in enumerate(zip(days, closes[s].tolist())))
+
+
+def test_the_plain_path_peaks_no_higher_than_the_row_loop(tmp_path, monkeypatch):
+    """numpy reports its buffers to tracemalloc, so a text array built for the
+    whole file would show here before it shows in the run's peak memory."""
+    path = tmp_path / "wide.csv"
+    _wide_lf_file(path, 100, 600)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            store = ingest_csv(path)
+            return tracemalloc.get_traced_memory()[1], store
+        finally:
+            tracemalloc.stop()
+
+    plain, store = peak()
+    monkeypatch.setattr(market_mod, "_read_plain", lambda fh: None)
+    rows, by_rows = peak()
+    assert bar_map(store) == bar_map(by_rows) and len(store.calendar) == 600
+    assert plain <= rows
+
+
 FAULTS = {
     "short": lambda r: r[:4],
     "bad-float": lambda r: r[:3] + ["1.2.3"] + r[4:],
@@ -786,6 +994,21 @@ FAULTS = {
        fault=st.sampled_from(sorted(FAULTS) + ["duplicate", "none"]),
        where=st.integers(0, 11), dup_of=st.integers(0, 11))
 def test_ingest_matches_the_reference_with_one_fault(cells, fault, where, dup_of):
+    _assert_fuzzed_file(cells, fault, where, dup_of, "\r\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5),
+                                st.floats(1, 100), st.floats(0, 0.5), st.integers(0, 10**6)),
+                      min_size=1, max_size=12),
+       fault=st.sampled_from(sorted(FAULTS) + ["duplicate", "none"]),
+       where=st.integers(0, 11), dup_of=st.integers(0, 11))
+def test_an_lf_file_matches_the_reference_with_one_fault(cells, fault, where, dup_of):
+    """csv.writer ends its lines with CRLF by default; this twin writes LF."""
+    _assert_fuzzed_file(cells, fault, where, dup_of, "\n")
+
+
+def _assert_fuzzed_file(cells, fault, where, dup_of, line_end):
     days = business_days(D(2025, 1, 2), 6)
     rows = [[days[d].isoformat(), f"S{s}", repr(px), repr(px * (1 + w)), repr(px * (1 - w)),
              repr(px), str(vol)] for s, d, px, w, vol in cells]
@@ -797,7 +1020,7 @@ def test_ingest_matches_the_reference_with_one_fault(cells, fault, where, dup_of
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bars.csv"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator=line_end)
             writer.writerow(market_mod.CSV_HEADER)
             writer.writerows(rows)
         assert_same_outcome(path)
