@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime as dt
 import json
 import os
@@ -237,17 +238,10 @@ def cmd_validate_ric(config_path: str, output_dir: str | None = None) -> int:
         panel = ar1_score_panel(ric.panel.agents, ric.panel.days, phi,
                                 seed=child_seed(config.seed, "ric-panel"))
     report = validate_momentum(panel, m, n, M, N)
-    payload = {
-        "m": report.m, "n": report.n, "M": report.M, "N": report.N,
-        "ric_short": report.ric_short, "ric_long": report.ric_long,
-        "difference": report.difference,
-        "days_short": report.days_short, "days_long": report.days_long,
-        "skipped_undefined": report.skipped_undefined,
-        "seed": config.seed,
-    }
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "ric_report.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(dataclasses.asdict(report) | {"seed": config.seed}, fh, sort_keys=True,
+                  indent=2)
         fh.write("\n")
     print(f"rank IC (m={m}, n={n}): {report.ric_short:+.4f}   "
           f"(M={M}, N={N}): {report.ric_long:+.4f}   "

@@ -46,11 +46,11 @@ from .forked import Forked
 from .market import MarketStore, price_change, view_until
 from .prediction import (
     MIN_TRAIN_PAIRS,
-    FitWorker,
     PredictorModel,
     baseline_model,
     clipped_utility,
     features_from_window,
+    fits,
     train,
 )
 from .scoring import (
@@ -231,7 +231,7 @@ class _TrainingRows:
 
 
 def _fit_or_baseline(config: ContestConfig, rows: dict[str, _TrainingRows],
-                     worker: FitWorker | None) -> PredictorModel:
+                     worker: Forked | None) -> PredictorModel:
     """Fit on each agent's latest ``train_window_days`` rows, with ``worker``
     taking one ensemble, or fall back to the baseline when the predictor is
     the baseline or rows are few."""
@@ -263,7 +263,7 @@ class _Contest:
             self.rows[agent_id].add(values, extra)
 
     def utilities(self, config: ContestConfig, extras: dict,
-                  worker: FitWorker | None = None) -> tuple[dict[str, float], str]:
+                  worker: Forked | None = None) -> tuple[dict[str, float], str]:
         """Predicted utility of each agent with at least m scores, from its
         latest m scores and its extra columns; and the model's kind."""
         model = _fit_or_baseline(config, self.rows, worker)
@@ -292,11 +292,11 @@ def _collect(agents, args: tuple, t: dt.date, absent: list[str]) -> dict:
 
 class ContestEngine:
     """Stateful day-by-day runner; run_full drives it over a calendar. A
-    ``worker`` fits one of each model's two ensembles; without one, the
-    engine fits both."""
+    ``worker``, a ``Forked`` serving ``prediction.fits``, fits one of each
+    model's two ensembles; without one, the engine fits both."""
 
     def __init__(self, config: ContestConfig, store: MarketStore,
-                 data_agents, research_agents, worker: FitWorker | None = None):
+                 data_agents, research_agents, worker: Forked | None = None):
         ids = [a.agent_id for a in data_agents] + [a.agent_id for a in research_agents]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("agent ids must be unique across the roster")
@@ -361,7 +361,7 @@ class ContestEngine:
         """The data stage of each calendar day before ``end``, in order, as
         the forked data process runs them, with a fit worker of its own; an
         exception a stage raises is its day's item, and the last."""
-        self.worker = FitWorker()
+        self.worker = Forked(fits)
         try:
             for i, t in enumerate(self.store.calendar[:end]):
                 try:
@@ -530,7 +530,7 @@ def run_full(config: ContestConfig, store: MarketStore, data_agents,
     ``eval_start``, which only accumulate resolved score history, run with
     the first record taken. Identical inputs give identical ledgers.
     """
-    engine = ContestEngine(config, store, data_agents, research_agents, FitWorker())
+    engine = ContestEngine(config, store, data_agents, research_agents, Forked(fits))
     calendar = store.calendar
     required = config.warmup_days
     if eval_start is None:
@@ -562,14 +562,14 @@ def run_full(config: ContestConfig, store: MarketStore, data_agents,
 def _data_days(engine: ContestEngine, eval_idx: int,
                end: int) -> Iterator[DataDay | None]:
     """The data stage of each calendar day before ``end``, run ahead in a
-    forked data process where a data agent is a command line and
-    ``Forked.start`` can fork; None for each day the caller is to run it.
-    An exception the stage raised is raised on its day. When the process
-    dies or sends anything else, it is reaped, the data team's state is
-    rebuilt from the days it sent, and every later day is None."""
+    forked data process where a data agent is a command line; None for
+    each day the caller is to run it. An exception the stage raised is
+    raised on its day. When the process cannot fork, dies or sends
+    anything else, it is reaped, the data team's state is rebuilt from the
+    days it sent, and every later day is None."""
     # a command-line agent's spawns outweigh handing the day over; a
     # synthetic data team's work, gbdt fits included, does not
-    process = Forked.start(lambda jobs: engine.data_stages(eval_idx, end)) \
+    process = Forked(lambda jobs: engine.data_stages(eval_idx, end)) \
         if any(spawns(a) for a in engine.data_agents) else None
     sent: list[dict[str, float]] = []  # the factor scores of each day received
     try:

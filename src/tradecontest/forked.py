@@ -33,18 +33,20 @@ def _loads(fh):
 
 
 class Forked:
-    """One child running ``serve``; ``start`` forks it."""
+    """One child running ``serve``, forked on the first ``send`` or
+    ``receive``. Where ``can_fork`` says no or the fork fails, and after
+    ``close``, those calls return False and None, and it never forks."""
 
-    def __init__(self, pid: int, jobs_fd: int, replies_fd: int):
-        self.pid: int | None = pid
-        self._jobs, self._replies = open(jobs_fd, "wb"), open(replies_fd, "rb")
+    def __init__(self, serve):
+        self._serve = serve  # None once a fork was tried, or closed
+        self.pid: int | None = None
 
-    @classmethod
-    def start(cls, serve) -> Forked | None:
-        """The child running ``serve``; None where ``can_fork`` says no or
-        the fork fails."""
-        if not can_fork():
-            return None
+    def _running(self) -> bool:
+        """Fork the child on the first call, where ``can_fork`` says yes;
+        True while it runs."""
+        serve, self._serve = self._serve, None
+        if serve is None or not can_fork():
+            return self.pid is not None
         jobs_r, jobs_w = os.pipe()
         replies_r, replies_w = os.pipe()
         try:
@@ -52,7 +54,7 @@ class Forked:
         except OSError:
             for fd in (jobs_r, jobs_w, replies_r, replies_w):
                 os.close(fd)
-            return None
+            return False
         if pid == 0:
             try:
                 gc.freeze()  # leave the parent's objects be: no finalizer runs here
@@ -67,12 +69,14 @@ class Forked:
                 os._exit(0)
         os.close(jobs_r)
         os.close(replies_w)
-        return cls(pid, jobs_w, replies_r)
+        self.pid = pid
+        self._jobs, self._replies = open(jobs_w, "wb"), open(replies_r, "rb")
+        return True
 
     def send(self, job) -> bool:
         """Pickle ``job`` to the child; False, and the child closed, when it
         cannot take it."""
-        if self.pid is None:
+        if not self._running():
             return False
         try:
             pickle.dump(job, self._jobs, pickle.HIGHEST_PROTOCOL)
@@ -85,7 +89,7 @@ class Forked:
     def receive(self, kinds):
         """The child's next reply, an instance of ``kinds``; None, and the
         child closed, when it died, ended or sent anything else."""
-        if self.pid is None:
+        if not self._running():
             return None
         try:
             reply = pickle.load(self._replies)
@@ -97,7 +101,8 @@ class Forked:
         return reply
 
     def close(self) -> None:
-        """Kill and reap the child, if it runs."""
+        """Kill and reap the child, if it runs; it is not forked again."""
+        self._serve = None
         if self.pid is None:
             return
         for pipe in (self._jobs, self._replies):

@@ -18,7 +18,6 @@ import json
 import math
 from array import array
 from collections import defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -113,26 +112,8 @@ class MarketStore:
     ``Bar`` objects of the held bars.
     """
 
-    def __init__(self, bars: Iterable[Bar]):
-        days: dict[dt.date, int] = {}
-        syms: dict[str, int] = {}
-        day_codes, sym_codes, values = array("q"), array("q"), array("d")
-        for bar in bars:
-            day_codes.append(days.setdefault(bar.date, len(days)))
-            sym_codes.append(syms.setdefault(bar.symbol, len(syms)))
-            values.extend((bar.open, bar.high, bar.low, bar.close, bar.volume))
-        self._pack(list(days), list(syms), np.frombuffer(day_codes, np.int64),
-                   np.frombuffer(sym_codes, np.int64), np.frombuffer(values).reshape(-1, 5))
-
-    @classmethod
-    def _from_rows(cls, days: list[dt.date], syms: list[str], day_codes: np.ndarray,
-                   sym_codes: np.ndarray, rows: np.ndarray) -> MarketStore:
-        store = cls.__new__(cls)
-        store._pack(days, syms, day_codes, sym_codes, rows)
-        return store
-
-    def _pack(self, days: list[dt.date], syms: list[str], day_codes: np.ndarray,
-              sym_codes: np.ndarray, rows: np.ndarray) -> None:
+    def __init__(self, days: list[dt.date], syms: list[str], day_codes: np.ndarray,
+                 sym_codes: np.ndarray, rows: np.ndarray):
         """Lay out ``rows`` (open, high, low, close, volume), row i being the
         bar of ``syms[sym_codes[i]]`` on ``days[day_codes[i]]`` (a key may
         repeat in either list); raise DuplicateBarError for the first row, in
@@ -336,7 +317,7 @@ def ingest_csv(path) -> MarketStore:
         if columns is None:
             fh.seek(0)
             columns = _read_rows(fh)
-    return MarketStore._from_rows(*columns)
+    return MarketStore(*columns)
 
 
 # about 1,100 lines of the benchmark's wide file: numpy's text reader builds
@@ -400,7 +381,7 @@ def _read_plain(fh):
 
 def _read_rows(fh):
     """The row loop: days, symbols, their codes and the rows of ``fh``, for
-    ``MarketStore._from_rows``. One pass streams the rows into columns; a
+    ``MarketStore``. One pass streams the rows into columns; a
     date text is parsed on the first line that carries it, and the ``Bar``
     checks run on whole columns."""
     day_texts: dict[str, int] = {}
@@ -516,7 +497,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> MarketStore:
     if (bad := _first_bad_row(rows)) is not None:  # its Bar raises
         Bar(days[bad // spec.n_symbols], symbols[bad % spec.n_symbols], *rows[bad].tolist())
     cells = np.indices((spec.n_days, spec.n_symbols)).reshape(2, -1)
-    return MarketStore._from_rows(days, symbols, cells[0], cells[1], rows)
+    return MarketStore(days, symbols, cells[0], cells[1], rows)
 
 
 def perturb_after(store: MarketStore, cutoff: dt.date, seed: int) -> MarketStore:
@@ -531,4 +512,4 @@ def perturb_after(store: MarketStore, cutoff: dt.date, seed: int) -> MarketStore
     later = j >= bisect.bisect_right(store.calendar, cutoff)
     draws = rng.normal(0.0, 0.05, np.count_nonzero(later)).tolist()
     rows[later, :4] *= np.array([math.exp(x) for x in draws])[:, None]
-    return MarketStore._from_rows(list(store.calendar), list(store.symbols), j, s, rows)
+    return MarketStore(list(store.calendar), list(store.symbols), j, s, rows)

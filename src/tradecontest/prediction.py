@@ -79,64 +79,30 @@ def baseline_model() -> PredictorModel:
     return PredictorModel(kind="baseline")
 
 
-def _fits(jobs):
+def fits(jobs):
+    """A ``forked.Forked`` serve: the ensemble of each ``(settings, X, y)``
+    job, ``GradientBoostedRegressor(**settings)`` fitted to ``(X, y)``. It
+    runs the caller's numpy code on the caller's inputs, so a tree fitted
+    here has the bits of one fitted by the caller."""
     for settings, X, y in jobs:
         yield GradientBoostedRegressor(**settings).fit(X, y)
 
 
-class FitWorker:
-    """One forked process that fits an ensemble while its caller fits
-    another, owned by one run: forked on the first job, killed and reaped by
-    ``close``. Where it cannot fork (``forked.can_fork``), and after it
-    dies, errs or replies with anything but an ensemble, ``submit`` and
-    ``result`` say so, and the caller fits serially. Both sides run the
-    same numpy code on the same inputs, so a tree fitted here has the bits
-    of one fitted by the caller.
-    """
-
-    def __init__(self):
-        self._child: Forked | None = None
-        self._forked = False
-
-    @property
-    def pid(self) -> int | None:
-        return None if self._child is None else self._child.pid
-
-    def submit(self, settings: dict, X: np.ndarray, y: np.ndarray) -> bool:
-        """Send the job of fitting ``GradientBoostedRegressor(**settings)``
-        to ``(X, y)``; False when there is no worker to take it."""
-        if not self._forked:
-            self._forked = True
-            self._child = Forked.start(_fits)
-        return self._child is not None and self._child.send((settings, X, y))
-
-    def result(self) -> GradientBoostedRegressor | None:
-        """The submitted job's ensemble; None, and the worker closed, when
-        it died, erred or replied with anything else."""
-        return self._child.receive(GradientBoostedRegressor)
-
-    def close(self) -> None:
-        """Kill and reap the worker, if one runs; it is not forked again."""
-        self._forked = True
-        if self._child is not None:
-            self._child.close()
-
-
-def train(rules, X, targets, worker: FitWorker | None = None) -> PredictorModel:
+def train(rules, X, targets, worker: Forked | None = None) -> PredictorModel:
     """Fit the gbdt predictor, one ensemble per target, on feature rows
     ``X`` and their (future mean, future std) ``targets``, with the tree
-    settings of ``rules`` (an ``engine.ContestRules``). With a ``worker``,
-    it fits the std ensemble meanwhile; without one, or when it fails, the
-    caller fits both."""
+    settings of ``rules`` (an ``engine.ContestRules``). With a ``worker``
+    serving ``fits``, it fits the std ensemble meanwhile; without one, or
+    when it cannot fork or fails, the caller fits both."""
     X = np.asarray(X, dtype=np.float64)
     if len(X) < MIN_TRAIN_PAIRS:
         raise TrainingError(f"need >= {MIN_TRAIN_PAIRS} training pairs, got {len(X)}")
     settings = {"n_trees": rules.n_trees, "max_depth": rules.max_depth,
                 "learning_rate": rules.learning_rate}
     y_mu, y_sigma = np.array(targets, dtype=np.float64).T.copy()
-    sent = worker is not None and worker.submit(settings, X, y_sigma)
+    sent = worker is not None and worker.send((settings, X, y_sigma))
     mu_model = GradientBoostedRegressor(**settings).fit(X, y_mu)
-    sigma_model = worker.result() if sent else None
+    sigma_model = worker.receive(GradientBoostedRegressor) if sent else None
     if sigma_model is None:
         sigma_model = GradientBoostedRegressor(**settings).fit(X, y_sigma)
     return PredictorModel(kind="gbdt", mu_model=mu_model, sigma_model=sigma_model)

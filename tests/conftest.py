@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import datetime as dt
+import os
+from array import array
 
+import numpy as np
 import pytest
 
 from tradecontest.market import (
@@ -32,6 +35,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the children this process forks from here on."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
 @pytest.fixture(scope="session")
 def drift_store() -> MarketStore:
     """Small market with one strongly drifting symbol."""
@@ -46,6 +64,19 @@ def drift_store() -> MarketStore:
 def tiny_store() -> MarketStore:
     spec = SyntheticSpec(n_symbols=3, n_days=12, daily_vol=0.01)
     return generate_synthetic(spec, 7)
+
+
+def store_of(bars) -> MarketStore:
+    """The store holding ``bars``, an iterable of ``Bar``."""
+    days: dict[dt.date, int] = {}
+    syms: dict[str, int] = {}
+    day_codes, sym_codes, values = array("q"), array("q"), array("d")
+    for bar in bars:
+        day_codes.append(days.setdefault(bar.date, len(days)))
+        sym_codes.append(syms.setdefault(bar.symbol, len(syms)))
+        values.extend((bar.open, bar.high, bar.low, bar.close, bar.volume))
+    return MarketStore(list(days), list(syms), np.frombuffer(day_codes, np.int64),
+                       np.frombuffer(sym_codes, np.int64), np.frombuffer(values).reshape(-1, 5))
 
 
 def bar_map(store: MarketStore) -> dict[tuple[str, dt.date], Bar]:

@@ -38,7 +38,6 @@ from tradecontest.cli import main
 from tradecontest.engine import ContestConfig, contest_ic_pairs, run_full
 from tradecontest.market import (
     Bar,
-    MarketStore,
     PlantedEffect,
     SyntheticSpec,
     generate_synthetic,
@@ -51,7 +50,7 @@ from tradecontest.prediction import (
 )
 from tradecontest.scoring import factor_score
 
-from conftest import record_criterion
+from conftest import record_criterion, store_of
 
 
 @contextmanager
@@ -134,7 +133,7 @@ def _store(closes0, closes1):
         for sym, c in closes.items():
             bars.append(Bar(date=day, symbol=sym, open=c, high=c * 1.01,
                             low=c * 0.99, close=c, volume=1))
-    return MarketStore(bars)
+    return store_of(bars)
 
 
 # (closes at t, closes at t+1, observation rating sets, expected score)

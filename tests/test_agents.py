@@ -42,7 +42,6 @@ from tradecontest.cli import main
 from tradecontest.engine import ContestConfig, _collect, run_full
 from tradecontest.errors import AgentUnavailableError, ProtocolError
 from tradecontest.market import (
-    MarketStore,
     PlantedEffect,
     SyntheticSpec,
     generate_synthetic,
@@ -50,7 +49,7 @@ from tradecontest.market import (
     view_until,
 )
 
-from conftest import bar_map
+from conftest import bar_map, store_of
 from stub_agent import SLOW_S
 from test_config_cli import expand_portfolio_refs, write_config
 
@@ -671,7 +670,7 @@ class TestRequestBytes:
     def test_symbol_with_missing_bars(self, tiny_store):
         gaps = {("SYM001", tiny_store.calendar[3]), ("SYM001", tiny_store.calendar[4]),
                 ("SYM002", tiny_store.calendar[8])}
-        store = MarketStore([b for b in tiny_store.iter_bars() if (b.symbol, b.date) not in gaps])
+        store = store_of([b for b in tiny_store.iter_bars() if (b.symbol, b.date) not in gaps])
         for day in (4, 8, 10):
             t = store.calendar[day]
             view = view_until(store, t)

@@ -20,12 +20,13 @@ from tradecontest.cli import _write_run_outputs, main, run_contest_backtest
 from tradecontest.engine import ContestEngine
 from tradecontest.errors import ConfigurationError, TradeContestError
 from tradecontest.market import (
-    MarketStore,
     PlantedEffect,
     SyntheticSpec,
     generate_synthetic,
     write_csv,
 )
+
+from conftest import store_of
 
 STUB = f"{sys.executable} {Path(__file__).parent / 'stub_agent.py'}"
 
@@ -543,7 +544,7 @@ class TestCmdBacktest:
             planted=(PlantedEffect("SYM000", 0.5),)), 5)
         gap, test_start = store.calendar[19], store.calendar[20]
         bars_path = tmp_path / "bars.csv"
-        write_csv(MarketStore([b for b in store.iter_bars()
+        write_csv(store_of([b for b in store.iter_bars()
                                if (b.symbol, b.date) != ("SYM000", gap)]), bars_path)
         cfg_path = write_config(
             tmp_path / "run.yaml",

@@ -13,7 +13,6 @@ import re
 import shutil
 import signal
 import time
-import types
 from pathlib import Path
 
 import pytest
@@ -26,6 +25,7 @@ from tradecontest import engine as eng
 from tradecontest.cli import main
 from tradecontest.errors import TradeContestError
 from tradecontest.forked import Forked
+from tradecontest.prediction import fits
 
 OUTPUTS = ("ledger.jsonl", "metrics.json", "nav.csv", "fills.csv")
 AGENT_AWK = Path(__file__).resolve().parent.parent / "perfbench" / "agent.awk"
@@ -70,15 +70,18 @@ def config_path(request, tmp_path):
 
 @pytest.fixture()
 def data_processes(monkeypatch):
-    """The data processes the engine starts from here on."""
-    started = []
+    """The data processes the engine builds from here on, not its fit
+    workers."""
+    built = []
 
-    def start(serve):
-        started.append(Forked.start(serve))
-        return started[-1]
+    def build(serve):
+        child = Forked(serve)
+        if serve is not fits:
+            built.append(child)
+        return child
 
-    monkeypatch.setattr(eng, "Forked", types.SimpleNamespace(start=start))
-    return started
+    monkeypatch.setattr(eng, "Forked", build)
+    return built
 
 
 def backtest(config_path, out) -> dict[str, bytes]:
@@ -95,11 +98,18 @@ def inline_outputs(config_path, tmp_path, monkeypatch):
         return backtest(config_path, tmp_path / "inline")
 
 
+def forked_per_run(config_path) -> int:
+    """The children a forked run of ``config_path`` forks from its own
+    process: its data process and, on the gbdt roster, its fit worker."""
+    return 2 if config_path.stem == "gbdt" else 1
+
+
 def test_forked_run_writes_the_inline_bytes(config_path, tmp_path, inline_outputs,
-                                            data_processes):
+                                            data_processes, forks):
     assert backtest(config_path, tmp_path / "forked") == inline_outputs
     [process] = data_processes
-    assert process is not None and process.pid is None  # it ran, and was reaped
+    assert len(forks) == forked_per_run(config_path)  # it ran
+    assert process.pid is None  # and was reaped
     assert_no_child_left()
 
 
@@ -150,7 +160,7 @@ Unpicklable.__qualname__ = "nowhere.Unpicklable"
 
 @pytest.mark.parametrize("fault", [TradeContestError, RuntimeError, Unpicklable])
 def test_a_data_stage_fault_fails_the_run_as_inline(config_path, tmp_path, monkeypatch,
-                                                    capsys, data_processes, fault):
+                                                    capsys, data_processes, forks, fault):
     """A fault in day 30's data stage gives the same exception, or exit
     status and error line, and the ledger lines of the days before, forked
     and inline; an exception the data process cannot send is raised again
@@ -163,7 +173,7 @@ def test_a_data_stage_fault_fails_the_run_as_inline(config_path, tmp_path, monke
         return data_stage(self, i, t, eval_idx, view)
 
     monkeypatch.setattr(eng.ContestEngine, "data_stage", faulty)
-    results = []
+    results, fork_counts = [], []
     for cores in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
         out = tmp_path / f"cores{len(cores)}"
@@ -177,8 +187,10 @@ def test_a_data_stage_fault_fails_the_run_as_inline(config_path, tmp_path, monke
         assert_no_child_left()  # while a traceback may still hold the run's frames
         assert not (out / "metrics.json").exists()
         results.append((message, (out / "ledger.jsonl").read_bytes()))
+        fork_counts.append(len(forks))
     assert results[0] == results[1]
-    assert data_processes[0] is not None and data_processes[1:] == [None]
+    # both runs built a data process; only the one with two cores forked
+    assert len(data_processes) == 2 and fork_counts == [forked_per_run(config_path)] * 2
     message, ledger = results[0]
     fault_day = re.search(r"injected fault on (\S+)", message).group(1)
     last = [json.loads(line)["date"] for line in ledger.splitlines()][-1]

@@ -18,8 +18,9 @@ from test_config_cli import GOLDEN_CONFIG
 from tradecontest import cli as cli_mod
 from tradecontest.cli import main
 from tradecontest.engine import ContestConfig
+from tradecontest.forked import Forked
 from tradecontest.gbdt import GradientBoostedRegressor
-from tradecontest.prediction import FitWorker, train
+from tradecontest.prediction import fits, train
 
 OUTPUTS = ("ledger.jsonl", "metrics.json", "nav.csv", "fills.csv")
 
@@ -39,21 +40,6 @@ def config_path(tmp_path):
     path = tmp_path / "gbdt.yaml"
     path.write_text(yaml.safe_dump(CONFIG))
     return path
-
-
-@pytest.fixture()
-def forks(monkeypatch):
-    """The pids of the workers forked from here on."""
-    pids, fork = [], os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
 
 
 def backtest(config_path, out) -> dict[str, bytes]:
@@ -103,18 +89,19 @@ def raise_error(model):
     "killed-before-its-job", "killed-during-its-job", "raises", "bad-reply", "garbage-reply"])
 def test_a_failed_worker_leaves_the_same_bytes(config_path, tmp_path, monkeypatch,
                                                serial_outputs, forks, failure):
-    jobs, submit = [], FitWorker.submit
+    jobs, send = [], Forked.send
 
-    def failing_submit(self, settings, X, y):
+    def failing_send(self, job):
+        settings, X, y = job
         jobs.append(len(X))
         if len(jobs) == 5 and failure == "killed-before-its-job":
             kill(self.pid)
-        sent = submit(self, settings, X, y)
+        sent = send(self, job)
         if len(jobs) == 5 and failure == "killed-during-its-job":
             kill(self.pid)
         return sent
 
-    monkeypatch.setattr(FitWorker, "submit", failing_submit)
+    monkeypatch.setattr(Forked, "send", failing_send)
     if failure == "raises":
         monkeypatch.setattr(GradientBoostedRegressor, "fit", fail_in_worker(raise_error))
     elif failure == "bad-reply":
@@ -155,7 +142,7 @@ def test_worker_fits_the_bits_of_a_serial_fit():
     rng = np.random.default_rng(5)
     X, targets = rng.standard_normal((200, 6)), rng.standard_normal((200, 2))
     rules = ContestConfig(n_trees=15)
-    worker = FitWorker()
+    worker = Forked(fits)
     try:
         forked = [train(rules, X, targets, worker) for _ in range(2)]
         assert worker.pid is not None
@@ -175,7 +162,7 @@ def test_no_fork_while_another_thread_runs(forks):
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
-    worker = FitWorker()
+    worker = Forked(fits)
     try:
         model = train(ContestConfig(n_trees=3), X, targets, worker)
     finally:
@@ -184,3 +171,24 @@ def test_no_fork_while_another_thread_runs(forks):
     assert not thread.is_alive() and not forks and worker.pid is None
     assert pickle.dumps(model.sigma_model) == \
         pickle.dumps(train(ContestConfig(n_trees=3), X, targets).sigma_model)
+
+
+def test_a_worker_forks_at_its_first_send_or_receive_and_never_once_closed(forks):
+    rng = np.random.default_rng(7)
+    X, y = rng.standard_normal((40, 4)), rng.standard_normal(40)
+    job = ({"n_trees": 3, "max_depth": 2, "learning_rate": 0.1}, X, y)
+    closed, worker, replier = Forked(fits), Forked(fits), Forked(lambda jobs: iter(["ready"]))
+    assert not forks and worker.pid is None  # built, not yet forked
+    closed.close()
+    try:
+        assert worker.send(job) and forks == [worker.pid]
+        assert isinstance(worker.receive(GradientBoostedRegressor), GradientBoostedRegressor)
+        assert replier.receive(str) == "ready" and forks == [worker.pid, replier.pid]
+    finally:
+        worker.close()
+        replier.close()
+    for child in (closed, worker):
+        assert not child.send(job) and child.receive(GradientBoostedRegressor) is None
+        assert child.pid is None
+    assert len(forks) == 2
+    assert_no_child_left()

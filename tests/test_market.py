@@ -22,7 +22,6 @@ from tradecontest.errors import (
 )
 from tradecontest.market import (
     Bar,
-    MarketStore,
     PlantedEffect,
     SyntheticSpec,
     business_days,
@@ -34,7 +33,7 @@ from tradecontest.market import (
     write_csv,
 )
 
-from conftest import bar_map
+from conftest import bar_map, store_of
 
 D = dt.date
 
@@ -193,7 +192,7 @@ def reference_synthetic(spec, seed):
                             high=max(op, cl) * (1.0 + float(intraday[d, 0, j])),
                             low=min(op, cl) * (1.0 - float(intraday[d, 1, j])),
                             close=cl, volume=float(volume[d, j])))
-    return MarketStore(bars)
+    return store_of(bars)
 
 
 @pytest.mark.parametrize("spec, seed", [
@@ -219,22 +218,22 @@ def test_generate_synthetic_matches_the_per_bar_generator(spec, seed):
 
 class TestPriceChange:
     def test_forward_return(self):
-        store = MarketStore([_bar(D(2025, 1, 2), close=10.0),
+        store = store_of([_bar(D(2025, 1, 2), close=10.0),
                              _bar(D(2025, 1, 3), close=10.5)])
         assert price_change(store, "AAA", D(2025, 1, 2)) == pytest.approx(0.05)
 
     def test_flat(self):
-        store = MarketStore([_bar(D(2025, 1, 2), close=10.0),
+        store = store_of([_bar(D(2025, 1, 2), close=10.0),
                              _bar(D(2025, 1, 3), close=10.0)])
         assert price_change(store, "AAA", D(2025, 1, 2)) == 0.0
 
     def test_last_day_errors(self):
-        store = MarketStore([_bar(D(2025, 1, 2)), _bar(D(2025, 1, 3))])
+        store = store_of([_bar(D(2025, 1, 2)), _bar(D(2025, 1, 3))])
         with pytest.raises(MissingDataError):
             price_change(store, "AAA", D(2025, 1, 3))
 
     def test_missing_symbol_bar(self):
-        store = MarketStore([_bar(D(2025, 1, 2)), _bar(D(2025, 1, 3)),
+        store = store_of([_bar(D(2025, 1, 2)), _bar(D(2025, 1, 3)),
                              _bar(D(2025, 1, 3), symbol="BBB")])
         with pytest.raises(MissingDataError):
             price_change(store, "BBB", D(2025, 1, 2))
@@ -300,7 +299,7 @@ def gappy_store():
     bars = [_bar(d, "AAA", float(10 + rng.random())) for d in days]
     bars += [_bar(d, "BBB", float(20 + rng.random()))
              for i, d in enumerate(days) if i not in (2, 5, 6, 10, 11)]
-    return MarketStore(bars)
+    return store_of(bars)
 
 
 def test_closes_skip_symbols_without_a_bar(gappy_store):
@@ -367,7 +366,7 @@ def store_from_masks(masks, closes):
     j where ``masks[s][j]``, its close the next one drawn from ``closes``."""
     days = business_days(D(2025, 1, 2), max(map(len, masks.values())))
     closes = iter(closes)
-    return MarketStore([_bar(d, s, next(closes)) for s, held in masks.items()
+    return store_of([_bar(d, s, next(closes)) for s, held in masks.items()
                         for d, h in zip(days, held) if h])
 
 
@@ -428,7 +427,7 @@ class TestMomentumTable:
         days = business_days(D(2025, 1, 2), 3)
         # returns of exactly -25% and +25%: three symbols of equal strength
         closes = {"CCC": [8, 10, 12.5], "AAA": [8, 6, 4.5], "BBB": [8, 10, 12.5]}
-        store = MarketStore([_bar(d, s, c[i]) for s, c in closes.items()
+        store = store_of([_bar(d, s, c[i]) for s, c in closes.items()
                              for i, d in enumerate(days)])
         means, ranked = view_until(store, days[-1]).momentum(5)
         assert means["AAA"] == -means["BBB"]
@@ -514,8 +513,8 @@ def test_synthetic_calendar_ends_by_the_last_date(start):
 
 
 def test_duplicate_bar_in_store():
-    with pytest.raises(DuplicateBarError):
-        MarketStore([_bar(D(2025, 1, 2)), _bar(D(2025, 1, 2))])
+    with pytest.raises(DuplicateBarError, match=r"^duplicate bar for \(AAA, 2025-01-02\)$"):
+        store_of([_bar(D(2025, 1, 2)), _bar(D(2025, 1, 3)), _bar(D(2025, 1, 2))])
 
 
 # --- infinite values ----------------------------------------------------------
@@ -581,8 +580,13 @@ def reference_ingest(path) -> dict[str, dict[dt.date, Bar]]:
     bars = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        assert [h.strip().lower() for h in header] == market_mod.CSV_HEADER
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError("empty file") from None
+        if [h.strip().lower() for h in header] != market_mod.CSV_HEADER:
+            raise CsvFormatError(f"bad header {header!r}, "
+                                 f"expected {','.join(market_mod.CSV_HEADER)}")
         for line_no, row in enumerate(reader, start=2):
             if row:
                 bars.append(_parse_row(line_no, row))
@@ -862,7 +866,8 @@ class TestPlainFiles:
         path = tmp_path / "bars.csv"
         path.write_text(body)
         with pytest.raises(CsvFormatError, match="^(empty file|bad header)"):
-            ingest_csv(path)
+            reference_ingest(path)
+        assert_same_outcome(path)
         assert len(row_loops) == 1
 
     def test_a_fault_in_a_later_chunk_is_worded_by_the_row_loop(self, tmp_path, row_loops):

@@ -20,6 +20,8 @@ from tradecontest.scoring import (
     zi_trade,
 )
 
+from conftest import store_of
+
 D = dt.date
 T0, T1 = D(2025, 1, 2), D(2025, 1, 3)
 
@@ -30,7 +32,7 @@ def two_day_store(closes0: dict, closes1: dict) -> MarketStore:
         for sym, c in closes.items():
             bars.append(Bar(date=day, symbol=sym, open=c, high=c * 1.001,
                             low=c * 0.999, close=c, volume=1))
-    return MarketStore(bars)
+    return store_of(bars)
 
 
 def obs(*rated):
