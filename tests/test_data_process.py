@@ -131,7 +131,8 @@ def data_stages(failure: str, k: int):
 
 @pytest.mark.parametrize("failure", ["killed", "garbage"])
 def test_a_failed_data_process_leaves_the_inline_bytes(config_path, tmp_path, monkeypatch,
-                                                        inline_outputs, data_processes, failure):
+                                                        inline_outputs, data_processes, forks,
+                                                        failure):
     applied, apply_day = [], cli_mod.apply_day
 
     def apply_and_kill(*args):
@@ -147,6 +148,7 @@ def test_a_failed_data_process_leaves_the_inline_bytes(config_path, tmp_path, mo
                         data_stages(failure, 40 if failure == "killed" else 30))
     assert backtest(config_path, tmp_path / "failed") == inline_outputs
     [process] = data_processes
+    assert len(forks) == forked_per_run(config_path)  # it ran
     assert process.pid is None and len(applied) > 12
     assert_no_child_left()
 
@@ -209,8 +211,9 @@ def test_a_synthetic_gbdt_roster_runs_its_data_stage_inline(tmp_path, data_proce
     assert data_processes == []
 
 
-def test_ablate_reaps_every_process(config_path, tmp_path, data_processes):
+def test_ablate_reaps_every_process(config_path, tmp_path, data_processes, forks):
     assert main(["ablate", str(config_path), "--variant", "no_judger",
                  "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(forks) == 2 * forked_per_run(config_path)  # both runs forked
     assert len(data_processes) == 2 and all(p.pid is None for p in data_processes)
     assert_no_child_left()

@@ -828,7 +828,7 @@ PLAIN_CASES = {
     "header-only": ("", False),
     "blank-last-line": (GOOD + GOOD_LATER + "\n", False),
     "blank-lines-only": ("\n\r\n\n", False),
-    "duplicate": (GOOD + GOOD_LATER + GOOD, False),  # _pack words it
+    "duplicate": (GOOD + GOOD_LATER + GOOD, False),  # MarketStore words it
 }
 
 
