@@ -130,10 +130,11 @@ class SyntheticDataAgent(_SyntheticAgent):
         stream keyed by (noise_seed, t); it never reads ahead.
         """
         rng = stream(self.noise_seed, "data", t.isoformat())
-        universe = list(view.symbols)
+        universe = view.symbols
         momentum, ranked = view.momentum(MOMENTUM_WINDOW)
 
         observations = []
+        texts = []
         for k in range(self.obs_per_day):
             informed = ranked and rng.random() < self.skill
             if informed:
@@ -150,25 +151,14 @@ class SyntheticDataAgent(_SyntheticAgent):
             else:
                 continue
             observations.append(Observation(text=text, rated_symbols=((sym, rating),)))
+            texts.append(text)
 
         return TextualFactor(
             agent_id=self.agent_id,
             date=t,
             observations=tuple(observations),
-            token_length=token_count(o.text for o in observations),
+            token_length=token_count(texts),
         )
-
-
-def _portfolio_sentiment(portfolio) -> dict[str, int]:
-    """Net rating per symbol across all observations in a factor portfolio."""
-    sentiment: dict[str, int] = {}
-    for _, factor in portfolio.selected:
-        if factor is None:
-            continue
-        for obs in factor.observations:
-            for sym, rating in obs.rated_symbols:
-                sentiment[sym] = sentiment.get(sym, 0) + rating
-    return sentiment
 
 
 class SyntheticResearchAgent(_SyntheticAgent):
@@ -179,8 +169,7 @@ class SyntheticResearchAgent(_SyntheticAgent):
         inputs cut off) momentum/reversal fall back to the portfolio's net
         sentiment. Emits hold when the portfolio mentions nothing.
         """
-        rng = stream(self.noise_seed, "research", t.isoformat())
-        sentiment = _portfolio_sentiment(portfolio) if portfolio is not None else {}
+        sentiment = portfolio.sentiment if portfolio is not None else {}
         mentioned = sorted(sentiment)
         if not mentioned:
             return TradingSignal(
@@ -188,7 +177,8 @@ class SyntheticResearchAgent(_SyntheticAgent):
                 limitation="factor portfolio mentions no instruments",
             )
 
-        if self.belief == "random":
+        if self.belief == "random":  # the one belief that draws from its noise stream
+            rng = stream(self.noise_seed, "research", t.isoformat())
             sym = mentioned[int(rng.integers(len(mentioned)))]
             action = ACTIONS[int(rng.integers(len(ACTIONS)))]
             if action == "hold":
@@ -625,15 +615,6 @@ def produce_all(agents, *args) -> list:
 
 
 def render_portfolio_text(portfolio) -> str:
-    """Flatten the active factor portfolio into the text block fed to
-    research agents."""
-    if portfolio is None:
-        return ""
-    lines = []
-    for agent_id, factor in portfolio.selected:
-        if factor is None:
-            continue
-        for obs in factor.observations:
-            tags = " ".join(f"[{s}:{r:+d}]" for s, r in obs.rated_symbols)
-            lines.append(f"{agent_id}: {obs.text} {tags}".rstrip())
-    return "\n".join(lines)
+    """The active factor portfolio flattened into the text block fed to
+    research agents, rendered once per portfolio (``FactorPortfolio.text``)."""
+    return "" if portfolio is None else portfolio.text

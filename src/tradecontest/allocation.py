@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,6 +40,34 @@ class FactorPortfolio:
     selected: tuple[tuple[str, TextualFactor | None], ...]
     total_tokens: int
     total_utility: float
+
+    # Every research agent of a day reads the same portfolio, and a portfolio
+    # stands until the next data rebalance: each is derived on first read and
+    # kept in the instance's __dict__, which a frozen dataclass leaves open.
+
+    @cached_property
+    def sentiment(self) -> MappingProxyType:
+        """Net rating per symbol across all observations, read-only."""
+        sentiment: dict[str, int] = {}
+        for _, factor in self.selected:
+            if factor is None:
+                continue
+            for obs in factor.observations:
+                for sym, rating in obs.rated_symbols:
+                    sentiment[sym] = sentiment.get(sym, 0) + rating
+        return MappingProxyType(sentiment)
+
+    @cached_property
+    def text(self) -> str:
+        """The observations as one line each, ``agent_id: text [SYM:+r] ...``."""
+        lines = []
+        for agent_id, factor in self.selected:
+            if factor is None:
+                continue
+            for obs in factor.observations:
+                tags = " ".join(f"[{s}:{r:+d}]" for s, r in obs.rated_symbols)
+                lines.append(f"{agent_id}: {obs.text} {tags}".rstrip())
+        return "\n".join(lines)
 
 
 def empty_portfolio(date: dt.date | None = None) -> FactorPortfolio:

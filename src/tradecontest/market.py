@@ -137,9 +137,6 @@ class MarketStore:
         fields[:, cell] = rows.T
         self._fields = fields.reshape(5, *shape)
         self._has = has.reshape(shape)
-        # close() runs once per rated symbol per day, and a list read is
-        # faster than a numpy scalar read
-        self._close_rows = self._fields[3].tolist()
         # every close in (symbol, date) order: the closes of symbol s up to
         # day j end at _upto[s, j]
         self._bar_closes = self._fields[3][self._has]
@@ -147,6 +144,9 @@ class MarketStore:
         # day_json texts, oldest first, held for the longest lookback asked
         self._day_json: dict[dt.date, str] = {}
         self._json_days = 0
+        # next_returns' row, for the latest day asked
+        self._returns_day: dt.date | None = None
+        self._returns: list[float] = []
 
     @property
     def calendar(self) -> tuple[dt.date, ...]:
@@ -163,7 +163,7 @@ class MarketStore:
 
     def close(self, symbol: str, t: dt.date) -> float:
         try:
-            c = self._close_rows[self._row[symbol]][self._index[t]]
+            c = self._fields.item(3, self._row[symbol], self._index[t])
         except KeyError:
             c = math.nan
         if c != c:  # NaN fills the cells without a bar
@@ -172,9 +172,25 @@ class MarketStore:
 
     def closes(self, t: dt.date) -> dict[str, float]:
         """The close of every symbol with a bar on day ``t``."""
-        j = self.day_index(t)
+        column = self._fields[3, :, self.day_index(t)].tolist()
         # c == c is false for the NaN of a cell without a bar
-        return {s: c for s, row in zip(self._symbols, self._close_rows) if (c := row[j]) == c}
+        return {s: c for s, c in zip(self._symbols, column) if c == c}
+
+    def next_returns(self, t: dt.date) -> list[float] | None:
+        """Each symbol's close-to-close return from day ``t`` to the next
+        trading day, in symbol order, NaN where either bar is missing; None
+        when ``t`` is not a calendar day or is the last. The row is the
+        scalar ``c1 / c0 - 1.0`` of every symbol at once, with the same
+        bits, and is kept for the latest day asked: every score of a day
+        reads the same day. It reads day t+1, so no view offers it."""
+        if t != self._returns_day:
+            i = self._index.get(t)
+            if i is None or i + 1 >= len(self._calendar):
+                return None
+            closes = self._fields[3]
+            self._returns = (closes[:, i + 1] / closes[:, i] - 1.0).tolist()
+            self._returns_day = t
+        return self._returns
 
     def day_json(self, t: dt.date) -> str:
         """The bars of day ``t`` in symbol order, as ``json.dumps(bars,
@@ -291,7 +307,13 @@ def view_until(store: MarketStore, t: dt.date) -> MarketView:
 
 
 def price_change(store: MarketStore, symbol: str, t: dt.date) -> float:
-    """Forward close-to-close return from t to the next trading day."""
+    """Forward close-to-close return from t to the next trading day, read
+    from the store's return row of day t. A missing day or bar takes the
+    scalar reads below, which word the fault."""
+    row = store.next_returns(t)
+    s = store._row.get(symbol)
+    if row is not None and s is not None and (r := row[s]) == r:
+        return r
     i = store.day_index(t)
     if i + 1 >= len(store.calendar):
         raise MissingDataError(f"no trading day after {t}")

@@ -219,6 +219,70 @@ class TestSyntheticResearchAgent:
         assert rev.symbol == "BBB"
 
 
+class _CountedReads(tuple):
+    """A factor's observations, counting the passes over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        _CountedReads.passes += 1
+        return super().__iter__()
+
+
+class TestSharedWork:
+    """Work that every research agent of a day would repeat is done once."""
+
+    @pytest.fixture()
+    def streams(self, monkeypatch):
+        built = []
+        stream = agents_mod.stream
+        monkeypatch.setattr(agents_mod, "stream",
+                            lambda *names: built.append(names) or stream(*names))
+        return built
+
+    def test_momentum_and_reversal_build_no_noise_stream(self, drift_store, streams):
+        t = drift_store.calendar[30]
+        portfolio = _portfolio_with(["SYM000", "SYM001", "SYM002"], t)
+        for belief in ("momentum", "reversal"):
+            agent = SyntheticResearchAgent(agent_id="r0", noise_seed=1, belief=belief)
+            for view in (view_until(drift_store, t), None):
+                assert agent.produce(portfolio, view, t).action == "buy"
+        assert streams == []
+
+    def test_random_builds_one_stream_per_draw(self, drift_store, streams):
+        t = drift_store.calendar[30]
+        agent = SyntheticResearchAgent(agent_id="r0", noise_seed=11, belief="random")
+        portfolio = _portfolio_with(["SYM000", "SYM002"], t)
+        for n in (1, 2, 3):
+            agent.produce(portfolio, view_until(drift_store, t), t)
+            assert streams == [(11, "research", t.isoformat())] * n
+        # a portfolio that mentions nothing is held without a draw
+        agent.produce(empty_portfolio(t), view_until(drift_store, t), t)
+        assert len(streams) == 3
+
+    def test_a_day_derives_the_sentiment_and_text_once(self, drift_store, monkeypatch):
+        t = drift_store.calendar[30]
+        monkeypatch.setattr(_CountedReads, "passes", 0)
+        obs = _CountedReads(Observation(text=f"note on {s}", rated_symbols=((s, r),))
+                            for s, r in (("SYM000", 1), ("SYM001", -2), ("SYM002", 2)))
+        factor = TextualFactor(agent_id="d0", date=t, observations=obs, token_length=9)
+        portfolio = FactorPortfolio(date=t, selected=(("d0", factor),), total_tokens=9,
+                                    total_utility=1.0)
+        view = view_until(drift_store, t)
+        beliefs = ("momentum", "reversal", "random")
+        research = [SyntheticResearchAgent(agent_id=f"r{k}", noise_seed=k, belief=beliefs[k % 3])
+                    for k in range(8)]
+        signals = [agent.produce(portfolio, view, t) for agent in research]
+        assert _CountedReads.passes == 1
+        assert {s.symbol for s in signals} <= {"SYM000", "SYM001", "SYM002"}
+        external = [ExternalResearchAgent(f"x{k}", "agent") for k in range(8)]
+        texts = {agent.request(portfolio, view, t).factor_portfolio for agent in external}
+        assert _CountedReads.passes == 2
+        assert texts == {render_portfolio_text(portfolio)} == {
+            "d0: note on SYM000 [SYM000:+1]\nd0: note on SYM001 [SYM001:-2]\n"
+            "d0: note on SYM002 [SYM002:+2]"}
+
+
 class TestExternalProtocol:
     def _request(self, kind="data"):
         return AgentRequest(kind=kind, date=D(2025, 1, 2), agent_id="x0",

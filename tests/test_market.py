@@ -239,6 +239,87 @@ class TestPriceChange:
             price_change(store, "BBB", D(2025, 1, 2))
 
 
+def scalar_price_change(store, symbol, t):
+    """The forward return from two close reads, or the MissingDataError text
+    those reads word."""
+    if t not in store.calendar:
+        return f"{t} is not on the trading calendar"
+    i = store.calendar.index(t)
+    if i + 1 == len(store.calendar):
+        return f"no trading day after {t}"
+    t_next = store.calendar[i + 1]
+    for day in (t, t_next):
+        try:
+            store.close(symbol, day)
+        except MissingDataError:
+            return f"no bar for ({symbol}, {day})"
+    return store.close(symbol, t_next) / store.close(symbol, t) - 1.0
+
+
+def price_change_or_text(store, symbol, t):
+    try:
+        return price_change(store, symbol, t)
+    except MissingDataError as exc:
+        return str(exc)
+
+
+class TestReturnRow:
+    """price_change reads the store's row of day t's next-day returns."""
+
+    @pytest.fixture(params=["synthetic", "csv-with-gaps"])
+    def store(self, request, gappy_store, tmp_path):
+        if request.param == "synthetic":
+            return generate_synthetic(SyntheticSpec(n_symbols=5, n_days=30, daily_vol=0.03), 4)
+        write_csv(gappy_store, tmp_path / "bars.csv")
+        return ingest_csv(tmp_path / "bars.csv")
+
+    def test_every_return_has_the_bits_of_the_scalar_reads(self, store):
+        for t in store.calendar[:-1]:
+            row = store.next_returns(t)
+            for symbol, r in zip(store.symbols, row):
+                want = scalar_price_change(store, symbol, t)
+                if isinstance(want, str):
+                    assert r != r  # a missing bar is a NaN cell
+                    continue
+                assert np.float64(r).view(np.uint64) == np.float64(want).view(np.uint64)
+                got = price_change(store, symbol, t)
+                assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+    def test_each_fault_has_the_scalar_reads_text(self, store):
+        days = (*store.calendar, D(1999, 1, 1), store.calendar[0] + dt.timedelta(days=-1))
+        for t in days:
+            for symbol in (*store.symbols, "ZZZ"):
+                want = scalar_price_change(store, symbol, t)
+                if isinstance(want, str):
+                    with pytest.raises(MissingDataError) as got:
+                        price_change(store, symbol, t)
+                    assert str(got.value) == want
+
+    def test_the_csv_store_faults_on_gaps_and_the_last_day(self, gappy_store):
+        cal = gappy_store.calendar
+        assert price_change_or_text(gappy_store, "BBB", cal[1]) == f"no bar for (BBB, {cal[2]})"
+        assert price_change_or_text(gappy_store, "BBB", cal[2]) == f"no bar for (BBB, {cal[2]})"
+        assert price_change_or_text(gappy_store, "ZZZ", cal[0]) == f"no bar for (ZZZ, {cal[0]})"
+        assert price_change_or_text(gappy_store, "AAA", cal[-1]) == f"no trading day after {cal[-1]}"
+        assert gappy_store.next_returns(cal[-1]) is None
+        assert gappy_store.next_returns(D(1999, 1, 1)) is None
+
+    def test_the_row_never_serves_another_day(self, store):
+        cal = store.calendar
+        first = [price_change_or_text(store, s, cal[3]) for s in store.symbols]
+        other = [price_change_or_text(store, s, cal[7]) for s in store.symbols]
+        again = [price_change_or_text(store, s, cal[3]) for s in store.symbols]
+        assert again == first != other
+        assert other == [scalar_price_change(store, s, cal[7]) for s in store.symbols]
+        # a day that has no row leaves the kept row as it was
+        price_change_or_text(store, store.symbols[0], cal[-1])
+        assert [price_change_or_text(store, s, cal[3]) for s in store.symbols] == first
+
+    def test_no_view_offers_the_row(self, store):
+        # the row of day t reads the close of day t + 1
+        assert not hasattr(view_until(store, store.calendar[3]), "next_returns")
+
+
 class TestViewUntil:
     def test_query_within_cutoff(self, tiny_store):
         t5 = tiny_store.calendar[5]
