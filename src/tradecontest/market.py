@@ -146,7 +146,7 @@ class MarketStore:
         self._json_days = 0
         # next_returns' row, for the latest day asked
         self._returns_day: dt.date | None = None
-        self._returns: list[float] = []
+        self._returns: tuple[float, ...] = ()
 
     @property
     def calendar(self) -> tuple[dt.date, ...]:
@@ -176,7 +176,7 @@ class MarketStore:
         # c == c is false for the NaN of a cell without a bar
         return {s: c for s, c in zip(self._symbols, column) if c == c}
 
-    def next_returns(self, t: dt.date) -> list[float] | None:
+    def next_returns(self, t: dt.date) -> tuple[float, ...] | None:
         """Each symbol's close-to-close return from day ``t`` to the next
         trading day, in symbol order, NaN where either bar is missing; None
         when ``t`` is not a calendar day or is the last. The row is the
@@ -188,7 +188,7 @@ class MarketStore:
             if i is None or i + 1 >= len(self._calendar):
                 return None
             closes = self._fields[3]
-            self._returns = (closes[:, i + 1] / closes[:, i] - 1.0).tolist()
+            self._returns = tuple((closes[:, i + 1] / closes[:, i] - 1.0).tolist())
             self._returns_day = t
         return self._returns
 
