@@ -12,7 +12,6 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -43,11 +42,13 @@ class FactorPortfolio:
 
     # Every research agent of a day reads the same portfolio, and a portfolio
     # stands until the next data rebalance: each is derived on first read and
-    # kept in the instance's __dict__, which a frozen dataclass leaves open.
+    # kept in the instance's __dict__, which a frozen dataclass leaves open
+    # (and pickles with it, so both stay picklable types).
 
     @cached_property
-    def sentiment(self) -> MappingProxyType:
-        """Net rating per symbol across all observations, read-only."""
+    def sentiment(self) -> dict[str, int]:
+        """Net rating per symbol across all observations, shared by every
+        reader: read it, never write it."""
         sentiment: dict[str, int] = {}
         for _, factor in self.selected:
             if factor is None:
@@ -55,7 +56,7 @@ class FactorPortfolio:
             for obs in factor.observations:
                 for sym, rating in obs.rated_symbols:
                     sentiment[sym] = sentiment.get(sym, 0) + rating
-        return MappingProxyType(sentiment)
+        return sentiment
 
     @cached_property
     def text(self) -> str:

@@ -4,6 +4,7 @@ import datetime as dt
 import hashlib
 import json
 import os
+import pickle
 import shlex
 import subprocess
 import sys
@@ -281,6 +282,9 @@ class TestSharedWork:
         assert texts == {render_portfolio_text(portfolio)} == {
             "d0: note on SYM000 [SYM000:+1]\nd0: note on SYM001 [SYM001:-2]\n"
             "d0: note on SYM002 [SYM002:+2]"}
+        # the derived values travel with the portfolio
+        assert pickle.loads(pickle.dumps(portfolio)).sentiment == {
+            "SYM000": 1, "SYM001": -2, "SYM002": 2}
 
 
 class TestExternalProtocol:
