@@ -108,8 +108,8 @@ class MarketStore:
     open, high, low, close and volume, indexed by the position of the symbol
     in ``symbols`` and of the date in ``calendar``. ``_has`` marks the cells
     that hold a bar; the others hold NaN. Reads go by column (``close``,
-    ``closes``, ``day_json``); ``iter_bars`` is the one place that builds
-    ``Bar`` objects of the held bars.
+    ``closes``, ``next_returns``, ``day_json``); ``iter_bars`` is the one
+    place that builds ``Bar`` objects of the held bars.
     """
 
     def __init__(self, days: list[dt.date], syms: list[str], day_codes: np.ndarray,
