@@ -57,14 +57,13 @@ class DayLedger:
 
 @dataclass
 class PortfolioState:
-    """Cash plus settled/unsettled long positions; evolves day by day."""
+    """Cash, settled/unsettled long positions and each symbol's last close
+    on record; evolves day by day, each day's NAV in its ``DayLedger``."""
 
     cash: float
     settled: dict[str, float] = field(default_factory=dict)
     unsettled: dict[str, dict[dt.date, float]] = field(default_factory=dict)
-    marks: dict[str, float] = field(default_factory=dict)
     prev_closes: dict[str, float] = field(default_factory=dict)
-    nav_history: list[tuple[dt.date, float]] = field(default_factory=list)
     fills: list[Fill] = field(default_factory=list)
     days: list[DayLedger] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
@@ -78,8 +77,8 @@ class PortfolioState:
         held |= {s for s, lots in self.unsettled.items() if sum(lots.values()) > 0}
         return sorted(held)
 
-    def nav(self) -> float:
-        return self.cash + ordered_sum(self.shares(s) * self.marks[s]
+    def nav(self, marks: dict[str, float]) -> float:
+        return self.cash + ordered_sum(self.shares(s) * marks[s]
                                        for s in self.held_symbols())
 
 
@@ -130,10 +129,10 @@ def apply_day(state: PortfolioState, target_weights: dict[str, float],
     """Advance the portfolio one day toward ``target_weights``.
 
     ``closes`` holds day ``t``'s close of every symbol with a bar that day.
-    Sequence: settle yesterday's buys, mark positions at today's close
-    (held symbols without a bar keep their last mark and are flagged),
-    then trade toward the targets subject to T+1, move limits, and cash.
-    Returns the same state object, updated in place.
+    Sequence: settle yesterday's buys, mark positions at today's close (a
+    held symbol without a bar at its last close on record, flagged in symbol
+    order), then trade toward the targets subject to T+1, move limits, and
+    cash. Returns the same state object, updated in place.
     """
     total_w = ordered_sum(target_weights.values())
     if total_w > 1.0 + 1e-9:
@@ -143,22 +142,20 @@ def apply_day(state: PortfolioState, target_weights: dict[str, float],
 
     _settle(state, t)
 
-    for symbol in set(state.held_symbols()) | set(target_weights):
-        close = closes.get(symbol)
-        if close is not None:
-            state.marks[symbol] = close
-        elif symbol in state.marks:
-            state.flags.append(f"{t}: stale mark for {symbol}")
-        # symbols never seen and not in today's bars simply cannot trade
+    held = state.held_symbols()
+    state.flags.extend(f"{t}: stale mark for {s}" for s in held if s not in closes)
+    marks = {s: closes[s] if s in closes else state.prev_closes[s] for s in held}
+    # a target without a bar is unmarked: it holds no share and cannot trade
+    marks |= {s: closes[s] for s in target_weights if s in closes}
 
-    nav_pre = state.nav()
+    nav_pre = state.nav(marks)
     ledger = DayLedger(date=t, nav_pre=nav_pre, costs=0.0, nav_post=nav_pre)
 
     # sells first, freeing cash for the buys
-    for symbol in sorted(set(state.held_symbols()) | set(target_weights)):
+    for symbol in sorted(set(held) | set(target_weights)):
         price = closes.get(symbol)
         target_value = target_weights.get(symbol, 0.0) * nav_pre
-        current = state.shares(symbol) * state.marks.get(symbol, 0.0)
+        current = state.shares(symbol) * marks.get(symbol, 0.0)
         if current - target_value <= 1e-12:
             continue
         if price is None:
@@ -190,7 +187,7 @@ def apply_day(state: PortfolioState, target_weights: dict[str, float],
     for symbol in sorted(target_weights):
         price = closes.get(symbol)
         target_value = target_weights[symbol] * nav_pre
-        current = state.shares(symbol) * state.marks.get(symbol, 0.0)
+        current = state.shares(symbol) * marks.get(symbol, 0.0)
         buy_value = target_value - current
         if buy_value <= 1e-12:
             continue
@@ -229,10 +226,8 @@ def apply_day(state: PortfolioState, target_weights: dict[str, float],
 
     state.prev_closes.update(closes)
 
-    nav_post = state.nav()
-    ledger.nav_post = nav_post
+    ledger.nav_post = state.nav(marks)
     state.days.append(ledger)
-    state.nav_history.append((t, nav_post))
     return state
 
 

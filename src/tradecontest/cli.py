@@ -82,8 +82,8 @@ def run_contest_backtest(config: cfgmod.RunConfig, ledger_path: Path | None = No
                 prev_portfolio_date = None if record.portfolio is None \
                     else record.portfolio.date
             ic_records.append({k: getattr(record, k) for k in IC_FIELDS})
-    metrics = _metrics_dict(config, state.nav_history, ic_records)
-    return state, metrics
+    navs = [(day.date, day.nav_post) for day in state.days]
+    return state, _metrics_dict(config, navs, ic_records)
 
 
 def _metrics_dict(config, nav_history, record_dicts) -> dict:
@@ -114,8 +114,8 @@ def _write_run_outputs(out_dir: Path, state, metrics) -> None:
     """nav.csv, fills.csv and metrics.json; the ledger is written as the run goes."""
     with open(out_dir / "nav.csv", "w") as fh:
         fh.write("date,nav\n")
-        for date, nav in state.nav_history:
-            fh.write(f"{date.isoformat()},{nav!r}\n")
+        for day in state.days:
+            fh.write(f"{day.date.isoformat()},{day.nav_post!r}\n")
     with open(out_dir / "fills.csv", "w") as fh:
         fh.write("date,symbol,side,shares,price,value,cost\n")
         for f in state.fills:

@@ -57,11 +57,12 @@ class DataSection(SyntheticSpec):
     kind: str = "synthetic"  # synthetic | csv
     csv_path: str | None = None
 
-    def validate(self, where: str):
+    def __post_init__(self):
+        super().__post_init__()
         if self.kind not in ("synthetic", "csv"):
-            raise ConfigurationError(f"{where}.kind: must be synthetic or csv, got {self.kind!r}")
+            raise ValueError(f"kind: must be synthetic or csv, got {self.kind!r}")
         if self.kind == "csv" and not self.csv_path:
-            raise ConfigurationError(f"{where}.csv_path: required when data.kind is csv")
+            raise ValueError("csv_path: required when data.kind is csv")
 
 
 @dataclass(frozen=True)
@@ -71,19 +72,17 @@ class PeriodSection:
     test_start: dt.date | None = None
     test_end: dt.date | None = None
 
-    def validate(self, where: str):
+    def __post_init__(self):
         if self.test_start is not None and self.train_end is not None:
             if self.test_start <= self.train_end:
-                raise ConfigurationError(
-                    f"{where}: train/test overlap (train_end {self.train_end} >= "
-                    f"test_start {self.test_start})"
-                )
+                raise ValueError(f"train/test overlap (train_end {self.train_end} >= "
+                                 f"test_start {self.test_start})")
         if self.train_start is not None and self.train_end is not None:
             if self.train_end < self.train_start:
-                raise ConfigurationError(f"{where}: train_end before train_start")
+                raise ValueError("train_end before train_start")
         if self.test_start is not None and self.test_end is not None:
             if self.test_end < self.test_start:
-                raise ConfigurationError(f"{where}: test_end before test_start")
+                raise ValueError("test_end before test_start")
 
 
 DataAgent = SyntheticDataAgent | ExternalDataAgent
@@ -103,16 +102,16 @@ class RicPanel:
     agents: int = 16
     days: int = 300
 
-    def validate(self, where: str):
+    def __post_init__(self):
         if self.kind not in ("ar1", "noise"):
-            raise ConfigurationError(f"{where}.kind: must be ar1 or noise, got {self.kind!r}")
+            raise ValueError(f"kind: must be ar1 or noise, got {self.kind!r}")
         if not math.isfinite(self.phi):
-            raise ConfigurationError(f"{where}.phi: must be a finite number, got {self.phi!r}")
-        _at_least_1(self, ("agents", "days"), where)
+            raise ValueError(f"phi: must be a finite number, got {self.phi!r}")
+        _at_least_1(self, ("agents", "days"))
         cells = sys.maxsize // 8  # NumPy caps an array's bytes at its index type
         if self.agents * self.days > cells:
-            raise ConfigurationError(f"{where}: agents * days must be at most {cells} "
-                                     f"(a float64 array's limit), got {self.agents} * {self.days}")
+            raise ValueError(f"agents * days must be at most {cells} "
+                             f"(a float64 array's limit), got {self.agents} * {self.days}")
 
 
 @dataclass(frozen=True)
@@ -122,14 +121,14 @@ class RicWindows:
     M: int = 60
     N: int = 30
 
-    def validate(self, where: str):
-        _at_least_1(self, ("m", "n", "M", "N"), where)
+    def __post_init__(self):
+        _at_least_1(self, ("m", "n", "M", "N"))
 
 
-def _at_least_1(section, names, where: str):
+def _at_least_1(section, names):
     for name in names:
         if getattr(section, name) < 1:
-            raise ConfigurationError(f"{where}.{name}: must be >= 1, got {getattr(section, name)}")
+            raise ValueError(f"{name}: must be >= 1, got {getattr(section, name)}")
 
 
 @dataclass(frozen=True)
@@ -139,10 +138,9 @@ class ValidateRicSection:
     ledger: str | None = None
     windows: RicWindows = field(default_factory=RicWindows)
 
-    def validate(self, where: str):
+    def __post_init__(self):
         if self.source not in ("panel", "ledger"):
-            raise ConfigurationError(
-                f"{where}.source: must be panel or ledger, got {self.source!r}")
+            raise ValueError(f"source: must be panel or ledger, got {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +201,6 @@ def _load(cls, raw, where: str):
         if key in names:
             raise ConfigurationError(f"{_path(where, key)}: {rest}") from None
         raise ConfigurationError(f"{where or 'config root'}: {exc}") from None
-    if hasattr(section, "validate"):
-        section.validate(where)
     return section
 
 
@@ -318,8 +314,9 @@ def contest_config(config: RunConfig, store: MarketStore, **overrides) -> Contes
     period = config.period
     train_window = None
     if period.train_start is not None and period.train_end is not None:
-        train_window = sum(
-            1 for d in store.calendar if period.train_start <= d <= period.train_end
-        )
+        train_window = sum(period.train_start <= d <= period.train_end for d in store.calendar)
+        if not train_window:  # a cap of 0 would slice every row
+            raise ConfigurationError(f"period: train period from {period.train_start} to "
+                                     f"{period.train_end} holds no trading day")
     return ContestConfig(**dataclasses.asdict(config.contest), seed=config.seed,
                          train_window_days=train_window, **overrides)

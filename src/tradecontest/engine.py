@@ -563,28 +563,26 @@ def _data_days(engine: ContestEngine, eval_idx: int,
                end: int) -> Iterator[DataDay | None]:
     """The data stage of each calendar day before ``end``, run ahead in a
     forked data process where a data agent is a command line; None for
-    each day the caller is to run it. An exception the stage raised is
-    raised on its day. When the process cannot fork, dies or sends
-    anything else, it is reaped, the data team's state is rebuilt from the
-    days it sent, and every later day is None."""
+    each day the caller is to run it. A day taken from the process leaves
+    the data team's scores and pending factors as its stage run inline
+    would, and an exception the stage raised is raised on its day. When the
+    process cannot fork, dies or sends anything else, it is reaped and
+    every later day is None."""
     # a command-line agent's spawns outweigh handing the day over; a
     # synthetic data team's work, gbdt fits included, does not
     process = Forked(lambda jobs: engine.data_stages(eval_idx, end)) \
         if any(spawns(a) for a in engine.data_agents) else None
-    sent: list[dict[str, float]] = []  # the factor scores of each day received
     try:
         for _ in range(end):
             day = None if process is None else process.receive((DataDay, Exception))
             if isinstance(day, Exception):
                 raise day
-            if day is not None:
-                sent.append(day.scores)
+            if day is None:
+                process = None  # there was none, or receive has reaped it
+            else:
+                for agent_id, q in day.scores.items():
+                    engine.data.resolve(agent_id, q, None)
                 engine.data.pending = {day.date: day.factors}
-            elif process is not None:  # receive has reaped it
-                process = None
-                for scores in sent:
-                    for agent_id, q in scores.items():
-                        engine.data.resolve(agent_id, q, None)
             yield day
     finally:
         if process is not None:

@@ -226,13 +226,12 @@ class MarketView:
         self._store = store
         self.cutoff = cutoff
         self._cut = store.day_index(cutoff)
-        self._calendar = store.calendar[: self._cut + 1]
         self._momentum_cache: dict[int, tuple[MappingProxyType, tuple[str, ...]]] = {}
         self._bars_json_cache: dict[int, str] = {}
 
     @property
     def calendar(self) -> tuple[dt.date, ...]:
-        return self._calendar
+        return self._store.calendar[: self._cut + 1]
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -294,7 +293,7 @@ class MarketView:
         symbol order, as ``json.dumps(bars, sort_keys=True)`` writes it; built
         once per view from the store's day texts and shared by every reader."""
         if lookback not in self._bars_json_cache:
-            days = self._calendar[-lookback:]  # every calendar day has a bar
+            days = self.calendar[-lookback:]  # every calendar day has a bar
             store = self._store
             store._json_days = max(store._json_days, lookback)
             self._bars_json_cache[lookback] = "[" + ", ".join(map(store.day_json, days)) + "]"

@@ -324,7 +324,8 @@ def test_criterion_7_researcher_contest_weights_skill():
             state = new_state(1_000_000.0)
             for rec in records:
                 apply_day(state, rec.target_weights, store.closes(rec.date), rec.date)
-            return records, compute_metrics(state.nav_history).cumulative_return
+            navs = [(day.date, day.nav_post) for day in state.days]
+            return records, compute_metrics(navs).cumulative_return
 
         records, cr_full = run_cr()
         weights = [r.weights.weights.get("rskill", 0.0)

@@ -88,7 +88,21 @@ class TestApplyDay:
         apply_day(state, {"AAA": 1.0}, {"AAA": 10.0}, DAYS[0])
         apply_day(state, {"AAA": 1.0}, {}, DAYS[1])  # no bar for held symbol
         assert any("stale mark" in f for f in state.flags)
-        assert state.nav_history[-1][1] == pytest.approx(state.nav_history[-2][1])
+        assert state.days[-1].nav_post == pytest.approx(state.days[-2].nav_post)
+
+    def test_no_stale_mark_for_a_symbol_not_held(self):
+        state = new_state(10_000.0)
+        apply_day(state, {}, {"AAA": 10.0}, DAYS[0])
+        apply_day(state, {"AAA": 1.0}, {"AAA": 11.0}, DAYS[1])  # limit-up: nothing bought
+        apply_day(state, {"AAA": 1.0}, {}, DAYS[2])
+        assert state.held_symbols() == [] and state.flags == []
+
+    def test_stale_marks_flagged_in_symbol_order(self):
+        symbols = [f"S{i:02d}" for i in range(12)]
+        state = new_state(10_000.0)
+        apply_day(state, dict.fromkeys(symbols, 1 / 12), dict.fromkeys(symbols, 10.0), DAYS[0])
+        apply_day(state, {}, {}, DAYS[1])
+        assert state.flags == [f"{DAYS[1]}: stale mark for {s}" for s in symbols]
 
     def test_weights_must_be_substochastic(self):
         state = new_state(1000.0)
@@ -123,7 +137,6 @@ class TestApplyDay:
         state = PortfolioState(
             cash=467718.2086625956,
             unsettled={"SYM003": {D(2024, 11, 1): 25619.020142486508}},
-            marks={"SYM003": 106.3813315233217},
             prev_closes={"SYM003": 106.3813315233217, "SYM011": 102.56779852267275,
                          "SYM000": 631.4171647731059})
         closes = {"SYM003": 105.1176476103122, "SYM011": 102.9621770844245,

@@ -132,6 +132,12 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigurationError, match="train/test overlap"):
             cfgmod.load_config(path)
 
+    def test_a_section_built_in_python_checks_itself(self):
+        with pytest.raises(ValueError, match="train/test overlap"):
+            cfgmod.PeriodSection(train_end=dt.date(2024, 3, 1), test_start=dt.date(2024, 2, 15))
+        with pytest.raises(ValueError, match="kind: must be ar1 or noise"):
+            cfgmod.RicPanel(kind="ar2")
+
     def test_missing_csv_path(self, tmp_path):
         path = write_config(tmp_path / "run.yaml", data={"kind": "csv"})
         with pytest.raises(ConfigurationError, match="csv_path"):
@@ -294,6 +300,10 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
      "validate_ric.panel.kind: must be ar1 or noise, got 'ar2'"),
     ("backtest", {"period": {"test_start": "2024-03-01", "test_end": "2024-03-01"}},
      "period: evaluation window from 2024-03-01 holds 1 trading day(s); need at least 2"),
+    # the weekend and holiday before the market opens on 2024-01-02: a
+    # training window of 0 days would slice every row
+    ("backtest", {"period": {"train_start": "2023-12-30", "train_end": "2024-01-01"}},
+     "period: train period from 2023-12-30 to 2024-01-01 holds no trading day"),
     ("backtest", {"data": {"kind": "csv", "csv_path": "no/such/bars.csv"}},
      "data.csv_path: file not found: no/such/bars.csv"),
     ("backtest", {"data": {"kind": "csv", "csv_path": "."}}, "data.csv_path: is a directory: ."),
@@ -342,7 +352,8 @@ NAN = float("nan")  # written by yaml.safe_dump as .nan
         "learning_rate-nan", "learning_rate-0", "learning_rate-negative", "daily_vol-nan",
         "start_price-inf", "ric-phi-nan", "ric-phi-inf", "ric-agents-0", "ric-days-negative",
         "ric-m-0", "ric-n-0", "ric-M-0", "ric-N-negative", "ric-source-typo",
-        "ric-panel-kind-ar2", "one-day-window", "csv-path-missing", "csv-path-a-directory",
+        "ric-panel-kind-ar2", "one-day-window", "train-period-without-a-trading-day",
+        "csv-path-missing", "csv-path-a-directory",
         "config-a-directory", "config-not-utf8", "ric-ledger-a-directory",
         "data-belief-bogus", "research-skill-2", "research-obs_per_day-negative",
         "float-too-large", "n_days-past-the-calendar", "ric-panel-too-big", "gen-data-m-1",

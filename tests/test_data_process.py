@@ -113,6 +113,30 @@ def test_forked_run_writes_the_inline_bytes(config_path, tmp_path, inline_output
     assert_no_child_left()
 
 
+def test_a_forked_run_leaves_the_inline_data_team(config_path, tmp_path, monkeypatch, forks):
+    """The days the data process sends are resolved into the run's own
+    engine as they are taken: once the records end, its data team holds the
+    scores and training rows of an inline run."""
+    engines = []
+
+    class Recorded(eng.ContestEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(eng, "ContestEngine", Recorded)
+    backtest(config_path, tmp_path / "forked")
+    assert len(forks) == forked_per_run(config_path)  # it ran
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        backtest(config_path, tmp_path / "inline")
+    forked, inline = engines
+    assert all(inline.data.scores.values())
+    assert forked.data.scores == inline.data.scores
+    assert forked.data.rows == inline.data.rows
+    assert_no_child_left()
+
+
 def data_stages(failure: str, k: int):
     """``ContestEngine.data_stages`` whose k-th day is a string, or which
     hangs before its k-th day."""

@@ -28,12 +28,12 @@ def run(config_path: Path, out: Path) -> tuple[dict[str, bytes], list[float], li
     cash, residuals, apply_day = [], [], cli_mod.apply_day
 
     def apply_and_record(state, *args):
-        nav_before = state.nav_history[-1][1] if state.nav_history else state.cash
+        nav_before = state.days[-1].nav_post if state.days else state.cash
         carried = {s: state.shares(s) for s in state.held_symbols()}
-        marks = dict(state.marks)
+        marks = dict(state.prev_closes)
         apply_day(state, *args)
         day = state.days[-1]
-        marked = sum(n * (state.marks[s] - marks[s]) for s, n in carried.items())
+        marked = sum(n * (state.prev_closes[s] - marks[s]) for s, n in carried.items())
         residuals.append(abs(day.nav_post - nav_before - marked + day.costs) / nav_before)
         cash.append(state.cash)
 
