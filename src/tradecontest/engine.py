@@ -7,9 +7,9 @@ The data contest rebuilds the factor portfolio on its rebalance cadence;
 research agents consume the active portfolio and are themselves scored,
 predicted, and capital-weighted on their own cadence. Agents that fail
 or stay silent simply score as absent; the run never crashes on them.
-Each day runs in two stages: the data team's, which reads only the market
-and the data team's own history and can run ahead in a forked data
-process, then the rest.
+Where a data agent is a command line, a forked data process calls the
+data agents of each day ahead of the run and sends it their outputs; the
+run scores, fits and ranks both teams itself.
 """
 
 from __future__ import annotations
@@ -158,20 +158,6 @@ class DailyRecord:
             "model_kinds": self.model_kinds,
             "absent": sorted(set(self.absent)),
         }
-
-
-@dataclass
-class DataDay:
-    """The data team's stage of one day: the factors its agents produced,
-    the scores of the day before's factors that resolved, the data agents
-    absent from either, and, on a data rebalance, the data utilities with
-    the kind of model that predicted them."""
-
-    date: dt.date
-    factors: dict[str, TextualFactor]
-    scores: dict[str, float]
-    absent: list[str]
-    utilities: tuple[dict[str, float], str] | None
 
 
 def _portfolio_dict(portfolio: FactorPortfolio | None):
@@ -330,50 +316,29 @@ class ContestEngine:
         self.active_portfolio: FactorPortfolio | None = None
         self.active_weights: CapitalWeights | None = None
 
-    # -- the data stage -------------------------------------------------
-
-    def data_stage(self, i: int, t: dt.date, eval_idx: int, view) -> DataDay:
-        """Day t's data stage: the data agents' factors, the scores of day
-        t-1's factors now that t's close is known and, on a data rebalance,
-        each data agent's predicted utility. It reads only the market and
-        the data team's own history."""
+    def data_outputs(self, t: dt.date, view) -> tuple[dict[str, TextualFactor], list[str]]:
+        """Day t's data-agent outputs: the factors by agent id, and the ids
+        of the data agents absent."""
         absent: list[str] = []
-        factors = _collect(self.data_agents, (view, t), t, absent)
+        return _collect(self.data_agents, (view, t), t, absent), absent
+
+    # -- score resolution -----------------------------------------------
+
+    def _resolve_factor_scores(self, i: int, absent: list[str]) -> dict[str, float]:
+        """Score day t-1's factors, now that t's close is known."""
         scores: dict[str, float] = {}
-        if i > 0:
-            t_prev = self.store.calendar[i - 1]
-            for agent_id, factor in sorted(self.data.pending.get(t_prev, {}).items()):
-                try:
-                    q = factor_score(factor, self.store)
-                except MissingDataError:
-                    absent.append(agent_id)
-                    continue
-                self.data.resolve(agent_id, q, None)
-                scores[agent_id] = q
-        self.data.pending = {t: factors}  # older outputs are dropped unresolved
-        utilities = None
-        if i >= self.config.m and (i - eval_idx) % self.config.n_data == 0:
-            utilities = ({}, "random") if self.config.no_data_contest \
-                else self.data.utilities(self.config, {}, self.worker)
-        return DataDay(t, factors, scores, absent, utilities)
-
-    def data_stages(self, eval_idx: int, end: int) -> Iterator[DataDay | Exception]:
-        """The data stage of each calendar day before ``end``, in order, as
-        the forked data process runs them, with a fit worker of its own; an
-        exception a stage raises is its day's item, and the last."""
-        self.worker = Forked(fits)
-        try:
-            for i, t in enumerate(self.store.calendar[:end]):
-                try:
-                    day = self.data_stage(i, t, eval_idx, view_until(self.store, t))
-                except Exception as exc:
-                    yield exc
-                    return
-                yield day
-        finally:
-            self.worker.close()
-
-    # -- the second stage -----------------------------------------------
+        if i == 0:
+            return scores
+        t_prev = self.store.calendar[i - 1]
+        for agent_id, factor in sorted(self.data.pending.get(t_prev, {}).items()):
+            try:
+                q = factor_score(factor, self.store)
+            except MissingDataError:
+                absent.append(agent_id)
+                continue
+            self.data.resolve(agent_id, q, None)
+            scores[agent_id] = q
+        return scores
 
     def _resolve_researcher_scores(self, i: int, absent: list[str]) -> dict:
         """Score day t-1's signals by their returns, now that t's close is
@@ -411,11 +376,11 @@ class ContestEngine:
                 researcher_scores[agent_id] = entry
         return researcher_scores
 
-    def _rebalance_data(self, t: dt.date, factors_t: dict[str, TextualFactor],
-                        utilities: dict[str, float]) -> None:
+    def _rebalance_data(self, t: dt.date, factors_t: dict[str, TextualFactor]):
         """Rebuild the factor portfolio from day t's factors: the knapsack
-        over their predicted utilities, or, without the data contest, a
-        random pick under the budget."""
+        over the data agents' predicted utilities, or, without the data
+        contest, a random pick under the budget; the utilities and the
+        kind of model that predicted them."""
         if self.config.no_data_contest:
             rng = stream(self.config.seed, "ablation", "data", t.isoformat())
             ids = sorted(a for a, f in factors_t.items() if f.token_length >= 1)
@@ -433,8 +398,9 @@ class ContestEngine:
                 total_tokens=total,
                 total_utility=0.0,
             )
-            return
+            return {}, "random"
 
+        utilities, model_kind = self.data.utilities(self.config, {}, self.worker)
         items = [
             KnapsackItem(agent_id=a, utility=u, tokens=factors_t[a].token_length,
                          factor=factors_t[a])
@@ -442,6 +408,7 @@ class ContestEngine:
             if a in factors_t and factors_t[a].token_length >= 1
         ]
         self.active_portfolio = knapsack_select(items, self.config.budget, date=t)
+        return utilities, model_kind
 
     def _rebalance_research(self, t: dt.date, signals_t: dict[str, TradingSignal]):
         if self.config.no_research_contest:
@@ -465,27 +432,26 @@ class ContestEngine:
     # -- day driver -------------------------------------------------------
 
     def run_contest_day(self, i: int, t: dt.date, eval_idx: int,
-                        data_days: Iterator[DataDay | None] | None = None) -> DailyRecord:
-        """Day t's record. Its data stage is the next of ``data_days`` where
-        the data process ran it, else it runs here first; then the second
-        stage scores the research team, rebuilds the factor portfolio on a
-        data rebalance, runs the research agents and sets the target
-        weights."""
+                        data_days: Iterator[tuple | None] | None = None) -> DailyRecord:
+        """Day t's record. The data agents' outputs are the next of
+        ``data_days`` where the data process called them, else they are
+        called here; then both teams' outputs of day t-1 are scored, the
+        factor portfolio is rebuilt on a data rebalance, the research agents
+        run and the target weights are set."""
         view = view_until(self.store, t)
-        data_day = None if data_days is None else next(data_days)
-        if data_day is None:
-            data_day = self.data_stage(i, t, eval_idx, view)
-        absent = [*data_day.absent]
+        outputs = None if data_days is None else next(data_days)
+        factors, absent = self.data_outputs(t, view) if outputs is None else outputs
+        factor_scores = self._resolve_factor_scores(i, absent)
+        self.data.pending = {t: factors}  # older outputs are dropped unresolved
         researcher_scores = self._resolve_researcher_scores(i, absent)
 
         data_utilities: dict[str, float] = {}
         research_utilities: dict[str, float] = {}
         model_kinds: dict[str, str] = {}
 
-        data_reb = data_day.utilities is not None
+        data_reb = i >= self.config.m and (i - eval_idx) % self.config.n_data == 0
         if data_reb:
-            data_utilities, model_kinds["data"] = data_day.utilities
-            self._rebalance_data(t, data_day.factors, data_utilities)
+            data_utilities, model_kinds["data"] = self._rebalance_data(t, factors)
 
         portfolio = self.active_portfolio if self.active_portfolio is not None \
             else empty_portfolio(t)
@@ -506,7 +472,7 @@ class ContestEngine:
 
         return DailyRecord(
             date=t,
-            factor_scores=data_day.scores,
+            factor_scores=factor_scores,
             researcher_scores=researcher_scores,
             data_utilities=data_utilities,
             research_utilities=research_utilities,
@@ -559,31 +525,26 @@ def run_full(config: ContestConfig, store: MarketStore, data_agents,
     return _records(engine, eval_idx, end)
 
 
-def _data_days(engine: ContestEngine, eval_idx: int,
-               end: int) -> Iterator[DataDay | None]:
-    """The data stage of each calendar day before ``end``, run ahead in a
-    forked data process where a data agent is a command line; None for
-    each day the caller is to run it. A day taken from the process leaves
-    the data team's scores and pending factors as its stage run inline
-    would, and an exception the stage raised is raised on its day. When the
-    process cannot fork, dies or sends anything else, it is reaped and
-    every later day is None."""
+def _data_days(engine: ContestEngine, end: int) -> Iterator[tuple | None]:
+    """Each calendar day's data-agent outputs before ``end``, as
+    ``ContestEngine.data_outputs`` gives them, called ahead in a forked data
+    process where a data agent is a command line; None for each day the
+    caller is to call them. When the process cannot fork, dies, sends
+    anything else or ends on a fault, it is reaped and every later day is
+    None, so the run calls that day's agents itself, and a fault is raised
+    on its day."""
     # a command-line agent's spawns outweigh handing the day over; a
-    # synthetic data team's work, gbdt fits included, does not
-    process = Forked(lambda jobs: engine.data_stages(eval_idx, end)) \
+    # synthetic data team's work does not
+    store = engine.store
+    process = Forked(lambda jobs: (engine.data_outputs(t, view_until(store, t))
+                                   for t in store.calendar[:end])) \
         if any(spawns(a) for a in engine.data_agents) else None
     try:
         for _ in range(end):
-            day = None if process is None else process.receive((DataDay, Exception))
-            if isinstance(day, Exception):
-                raise day
-            if day is None:
+            outputs = None if process is None else process.receive(tuple)
+            if outputs is None:
                 process = None  # there was none, or receive has reaped it
-            else:
-                for agent_id, q in day.scores.items():
-                    engine.data.resolve(agent_id, q, None)
-                engine.data.pending = {day.date: day.factors}
-            yield day
+            yield outputs
     finally:
         if process is not None:
             process.close()
@@ -593,7 +554,7 @@ def _records(engine: ContestEngine, eval_idx: int, end: int) -> Iterator[DailyRe
     """Run the calendar's days before ``end`` in order, yielding the records
     from ``eval_idx`` on; the data process and the engine's worker are
     reaped when they end or are closed."""
-    data_days = _data_days(engine, eval_idx, end)
+    data_days = _data_days(engine, end)
     try:
         for i, t in enumerate(engine.store.calendar[:end]):
             record = engine.run_contest_day(i, t, eval_idx, data_days)

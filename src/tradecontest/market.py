@@ -293,8 +293,8 @@ class MarketView:
         symbol order, as ``json.dumps(bars, sort_keys=True)`` writes it; built
         once per view from the store's day texts and shared by every reader."""
         if lookback not in self._bars_json_cache:
-            days = self.calendar[-lookback:]  # every calendar day has a bar
-            store = self._store
+            store, end = self._store, self._cut + 1
+            days = store.calendar[max(end - lookback, 0): end]  # every calendar day has a bar
             store._json_days = max(store._json_days, lookback)
             self._bars_json_cache[lookback] = "[" + ", ".join(map(store.day_json, days)) + "]"
         return self._bars_json_cache[lookback]

@@ -1,9 +1,9 @@
 """The data process: where the data team holds a command-line agent, a
-run computes each day's data stage in a forked process, ahead of the
-research team. Its four outputs are the bytes of the
-inline run, also after the process dies or sends garbage; an exception in
-a data stage fails the run on its day as it does inline; and no run leaves
-a process behind."""
+run calls each day's data agents in a forked process, ahead of the
+research team, and does the rest of the day itself. Its four outputs are
+the bytes of the inline run, also after the process dies or sends
+garbage; a fault in a data-agent call fails the run on its day as it
+does inline; and no run leaves a process behind."""
 
 from __future__ import annotations
 
@@ -114,9 +114,9 @@ def test_forked_run_writes_the_inline_bytes(config_path, tmp_path, inline_output
 
 
 def test_a_forked_run_leaves_the_inline_data_team(config_path, tmp_path, monkeypatch, forks):
-    """The days the data process sends are resolved into the run's own
-    engine as they are taken: once the records end, its data team holds the
-    scores and training rows of an inline run."""
+    """The run scores the factors the data process sends as it takes each
+    day: once the records end, its data team holds the scores and training
+    rows of an inline run."""
     engines = []
 
     class Recorded(eng.ContestEngine):
@@ -137,18 +137,17 @@ def test_a_forked_run_leaves_the_inline_data_team(config_path, tmp_path, monkeyp
     assert_no_child_left()
 
 
-def data_stages(failure: str, k: int):
-    """``ContestEngine.data_stages`` whose k-th day is a string, or which
-    hangs before its k-th day."""
-    stages = eng.ContestEngine.data_stages
+def data_outputs(failure: str, k: int):
+    """``ContestEngine.data_outputs`` which, in the data process only, gives
+    a string on day k, or hangs there."""
+    outputs, run_pid = eng.ContestEngine.data_outputs, os.getpid()
 
-    def failing(self, eval_idx, end):
-        for j, day in enumerate(stages(self, eval_idx, end)):
-            if j == k and failure == "garbage":
-                day = "garbage"
-            elif j == k:
-                time.sleep(60)
-            yield day
+    def failing(self, t, view):
+        if os.getpid() != run_pid and self.store.day_index(t) == k:
+            if failure == "garbage":
+                return "garbage"
+            time.sleep(60)
+        return outputs(self, t, view)
 
     return failing
 
@@ -168,8 +167,8 @@ def test_a_failed_data_process_leaves_the_inline_bytes(config_path, tmp_path, mo
         return apply_day(*args)
 
     monkeypatch.setattr(cli_mod, "apply_day", apply_and_kill)
-    monkeypatch.setattr(eng.ContestEngine, "data_stages",
-                        data_stages(failure, 40 if failure == "killed" else 30))
+    monkeypatch.setattr(eng.ContestEngine, "data_outputs",
+                        data_outputs(failure, 40 if failure == "killed" else 30))
     assert backtest(config_path, tmp_path / "failed") == inline_outputs
     [process] = data_processes
     assert len(forks) == forked_per_run(config_path)  # it ran
@@ -178,7 +177,7 @@ def test_a_failed_data_process_leaves_the_inline_bytes(config_path, tmp_path, mo
 
 
 class Unpicklable(Exception):
-    """A fault the data process cannot send: the class is not importable."""
+    """A fault that cannot be pickled: the class is not importable."""
 
 
 Unpicklable.__qualname__ = "nowhere.Unpicklable"
@@ -187,18 +186,18 @@ Unpicklable.__qualname__ = "nowhere.Unpicklable"
 @pytest.mark.parametrize("fault", [TradeContestError, RuntimeError, Unpicklable])
 def test_a_data_stage_fault_fails_the_run_as_inline(config_path, tmp_path, monkeypatch,
                                                     capsys, data_processes, forks, fault):
-    """A fault in day 30's data stage gives the same exception, or exit
+    """A fault in day 30's data-agent call gives the same exception, or exit
     status and error line, and the ledger lines of the days before, forked
-    and inline; an exception the data process cannot send is raised again
-    by the stage rerun inline."""
-    data_stage = eng.ContestEngine.data_stage
+    and inline: the data process ends on it, and the run raises it again
+    as it calls that day's agents itself."""
+    outputs = eng.ContestEngine.data_outputs
 
-    def faulty(self, i, t, eval_idx, view):
-        if i == 30:
+    def faulty(self, t, view):
+        if self.store.day_index(t) == 30:
             raise fault(f"injected fault on {t}")
-        return data_stage(self, i, t, eval_idx, view)
+        return outputs(self, t, view)
 
-    monkeypatch.setattr(eng.ContestEngine, "data_stage", faulty)
+    monkeypatch.setattr(eng.ContestEngine, "data_outputs", faulty)
     results, fork_counts = [], []
     for cores in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)

@@ -532,12 +532,16 @@ class TestDayJson:
         assert tiny_store._day_json and max(tiny_store._day_json) == t
 
     def test_window_joins_the_day_texts(self, tiny_store):
-        t = tiny_store.calendar[6]
-        text = view_until(tiny_store, t).bars_json(3)
+        view = view_until(tiny_store, tiny_store.calendar[6])
+        text = view.bars_json(3)
         days = tiny_store.calendar[4:7]
         assert text == "[" + ", ".join(tiny_store.day_json(d) for d in days) + "]"
         assert [b["date"] for b in json.loads(text)] == [d.isoformat() for d in days
                                                          for _ in tiny_store.symbols]
+        assert view.bars_json(0) == "[]"
+        assert json.loads(view.bars_json(1)) == json.loads(text)[-len(tiny_store.symbols):]
+        assert view.bars_json(30) == view.bars_json(7) == \
+            "[" + ", ".join(tiny_store.day_json(d) for d in tiny_store.calendar[:7]) + "]"
 
     def test_each_day_encoded_once(self, tiny_store, monkeypatch):
         encoded = []

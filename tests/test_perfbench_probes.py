@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 from tradecontest.market import SyntheticSpec, generate_synthetic, write_csv
@@ -16,13 +18,15 @@ from tradecontest.market import SyntheticSpec, generate_synthetic, write_csv
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def traced_layers(tmp_path, n_days: int, contest: dict, data: dict | None = None) -> dict:
+def traced_layers(tmp_path, n_days: int, contest: dict, data: dict | None = None,
+                  data_agents: list | None = None) -> dict:
     """The per-layer figures of one traced child run of a small config."""
     config = {
         "seed": 3,
         "data": data or {"kind": "synthetic", "n_symbols": 4, "n_days": n_days,
                          "daily_vol": 0.01},
-        "agents": {"data": [{"agent_id": f"d{i}", "skill": 0.5} for i in range(3)],
+        "agents": {"data": data_agents or [{"agent_id": f"d{i}", "skill": 0.5}
+                                           for i in range(3)],
                    "research": [{"agent_id": "r0"}, {"agent_id": "r1", "belief": "random"}]},
         "contest": contest,
     }
@@ -66,3 +70,15 @@ def test_csv_source_counts_the_ingested_bars(tmp_path):
     assert rows == 120
     assert layers["market.bars"] == rows
     assert layers["market.build_s"] > 0
+
+
+@pytest.mark.skipif(shutil.which("awk") is None, reason="the data agent runs awk")
+def test_a_command_line_data_team_is_scored_where_traced(tmp_path):
+    # a command-line data agent may have its calls made in a forked data
+    # process, whose probe records are lost; the run must still score the
+    # factors itself, where the probes see it
+    agent = {"kind": "external", "agent_id": "x0", "timeout": 30,
+             "endpoint": f"awk -f {ROOT / 'perfbench' / 'agent.awk'}"}
+    layers = traced_layers(tmp_path, 30, {"predictor": "baseline"},
+                           data_agents=[agent, {"agent_id": "d0", "skill": 0.5}])
+    assert layers["scoring.factor_score_calls"] > 0
